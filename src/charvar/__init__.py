@@ -13,8 +13,7 @@ from .presentations import (AbelianData, EpimorphismToZm, Presentation,
                             abelianize, induced_on_free_part,
                             validate_epimorphism)
 from .parser import parse_presentation
-from .laurent import (GENERIC, Character, LaurentPolynomial, evaluate,
-                      poly_arithmetic, pullback_character)
+from .laurent import GENERIC, Character, LaurentPolynomial, pullback_character
 from .lmatrix import (LaurentMatrix, SmithFormUnivariate, generic_rank,
                       minors, rank_at, smith_univariate)
 from .fox import (GroupRingElement, alexander_matrix, fox_derivative,

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from . import __version__
 from .complexes import KernelHomologyReport, kernel_homology_univariate, twisted_betti
 from .constructions import GroupModel, build_model
-from .errors import FullnessNotEstablished, TrivialNu, UnsupportedDegree
-from .jumploci import (FullnessVerdict, _special_point_checks,
+from .errors import (FullnessNotEstablished, NotUnivariate, TrivialNu,
+                     UnsupportedDegree, ZeroMap)
+from .jumploci import (FullnessVerdict, _require_jumps, _special_point_checks,
                        generic_betti_in_degree, is_full_v1, is_full_vr_product)
 from .laurent import pullback_character
 from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
@@ -120,11 +121,8 @@ def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
         raise ValueError("degree r must be >= 1")
     try:
         nu = validate_epimorphism(presentation, nu.images)
-    except Exception as exc:
-        from .errors import ZeroMap
-        if isinstance(exc, ZeroMap):
-            raise TrivialNu("the map to Z^m is trivial") from exc
-        raise
+    except ZeroMap as exc:
+        raise TrivialNu("the map to Z^m is trivial") from exc
     if strategy == "auto":
         strategy = ("kunneth-product" if "factors" in presentation.tags
                     else "generic-rank")
@@ -177,7 +175,7 @@ def _establish_fullness(presentation: Presentation, r: int, strategy: str,
     specials = _special_point_checks(model.complex, r)
     witness = {f"generic_b{r}": generic_b, "special_points": specials}
     if generic_b >= 1:
-        assert all(p["b_degree"] >= 1 for p in specials)
+        _require_jumps(specials, "b_degree", f"generic b_{r} = {generic_b}")
         return FullnessVerdict(True, "full", "generic-rank", witness=witness)
     return FullnessVerdict(False, "not_full", "generic-rank", witness=witness,
                            reason=f"generic b_{r} = 0")
@@ -267,7 +265,6 @@ def kernel_report_univariate(presentation: Presentation, nu: EpimorphismToZm,
                              certificate: Certificate | None = None) -> KernelReport:
     """Per-degree structure of the kernel's homology via the Smith normal
     form over the one-variable ring; exact verdicts, no sampling."""
-    from .errors import NotUnivariate
     nu = validate_epimorphism(presentation, nu.images)
     if nu.target_rank != 1:
         raise NotUnivariate("exact kernel homology needs a map onto Z")

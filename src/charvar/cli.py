@@ -15,10 +15,11 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .certify import certify_non_fp, generic_vanishing_probe, kernel_report_univariate
-from .complexes import DEFAULT_WINDOW_CEILING, window_homology
+from .complexes import DEFAULT_WINDOW_CEILING, twisted_betti, window_homology
 from .constructions import (bestvina_brady, build_model, complete_graph,
                             cycle_graph, direct_product, edgeless_graph,
                             flag_complex, free_group, octahedron_graph,
@@ -26,13 +27,14 @@ from .constructions import (bestvina_brady, build_model, complete_graph,
                             raag_chain_model, raag_complex, reduced_homology,
                             surface_group)
 from .covers import finite_cover_oracle
-from .errors import CharvarError
+from .errors import CharvarError, TooManyMinors
 from .fox import alexander_matrix
-from .jumploci import is_full_v1, is_full_vr_product, v1_ideal
+from .jumploci import (generic_betti_in_degree, is_full_v1, is_full_vr_product,
+                       v1_ideal)
 from .laurent import GENERIC, Character
 from .lmatrix import DEFAULT_MINOR_CEILING
 from .parser import parse_presentation
-from .presentations import (EpimorphismToZm, induced_on_free_part,
+from .presentations import (EpimorphismToZm, abelianize, induced_on_free_part,
                             validate_epimorphism)
 
 
@@ -247,7 +249,6 @@ def _int_list(value, flag) -> list[int]:
 def parse_character(text: str, nvars: int) -> Character:
     if text == "generic":
         return GENERIC
-    from fractions import Fraction
     coords = [Fraction(x) for x in text.split(",")]
     if len(coords) != nvars:
         raise ValueError(f"character needs {nvars} coordinates, got {len(coords)}")
@@ -285,7 +286,6 @@ def cmd_betti(args):
     presentation, _ = resolve_group(args)
     model = build_model(presentation)
     rho = parse_character(args.char, model.complex.nvars)
-    from .complexes import twisted_betti
     profile = twisted_betti(model.complex, rho)
     result = {
         "group": presentation.tags.get("name", presentation.describe()),
@@ -307,7 +307,6 @@ def cmd_betti(args):
 
 def cmd_alexander(args):
     presentation, _ = resolve_group(args)
-    from .presentations import abelianize
     alex = alexander_matrix(presentation, abelianize(presentation))
     return "ok", {
         "group": presentation.tags.get("name", presentation.describe()),
@@ -320,8 +319,6 @@ def cmd_alexander(args):
 
 def cmd_jumploci(args):
     presentation, _ = resolve_group(args)
-    from .errors import TooManyMinors
-    from .jumploci import generic_betti_in_degree
     verdict = is_full_v1(presentation)
     result = {
         "group": presentation.tags.get("name", presentation.describe()),

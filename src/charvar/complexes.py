@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .errors import NotUnivariate, WindowTooLarge
+from .errors import InternalInconsistency, NotUnivariate, WindowTooLarge
 from .fox import alexander_matrix, quotient_images
 from .intlinalg import rational_rank
-from .laurent import GENERIC, Character, LaurentPolynomial
+from .laurent import Character, LaurentPolynomial
 from .lmatrix import LaurentMatrix, rank_at, smith_univariate
 from .presentations import Presentation
 
@@ -221,7 +221,10 @@ def twisted_betti(complex_: TwistedComplex, character: Character) -> BettiProfil
         ranks[j] = rank_at(complex_.differentials[j - 1], character)
     betti = tuple(complex_.ranks[j] - ranks[j] - ranks[j + 1] for j in range(top + 1))
     profile = BettiProfile(betti, character)
-    assert profile.alternating_sum() == complex_.euler_characteristic()
+    if profile.alternating_sum() != complex_.euler_characteristic():
+        raise InternalInconsistency(
+            f"Betti numbers {list(betti)} break the Euler characteristic "
+            f"{complex_.euler_characteristic()}")
     return profile
 
 
@@ -330,7 +333,3 @@ def _window_rank(d: LaurentMatrix, cols: set, rows: set) -> int:
                 w = tuple(x + y for x, y in zip(v, e))
                 grid[row_index[(r, w)]][cidx] += coeff
     return rational_rank(grid)
-
-
-def generic_betti(complex_: TwistedComplex) -> BettiProfile:
-    return twisted_betti(complex_, GENERIC)

@@ -96,3 +96,10 @@ class FullnessNotEstablished(CharvarError):
 
 class GenusTooSmall(CharvarError):
     code = "genus-too-small"
+
+
+class InternalInconsistency(CharvarError):
+    """A computed result contradicts a theorem it must satisfy; no verdict
+    resting on it may be reported."""
+
+    code = "internal-inconsistency"

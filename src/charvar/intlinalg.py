@@ -1,18 +1,18 @@
 """Exact integer and rational linear algebra: Bareiss rank and Smith form.
 
-Matrices are plain lists of lists.  The Smith normal form tracks the four
-transformation matrices U, V, U^-1, V^-1 so that U*A*V = D and
-A = Uinv*D*Vinv hold exactly over Z.
+Matrices are plain lists of lists.  One Smith elimination serves every
+Euclidean domain this package uses, described by an ``EuclideanRing``: the
+integers here, and Q[t, t^-1] in ``lmatrix``.  It records the four
+transformation matrices U, V, U^-1, V^-1 only when asked; the integer
+Smith normal form asks, so U*A*V = D and A = Uinv*D*Vinv hold exactly
+over Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+from typing import Callable, NamedTuple
 
 
 def mat_mul(a, b):
@@ -75,63 +75,116 @@ def rational_rank(matrix) -> int:
     return integer_rank(cleared)
 
 
+class EuclideanRing(NamedTuple):
+    """What the Smith elimination needs to know about a Euclidean domain.
+
+    ``divmod(a, b)`` returns (q, r) with a = q*b + r and r zero or of
+    smaller ``size`` than b.  ``normalise(a)`` returns a pair (unit, its
+    inverse) taking a nonzero a to its canonical associate a*unit, or None
+    when a is canonical already.  Zero elements must be falsy.
+    """
+
+    zero: object
+    one: object
+    divmod: Callable
+    size: Callable
+    normalise: Callable
+
+
+INTEGERS = EuclideanRing(0, 1, divmod, abs,
+                         lambda a: (-1, -1) if a < 0 else None)
+
+
 def smith_normal_form(matrix):
     """Integer Smith normal form with full transform bookkeeping.
 
     Returns (D, U, V, Uinv, Vinv) with U*A*V = D, A = Uinv*D*Vinv, D diagonal
     with nonnegative entries forming a divisibility chain.
     """
+    return _smith_form(matrix, INTEGERS, transforms=True)
+
+
+def _smith_form(matrix, ring: EuclideanRing, transforms: bool):
+    """Diagonalize over a Euclidean domain by elementary row and column
+    operations.  Returns (D, U, V, Uinv, Vinv); the last four are None
+    unless ``transforms``, and then U*A*V = D and A = Uinv*D*Vinv.  The
+    nonzero diagonal entries of D are canonical (see ``normalise``) and
+    each divides the next.
+
+    Step order: the smallest nonzero entry of the remaining block becomes
+    the pivot (row-major ties), rows then columns are cleared by Euclidean
+    steps, and an entry the pivot does not divide has its row added to the
+    pivot row before a new pivot search.  The integer U fixes the H_1
+    coordinates that every printed character is written in, so this order
+    must not change.
+    """
     m = [list(row) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if m else 0
-    u, uinv = identity(rows), identity(rows)
-    v, vinv = identity(cols), identity(cols)
+    zero, one = ring.zero, ring.one
+
+    def identity(n):
+        return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+    u = uinv = v = vinv = None
+    if transforms:
+        u, uinv, v, vinv = identity(rows), identity(rows), identity(cols), identity(cols)
+    # row operations act on the rows of m and u, and inversely on the
+    # columns of uinv; column operations likewise on v and vinv
+    row_grids = (m, u) if transforms else (m,)
+    col_grids = (m, v) if transforms else (m,)
 
     def row_add(dst, src, k):
         # row_dst += k * row_src
-        for j in range(cols):
-            m[dst][j] += k * m[src][j]
-        for j in range(rows):
-            u[dst][j] += k * u[src][j]
-        for i in range(rows):
-            uinv[i][src] -= k * uinv[i][dst]
+        for grid in row_grids:
+            grid[dst] = [a + k * b if b else a for a, b in zip(grid[dst], grid[src])]
+        if transforms:
+            for r in uinv:
+                r[src] = r[src] - k * r[dst]
 
     def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(rows):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
-
-    def row_negate(i):
-        for j in range(cols):
-            m[i][j] = -m[i][j]
-        for j in range(rows):
-            u[i][j] = -u[i][j]
-        for r in range(rows):
-            uinv[r][i] = -uinv[r][i]
+        for grid in row_grids:
+            grid[i], grid[j] = grid[j], grid[i]
+        if transforms:
+            for r in uinv:
+                r[i], r[j] = r[j], r[i]
 
     def col_add(dst, src, k):
         # col_dst += k * col_src
-        for i in range(rows):
-            m[i][dst] += k * m[i][src]
-        for i in range(cols):
-            v[i][dst] += k * v[i][src]
-        for j in range(cols):
-            vinv[src][j] -= k * vinv[dst][j]
+        for grid in col_grids:
+            for r in grid:
+                if r[src]:
+                    r[dst] = r[dst] + k * r[src]
+        if transforms:
+            vinv[src] = [a - k * b if b else a for a, b in zip(vinv[src], vinv[dst])]
 
     def col_swap(i, j):
-        for r in range(rows):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+        for grid in col_grids:
+            for r in grid:
+                r[i], r[j] = r[j], r[i]
+        if transforms:
+            vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def normalise_pivot(s):
+        # multiply row s by the unit that makes the pivot canonical
+        units = ring.normalise(m[s][s])
+        if units is None:
+            return
+        unit, inverse = units
+        for grid in row_grids:
+            grid[s] = [a * unit for a in grid[s]]
+        if transforms:
+            for r in uinv:
+                r[s] = r[s] * inverse
 
     def find_pivot(s):
-        best = None
+        best = best_size = None
         for i in range(s, rows):
             for j in range(s, cols):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
+                if m[i][j]:
+                    size = ring.size(m[i][j])
+                    if best is None or size < best_size:
+                        best, best_size = (i, j), size
         return best
 
     s = 0
@@ -143,45 +196,33 @@ def smith_normal_form(matrix):
             row_swap(s, pos[0])
         if pos[1] != s:
             col_swap(s, pos[1])
-        if m[s][s] < 0:
-            row_negate(s)
+        normalise_pivot(s)
         # clear the edging below and to the right of the pivot
         dirty = True
         while dirty:
             dirty = False
             for i in range(s + 1, rows):
                 if m[i][s]:
-                    q = m[i][s] // m[s][s]
+                    q, _ = ring.divmod(m[i][s], m[s][s])
                     row_add(i, s, -q)
                     if m[i][s]:
                         row_swap(s, i)
-                        if m[s][s] < 0:
-                            row_negate(s)
+                        normalise_pivot(s)
                         dirty = True
             for j in range(s + 1, cols):
                 if m[s][j]:
-                    q = m[s][j] // m[s][s]
+                    q, _ = ring.divmod(m[s][j], m[s][s])
                     col_add(j, s, -q)
                     if m[s][j]:
                         col_swap(s, j)
+                        normalise_pivot(s)
                         dirty = True
         # force divisibility of the remaining block by the pivot
-        fixed = False
-        for i in range(s + 1, rows):
-            for j in range(s + 1, cols):
-                if m[i][j] % m[s][s]:
-                    row_add(s, i, 1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
+        offender = next((i for i in range(s + 1, rows) for j in range(s + 1, cols)
+                         if m[i][j] and ring.divmod(m[i][j], m[s][s])[1]), None)
+        if offender is not None:
+            row_add(s, offender, one)
             continue
         s += 1
 
     return m, u, v, uinv, vinv
-
-
-def smith_diagonal(matrix) -> list[int]:
-    d, *_ = smith_normal_form(matrix)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]

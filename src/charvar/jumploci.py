@@ -17,11 +17,11 @@ from fractions import Fraction
 
 from .complexes import TwistedComplex, tensor_complex, twisted_betti
 from .constructions import GroupModel, build_model
-from .errors import UnsupportedDegree
+from .errors import InternalInconsistency, UnsupportedDegree
 from .fox import alexander_matrix
 from .intlinalg import integer_rank
 from .laurent import GENERIC, Character, LaurentPolynomial
-from .lmatrix import DEFAULT_MINOR_CEILING, minors
+from .lmatrix import DEFAULT_MINOR_CEILING, minors, rank_at
 from .presentations import Presentation, abelianize
 from .sampling import sample_character
 
@@ -150,10 +150,9 @@ def generic_betti_in_degree(complex_: TwistedComplex, degree: int) -> int:
     expensive than the one degree a fullness decision needs)."""
     if degree < 0 or degree > complex_.top:
         raise UnsupportedDegree(f"degree {degree} outside the complex")
-    from .lmatrix import rank_at as _rank
-    r_here = _rank(complex_.differential(degree), GENERIC) if degree >= 1 else 0
+    r_here = rank_at(complex_.differential(degree), GENERIC) if degree >= 1 else 0
     d_next = complex_.differential(degree + 1)
-    r_next = _rank(d_next, GENERIC) if d_next is not None else 0
+    r_next = rank_at(d_next, GENERIC) if d_next is not None else 0
     return complex_.ranks[degree] - r_here - r_next
 
 
@@ -174,6 +173,16 @@ def _special_point_checks(complex_: TwistedComplex, degree: int) -> list[dict]:
     return out
 
 
+def _require_jumps(points: list[dict], key: str, why: str) -> None:
+    """Raise unless every checked point has Betti number ``key`` >= 1.  A
+    full locus contains every character, so a point without a jump means
+    the computation that declared fullness is wrong."""
+    for p in points:
+        if p[key] < 1:
+            raise InternalInconsistency(
+                f"{why}, but {key} = {p[key]} at the character {p['character']}")
+
+
 def is_full_v1(presentation: Presentation,
                model: GroupModel | None = None) -> FullnessVerdict:
     """Does the degree-one depth-one locus fill the whole torus?
@@ -189,14 +198,14 @@ def is_full_v1(presentation: Presentation,
     model = model or build_model(presentation)
     if chi is not None and chi < 0:
         specials = _special_point_checks(model.complex, 1)
-        assert all(p["b_degree"] >= 1 for p in specials)
+        _require_jumps(specials, "b_degree", f"curve Euler characteristic {chi} < 0")
         return FullnessVerdict(True, "full", "euler-curve",
                                witness={"chi": chi, "special_points": specials})
     generic_b1 = generic_betti_in_degree(model.complex, 1)
     specials = _special_point_checks(model.complex, 1)
     witness = {"generic_b1": generic_b1, "special_points": specials}
     if generic_b1 >= 1:
-        assert all(p["b_degree"] >= 1 for p in specials)
+        _require_jumps(specials, "b_degree", f"generic b_1 = {generic_b1}")
         return FullnessVerdict(True, "full", "generic-rank", witness=witness)
     return FullnessVerdict(False, "not_full", "generic-rank", witness=witness,
                            reason="generic b_1 = 0, so the locus misses a "
@@ -234,8 +243,8 @@ def is_full_vr_product(factors, r: int, seed: int = 0,
         samples.append({"character": rho.describe(),
                         "betti": list(betti), "b_r": betti[r]})
     specials = _special_point_checks(cx, r)
-    assert all(s["b_r"] >= 1 for s in samples)
-    assert all(p["b_degree"] >= 1 for p in specials)
+    _require_jumps(samples, "b_r", "every factor locus is full")
+    _require_jumps(specials, "b_degree", "every factor locus is full")
     return FullnessVerdict(True, "full", "kunneth-product", witness={
         "factors": factor_witness,
         "spot_checks": samples,

@@ -61,15 +61,15 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.nvars: Fraction(1)}
 
     def is_unit(self) -> bool:
         """Units of the Laurent ring are the single-term polynomials."""
         return len(self.terms) == 1
-
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0,) * self.nvars}
 
     # -- ring operations ---------------------------------------------------
 
@@ -346,9 +346,6 @@ class Character:
     def is_generic(self) -> bool:
         return self.coords is None
 
-    def is_trivial(self) -> bool:
-        return self.coords is not None and all(x == 1 for x in self.coords)
-
     def restrict(self, start: int, stop: int) -> "Character":
         if self.is_generic:
             return GENERIC
@@ -370,21 +367,6 @@ class Character:
 
 
 GENERIC = Character(None)
-
-
-def poly_arithmetic(a: LaurentPolynomial, b: LaurentPolynomial, op: str) -> LaurentPolynomial:
-    """Dispatch form of the exact ring operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def evaluate(p: LaurentPolynomial, character: Character) -> Fraction:
-    return p.evaluate(character)
 
 
 def pullback_character(nubar, rho: Character, nvars: int) -> Character:

@@ -7,8 +7,9 @@ exact division by the previous pivot to control entry growth, and
 unit-content stripping (rational content and monomial factors are units
 here, so stripping preserves exact divisibility up to units).
 
-The univariate ring Q[t, t^-1] is a PID; ``smith_univariate`` diagonalizes
-with a divisibility chain and records the four transformation matrices.
+The univariate ring Q[t, t^-1] is a Euclidean domain; ``smith_univariate``
+runs the Smith elimination of ``intlinalg`` over it and keeps only the
+invariant factors, never the transformation matrices.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .errors import NotUnivariate, TooManyMinors, VariableCountMismatch
-from .intlinalg import rational_rank
+from .intlinalg import EuclideanRing, _smith_form, rational_rank
 from .laurent import Character, LaurentPolynomial
 
 DEFAULT_MINOR_CEILING = 20000
@@ -52,13 +53,6 @@ class LaurentMatrix:
     def zeros(cls, nvars: int, rows: int, cols: int) -> "LaurentMatrix":
         z = LaurentPolynomial.zero(nvars)
         return cls(nvars, rows, cols, [[z] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, nvars: int, n: int) -> "LaurentMatrix":
-        one = LaurentPolynomial.one(nvars)
-        z = LaurentPolynomial.zero(nvars)
-        return cls(nvars, n, n, [[one if i == j else z for j in range(n)]
-                                 for i in range(n)])
 
     def transpose(self) -> "LaurentMatrix":
         return LaurentMatrix(self.nvars, self.cols, self.rows,
@@ -179,7 +173,6 @@ def _strip_row_units(row):
 
 
 def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
-    from math import gcd
     num = gcd(a.numerator, b.numerator)
     den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
     return Fraction(num, den)
@@ -282,24 +275,40 @@ def _from_coeffs(coeffs) -> LaurentPolynomial:
     return LaurentPolynomial(1, {(i,): c for i, c in enumerate(coeffs) if c})
 
 
+def _normalising_unit(p: LaurentPolynomial):
+    """The unit c*t^e taking p to its monic associate with nonzero
+    constant term, with its inverse; None when p is that already."""
+    lo, hi = p.exponent_range(0)
+    lead = p.terms[(hi,)]
+    if lo == 0 and lead == 1:
+        return None
+    return (LaurentPolynomial(1, {(-lo,): 1 / lead}),
+            LaurentPolynomial(1, {(lo,): lead}))
+
+
+# univariate_divmod is looked up at call time, so a wrapper installed on the
+# module attribute sees every division the Smith form makes
+LAURENT_UNIVARIATE = EuclideanRing(
+    zero=LaurentPolynomial.zero(1),
+    one=LaurentPolynomial.one(1),
+    divmod=lambda f, g: univariate_divmod(f, g),
+    size=lambda p: (p.degree_span(0), len(p.terms)),
+    normalise=_normalising_unit,
+)
+
+
 @dataclass(frozen=True)
 class SmithFormUnivariate:
-    """Diagonalization U*M*V = D over Q[t, t^-1] with a divisibility chain.
+    """Invariant factors of a matrix over Q[t, t^-1].
 
     The matrix is read as a module presentation: ``cols`` generators subject
     to ``rows`` relations, so the cokernel is Lambda^free_rank plus one
     torsion summand Lambda/(f) per invariant factor f.  Invariant factors
-    are monic with nonzero constant term.  M = Uinv*D*Vinv reconstructs the
-    input exactly.
+    are monic with nonzero constant term and form a divisibility chain.
     """
 
     invariant_factors: tuple[LaurentPolynomial, ...]
     free_rank: int
-    diagonal: LaurentMatrix
-    u: LaurentMatrix
-    v: LaurentMatrix
-    uinv: LaurentMatrix
-    vinv: LaurentMatrix
 
     @property
     def rank(self) -> int:
@@ -317,139 +326,6 @@ class SmithFormUnivariate:
 def smith_univariate(matrix: LaurentMatrix) -> SmithFormUnivariate:
     if matrix.nvars != 1:
         raise NotUnivariate(f"matrix has {matrix.nvars} variables")
-    nr, nc = matrix.rows, matrix.cols
-    m = [list(row) for row in matrix.entries]
-    zero = LaurentPolynomial.zero(1)
-    one = LaurentPolynomial.one(1)
-    u = _ident_grid(nr)
-    uinv = _ident_grid(nr)
-    v = _ident_grid(nc)
-    vinv = _ident_grid(nc)
-
-    def row_add(dst, src, q):
-        # row_dst += q * row_src
-        for j in range(nc):
-            m[dst][j] = m[dst][j] + q * m[src][j]
-        for j in range(nr):
-            u[dst][j] = u[dst][j] + q * u[src][j]
-        for i in range(nr):
-            uinv[i][src] = uinv[i][src] - q * uinv[i][dst]
-
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(nr):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
-
-    def row_scale(i, unit):
-        inv = _unit_inverse(unit)
-        for j in range(nc):
-            m[i][j] = m[i][j] * unit
-        for j in range(nr):
-            u[i][j] = u[i][j] * unit
-        for r in range(nr):
-            uinv[r][i] = uinv[r][i] * inv
-
-    def col_add(dst, src, q):
-        for i in range(nr):
-            m[i][dst] = m[i][dst] + q * m[i][src]
-        for i in range(nc):
-            v[i][dst] = v[i][dst] + q * v[i][src]
-        for j in range(nc):
-            vinv[src][j] = vinv[src][j] - q * vinv[dst][j]
-
-    def col_swap(i, j):
-        for r in range(nr):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        for r in range(nc):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    s = 0
-    while s < min(nr, nc):
-        pos = _min_span_entry(m, s, nr, nc)
-        if pos is None:
-            break
-        if pos[0] != s:
-            row_swap(s, pos[0])
-        if pos[1] != s:
-            col_swap(s, pos[1])
-        while True:
-            # clear column s below the pivot
-            progressed = True
-            while progressed:
-                progressed = False
-                for i in range(s + 1, nr):
-                    if m[i][s].terms:
-                        q, r = univariate_divmod(m[i][s], m[s][s])
-                        row_add(i, s, -q)
-                        if r.terms:
-                            row_swap(s, i)
-                            progressed = True
-                for j in range(s + 1, nc):
-                    if m[s][j].terms:
-                        q, r = univariate_divmod(m[s][j], m[s][s])
-                        col_add(j, s, -q)
-                        if r.terms:
-                            col_swap(s, j)
-                            progressed = True
-            # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(s + 1, nr):
-                for j in range(s + 1, nc):
-                    if m[i][j].terms:
-                        _, r = univariate_divmod(m[i][j], m[s][s])
-                        if r.terms:
-                            offender = i
-                            break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_add(s, offender, one)
-        monic = m[s][s].monic_univariate()
-        unit = _unit_quotient(monic, m[s][s])
-        if not unit.is_one():
-            row_scale(s, unit)
-        s += 1
-
-    factors = tuple(m[i][i] for i in range(min(nr, nc)) if m[i][i].terms)
-    return SmithFormUnivariate(
-        invariant_factors=factors,
-        free_rank=nc - len(factors),
-        diagonal=LaurentMatrix(1, nr, nc, m),
-        u=LaurentMatrix(1, nr, nr, u),
-        v=LaurentMatrix(1, nc, nc, v),
-        uinv=LaurentMatrix(1, nr, nr, uinv),
-        vinv=LaurentMatrix(1, nc, nc, vinv),
-    )
-
-
-def _ident_grid(n: int):
-    one = LaurentPolynomial.one(1)
-    zero = LaurentPolynomial.zero(1)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def _min_span_entry(m, s, nr, nc):
-    best = None
-    best_key = None
-    for i in range(s, nr):
-        for j in range(s, nc):
-            if m[i][j].terms:
-                key = (m[i][j].degree_span(0), len(m[i][j].terms))
-                if best_key is None or key < best_key:
-                    best, best_key = (i, j), key
-    return best
-
-
-def _unit_inverse(unit: LaurentPolynomial) -> LaurentPolynomial:
-    ((e,), c), = [(k, v) for k, v in unit.terms.items()]
-    return LaurentPolynomial(1, {(-e,): 1 / c})
-
-
-def _unit_quotient(target: LaurentPolynomial, source: LaurentPolynomial) -> LaurentPolynomial:
-    """The unit u with source * u = target, for associate polynomials."""
-    (et, ct) = target.leading()
-    (es, cs) = source.leading()
-    return LaurentPolynomial(1, {tuple(a - b for a, b in zip(et, es)): ct / cs})
+    d, *_ = _smith_form(matrix.entries, LAURENT_UNIVARIATE, transforms=False)
+    factors = tuple(d[i][i] for i in range(min(matrix.rows, matrix.cols)) if d[i][i])
+    return SmithFormUnivariate(factors, matrix.cols - len(factors))

@@ -31,12 +31,3 @@ def sample_character(rng: random.Random, nvars: int, box: int) -> Character:
             coords.append(Fraction(x))
         if any(c != 1 for c in coords):
             return Character(coords)
-
-
-def character_stream(seed: int, nvars: int):
-    """Infinite deterministic stream with the doubling box schedule."""
-    rng = random.Random(seed)
-    trial = 0
-    while True:
-        yield sample_character(rng, nvars, box_for_trial(trial))
-        trial += 1

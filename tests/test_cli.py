@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import charvar
 from charvar.cli import main
 
 SCHEMA = json.loads(
@@ -150,6 +156,30 @@ def test_error_has_machine_readable_code(capsys):
     assert code == 1
     assert payload["status"] == "error"
     assert payload["result"]["error"]["code"] == "genus-too-small"
+
+
+def test_soundness_checks_survive_python_O():
+    # python -O strips assert statements; a soundness check that fails must
+    # still stop the run with a coded error
+    script = textwrap.dedent("""
+        import sys
+        import charvar.complexes
+        from charvar.cli import main
+        if __debug__:
+            sys.exit("not running under python -O")
+        # overstate every rank at a rational character, so the special
+        # points of a full locus seem to lose their jump
+        charvar.complexes.rank_at = lambda matrix, character: matrix.cols
+        sys.exit(main(["jumploci", "--preset", "free", "--rank", "2", "--json"]))
+    """)
+    src = str(Path(charvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    payload = json.loads(proc.stdout)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["result"]["error"]["code"] == "internal-inconsistency"
 
 
 def test_usage_error(capsys):

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith
+
 from charvar.intlinalg import (integer_rank, mat_mul, rational_rank,
                                smith_normal_form)
 
@@ -45,3 +48,15 @@ def test_smith_known_values():
     assert d[0][0] == 2 and d[1][1] == 0
     d, *_ = smith_normal_form([[1, 0], [0, 6], [0, 0]])
     assert (d[0][0], d[1][1]) == (1, 6)
+
+
+def test_smith_diagonal_matches_sympy():
+    rng = random.Random(11)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        d, *_ = smith_normal_form(a)
+        oracle = sympy_smith(Matrix(a), domain=ZZ)
+        # invariant factors are unique up to sign
+        assert [d[i][i] for i in range(min(rows, cols))] == \
+            [abs(int(oracle[i, i])) for i in range(min(rows, cols))]

@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import QQ, Matrix, Poly, symbols
+from sympy.matrices.normalforms import invariant_factors
 
 from charvar.errors import TooManyMinors
 from charvar.laurent import GENERIC, Character, LaurentPolynomial
-from charvar.lmatrix import (LaurentMatrix, generic_rank, minors, rank_at,
-                             smith_univariate, univariate_divmod)
+from charvar.intlinalg import _smith_form
+from charvar.lmatrix import (LAURENT_UNIVARIATE, LaurentMatrix, generic_rank,
+                             minors, rank_at, smith_univariate,
+                             univariate_divmod)
 
 
 def x(power=1):
@@ -145,8 +149,13 @@ def test_smith_transforms_reconstruct_input():
     for _ in range(60):
         m = _random_matrix(rng, nvars=1, max_dim=4)
         s = smith_univariate(m)
-        assert (s.u @ m) @ s.v == s.diagonal
-        assert (s.uinv @ s.diagonal) @ s.vinv == m
+        d, u, v, uinv, vinv = (LaurentMatrix.from_rows(1, g) for g in
+                               _smith_form(m.entries, LAURENT_UNIVARIATE,
+                                           transforms=True))
+        assert (u @ m) @ v == d
+        assert (uinv @ d) @ vinv == m
+        assert tuple(d.entries[i][i] for i in range(min(m.rows, m.cols))
+                     if d.entries[i][i]) == s.invariant_factors
         # divisibility chain
         fs = s.invariant_factors
         for i in range(len(fs) - 1):
@@ -182,3 +191,30 @@ def _poly_gcd(a, b):
         _, r = univariate_divmod(a, b)
         a, b = b, r
     return a
+
+
+def test_smith_univariate_matches_sympy():
+    t = symbols("t")
+    rng = random.Random(53)
+    for _ in range(100):
+        m = _random_matrix(rng, nvars=1, max_dim=4)
+        # entries have exponents >= -2; multiplying by the unit t^2 moves
+        # them into Q[t] and leaves the Laurent invariant factors alone
+        grid = Matrix(m.rows, m.cols, lambda i, j: sum(
+            (c.numerator * t ** (e + 2) / c.denominator
+             for (e,), c in m.entries[i][j].terms.items()), 0))
+        expected = []
+        for f in invariant_factors(grid, domain=QQ[t]):
+            if f == 0:
+                continue
+            # over Q[t, t^-1] powers of t are units: strip them, make monic
+            coeffs = Poly(f, t).all_coeffs()[::-1]
+            low = next(k for k, c in enumerate(coeffs) if c)
+            coeffs = coeffs[low:]
+            expected.append([Fraction(int(c.p), int(c.q)) / Fraction(
+                int(coeffs[-1].p), int(coeffs[-1].q)) for c in coeffs])
+        s = smith_univariate(m)
+        got = [[f.terms.get((k,), Fraction(0)) for k in range(f.degree_span(0) + 1)]
+               for f in s.invariant_factors]
+        assert got == expected
+        assert s.free_rank == m.cols - len(expected)

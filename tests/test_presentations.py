@@ -24,6 +24,22 @@ def test_abelianize_torsion():
     assert data.torsion_invariants == (2,)
 
 
+@pytest.mark.parametrize("text,projection,section,torsion", [
+    # the first takes the Smith form's divisibility-fix branch
+    ("gens a,b,c; rel a^-2 b^4; rel b^6 c^-3;",
+     ((2, 1, 2),), ((0,), (1,), (0,)), (6,)),
+    ("gens a,b,c; rel a^2 b^3; rel a^-3 b^2 c^5;",
+     ((15, -10, 13),), ((-5,), (-5,), (2,)), ()),
+])
+def test_h1_coordinates_are_pinned(text, projection, section, torsion):
+    # the integer Smith form's step order picks these coordinates, and every
+    # Alexander polynomial and character the CLI prints is written in them
+    data = abelianize(parse_presentation(text))
+    assert data.projection == projection
+    assert data.section == section
+    assert data.torsion_invariants == torsion
+
+
 def test_abelianize_free_group():
     data = abelianize(free_group(2))
     assert data.torsion_free_rank == 2
