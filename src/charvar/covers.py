@@ -10,7 +10,6 @@ why it is computed here from scratch with no Laurent machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import presentation_complex, twisted_betti
 from .intlinalg import integer_rank
@@ -104,13 +103,13 @@ def finite_cover_oracle(presentation: Presentation, nu: EpimorphismToZm) -> Cove
     nubar = induced_on_free_part(nu, abelian)
     cx = presentation_complex(presentation, abelian)
     b1 = {}
-    for value in (Fraction(1), Fraction(-1)):
+    for value in (1, -1):
         rho = pullback_character(nubar, Character((value,)), cx.nvars)
         b1[value] = twisted_betti(cx, rho).betti[1]
     return CoverReport(
         subgroup=subgroup,
         b1_cover=b1_cover,
-        b1_trivial_character=b1[Fraction(1)],
-        b1_order2_character=b1[Fraction(-1)],
-        consistent=b1_cover == b1[Fraction(1)] + b1[Fraction(-1)],
+        b1_trivial_character=b1[1],
+        b1_order2_character=b1[-1],
+        consistent=b1_cover == b1[1] + b1[-1],
     )

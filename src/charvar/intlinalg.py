@@ -10,8 +10,7 @@ over Z.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Callable, NamedTuple
 
 
@@ -64,14 +63,12 @@ def integer_rank(matrix) -> int:
 
 
 def rational_rank(matrix) -> int:
-    """Rank of a matrix of Fractions, by clearing denominators per row."""
+    """Rank of a matrix of rationals (ints and Fractions), by clearing
+    denominators per row; a nonzero row scaling leaves the rank unchanged."""
     cleared = []
     for row in matrix:
-        denom_lcm = 1
-        for x in row:
-            q = Fraction(x)
-            denom_lcm = denom_lcm * q.denominator // gcd(denom_lcm, q.denominator)
-        cleared.append([int(Fraction(x) * denom_lcm) for x in row])
+        denom = lcm(*(x.denominator for x in row))
+        cleared.append([x.numerator * (denom // x.denominator) for x in row])
     return integer_rank(cleared)
 
 

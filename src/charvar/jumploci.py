@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .complexes import TwistedComplex, tensor_complex, twisted_betti
 from .constructions import GroupModel, build_model
@@ -162,7 +161,7 @@ def _special_point_checks(complex_: TwistedComplex, degree: int) -> list[dict]:
     points = [("trivial", Character.trivial(complex_.nvars))]
     if complex_.nvars:
         points.append(("order2-all-minus",
-                       Character((Fraction(-1),) * complex_.nvars)))
+                       Character((-1,) * complex_.nvars)))
     out = []
     for label, rho in points:
         betti = twisted_betti(complex_, rho).betti

@@ -1,10 +1,11 @@
 """Exact multivariate Laurent polynomials over arbitrary-precision rationals.
 
 A polynomial in m variables is a finite map from integer exponent vectors
-(length m, entries may be negative) to nonzero Fractions.  No floating
-point enters this module.  Coefficients over Q stand in for C: every matrix
-this package produces has rational entries, and ranks over Q equal ranks
-over C for such data.
+(length m, entries may be negative) to nonzero rationals, each an ``int``
+when integral and a ``Fraction`` otherwise, so integer data stays integer
+until a division.  No floating point enters: a float coefficient is refused.
+Coefficients over Q stand in for C: every matrix this package produces has
+rational entries, and ranks over Q equal ranks over C for such data.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from .errors import GenericNotEvaluable, VariableCountMismatch
 class LaurentPolynomial:
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, nvars: int,
+                 terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                q = Fraction(coeff)
+                q = _canonical(coeff)
                 if q:
                     if len(exps) != nvars:
                         raise VariableCountMismatch(
@@ -40,7 +42,7 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "LaurentPolynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPolynomial":
@@ -49,12 +51,12 @@ class LaurentPolynomial:
     @classmethod
     def monomial(cls, exponents: Iterable[int], coeff=1) -> "LaurentPolynomial":
         exps = tuple(exponents)
-        return cls(len(exps), {exps: Fraction(coeff)})
+        return cls(len(exps), {exps: coeff})
 
     @classmethod
     def variable(cls, index: int, nvars: int, power: int = 1) -> "LaurentPolynomial":
         exps = tuple(power if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls(nvars, {exps: 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -65,7 +67,7 @@ class LaurentPolynomial:
         return bool(self.terms)
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: Fraction(1)}
+        return self.terms == {(0,) * self.nvars: 1}
 
     def is_unit(self) -> bool:
         """Units of the Laurent ring are the single-term polynomials."""
@@ -104,7 +106,7 @@ class LaurentPolynomial:
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         if len(self.terms) > len(other.terms):
             a, b = other, self
         else:
@@ -120,7 +122,7 @@ class LaurentPolynomial:
         return _make(self.nvars, out)
 
     def scale(self, value) -> "LaurentPolynomial":
-        q = Fraction(value)
+        q = _canonical(value)
         if not q:
             return LaurentPolynomial.zero(self.nvars)
         return _make(self.nvars, {e: c * q for e, c in self.terms.items()})
@@ -131,14 +133,6 @@ class LaurentPolynomial:
         return _make(self.nvars, {tuple(x + y for x, y in zip(e, d)): c
                                   for e, c in self.terms.items()})
 
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if n < 0:
-            raise ValueError("negative powers only for units; use shift/inverse")
-        out = LaurentPolynomial.one(self.nvars)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentPolynomial)
                 and self.nvars == other.nvars and self.terms == other.terms)
@@ -148,7 +142,7 @@ class LaurentPolynomial:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def evaluate(self, character: "Character") -> Fraction:
+    def evaluate(self, character: "Character") -> int | Fraction:
         """Exact substitution at a rational character; negative exponents
         use rational inverses."""
         if character.is_generic:
@@ -157,7 +151,7 @@ class LaurentPolynomial:
         if len(coords) != self.nvars:
             raise VariableCountMismatch(
                 f"character has {len(coords)} coordinates, polynomial {self.nvars}")
-        total = Fraction(0)
+        total = 0
         for exps, coeff in self.terms.items():
             value = coeff
             for x, e in zip(coords, exps):
@@ -170,7 +164,7 @@ class LaurentPolynomial:
         """Apply the ring map t^e -> s^(M e) for an integer matrix M
         (new_vars x nvars).  Terms may merge or cancel."""
         new_nvars = len(matrix)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for exps, coeff in self.terms.items():
             new = tuple(sum(row[j] * exps[j] for j in range(self.nvars))
                         for row in matrix)
@@ -196,13 +190,13 @@ class LaurentPolynomial:
         glead = max(g0)
         gcoeff = g0[glead]
         rem = dict(self.shift(tuple(-x for x in floor_f)).terms)
-        quo: dict[tuple[int, ...], Fraction] = {}
+        quo: dict[tuple[int, ...], int | Fraction] = {}
         while rem:
             flead = max(rem)
             diff = tuple(a - b for a, b in zip(flead, glead))
             if any(d < 0 for d in diff):
                 return None
-            coeff = rem[flead] / gcoeff
+            coeff = _canonical(Fraction(rem[flead], gcoeff))
             quo[diff] = coeff
             for eg, cg in g0.items():
                 e = tuple(a + b for a, b in zip(diff, eg))
@@ -252,7 +246,7 @@ class LaurentPolynomial:
                     floor[i] = x
         return tuple(floor)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
         """Lexicographically largest exponent vector and its coefficient."""
         e = max(self.terms)
         return e, self.terms[e]
@@ -278,7 +272,7 @@ class LaurentPolynomial:
         lo, _ = self.exponent_range(0)
         shifted = self.shift((-lo,))
         _, lead = shifted.leading()
-        return shifted.scale(1 / lead)
+        return shifted.scale(Fraction(1, lead))
 
     # -- printing ------------------------------------------------------------
 
@@ -311,8 +305,22 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self.to_text()})"
 
 
+def _canonical(value) -> int | Fraction:
+    """The canonical form of a rational coefficient: an int when integral,
+    else a Fraction.  Anything else, a float above all, is refused."""
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"coefficient {value!r} is not an int or a Fraction")
+
+
 def _make(nvars: int, terms: dict) -> LaurentPolynomial:
-    """Internal fast constructor; terms must already be clean."""
+    """Internal fast constructor; terms must be clean but for integral
+    Fractions, which Fraction arithmetic returns and this makes ints."""
+    for e, c in terms.items():
+        if c.__class__ is not int:
+            terms[e] = _canonical(c)
     p = LaurentPolynomial.__new__(LaurentPolynomial)
     p.nvars = nvars
     p.terms = terms
@@ -333,10 +341,6 @@ class Character:
             if any(x == 0 for x in vals):
                 raise ValueError("character coordinates must be nonzero")
             self.coords = vals
-
-    @classmethod
-    def rational(cls, coords) -> "Character":
-        return cls(coords)
 
     @classmethod
     def trivial(cls, nvars: int) -> "Character":

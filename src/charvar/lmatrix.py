@@ -21,7 +21,7 @@ from math import comb, gcd
 
 from .errors import NotUnivariate, TooManyMinors, VariableCountMismatch
 from .intlinalg import EuclideanRing, _smith_form, rational_rank
-from .laurent import Character, LaurentPolynomial
+from .laurent import Character, LaurentPolynomial, _canonical
 
 DEFAULT_MINOR_CEILING = 20000
 
@@ -86,7 +86,8 @@ class LaurentMatrix:
         return self.map_entries(lambda p: p.substitute_exponents(matrix),
                                 nvars=len(matrix))
 
-    def evaluate(self, character: Character) -> list[list[Fraction]]:
+    def evaluate(self, character: Character) -> list[list[int | Fraction]]:
+        """The entries at a rational character, as ints and Fractions."""
         return [[p.evaluate(character) for p in row] for row in self.entries]
 
     def is_zero(self) -> bool:
@@ -160,7 +161,7 @@ def _strip_row_units(row):
     content = nonzero[0].content()
     for p in nonzero[1:]:
         c = p.content()
-        content = Fraction(_gcd_frac(content, c))
+        content = _gcd_frac(content, c)
     floor = list(nonzero[0].monomial_floor())
     for p in nonzero[1:]:
         for i, x in enumerate(p.monomial_floor()):
@@ -245,7 +246,7 @@ def univariate_divmod(f: LaurentPolynomial, g: LaurentPolynomial):
     b, _ = g.exponent_range(0)
     fc = _coeff_list(f.shift((-a,)))
     gc = _coeff_list(g.shift((-b,)))
-    qc = [Fraction(0)] * max(len(fc) - len(gc) + 1, 0)
+    qc = [0] * max(len(fc) - len(gc) + 1, 0)
     rc = list(fc)
     while len(rc) >= len(gc) and any(rc):
         while rc and rc[-1] == 0:
@@ -253,7 +254,7 @@ def univariate_divmod(f: LaurentPolynomial, g: LaurentPolynomial):
         if len(rc) < len(gc):
             break
         shift = len(rc) - len(gc)
-        factor = rc[-1] / gc[-1]
+        factor = _canonical(Fraction(rc[-1], gc[-1]))
         qc[shift] = factor
         for i, c in enumerate(gc):
             rc[shift + i] -= factor * c
@@ -263,9 +264,9 @@ def univariate_divmod(f: LaurentPolynomial, g: LaurentPolynomial):
     return quotient, remainder
 
 
-def _coeff_list(p: LaurentPolynomial) -> list[Fraction]:
+def _coeff_list(p: LaurentPolynomial) -> list[int | Fraction]:
     _, hi = p.exponent_range(0)
-    out = [Fraction(0)] * (hi + 1)
+    out = [0] * (hi + 1)
     for (e,), c in p.terms.items():
         out[e] = c
     return out
@@ -282,7 +283,7 @@ def _normalising_unit(p: LaurentPolynomial):
     lead = p.terms[(hi,)]
     if lo == 0 and lead == 1:
         return None
-    return (LaurentPolynomial(1, {(-lo,): 1 / lead}),
+    return (LaurentPolynomial(1, {(-lo,): Fraction(1, lead)}),
             LaurentPolynomial(1, {(lo,): lead}))
 
 

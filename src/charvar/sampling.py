@@ -8,7 +8,6 @@ character (all coordinates 1) is never produced.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .laurent import Character
 
@@ -28,6 +27,6 @@ def sample_character(rng: random.Random, nvars: int, box: int) -> Character:
             x = 0
             while x == 0:
                 x = rng.randint(-box, box)
-            coords.append(Fraction(x))
+            coords.append(x)
         if any(c != 1 for c in coords):
             return Character(coords)

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import charvar.complexes
 from charvar.complexes import (kernel_homology_univariate,
                                presentation_complex, tensor_complex,
                                twisted_betti)
 from charvar.constructions import build_model, direct_product, free_group, surface_group
-from charvar.errors import NotUnivariate
+from charvar.errors import InternalInconsistency, NotUnivariate
 from charvar.laurent import GENERIC, Character
 from charvar.lmatrix import LaurentMatrix
 from charvar.presentations import (abelianize, induced_on_free_part,
@@ -84,11 +85,20 @@ def test_twisted_betti_genus2_any_nontrivial():
         assert profile.alternating_sum() == -2
 
 
+def test_overstated_ranks_are_caught(monkeypatch):
+    # every rank cancels from the alternating sum of the Betti numbers, so
+    # only a negative Betti number can expose a wrong rank
+    monkeypatch.setattr(charvar.complexes, "rank_at",
+                        lambda matrix, character: matrix.cols)
+    with pytest.raises(InternalInconsistency, match=r"\[-3, -1, 0\]"):
+        twisted_betti(model_complex(surface_group(2)), Character((2, 3, 5, 7)))
+
+
 def test_euler_invariance_random_characters():
     rng = random.Random(19)
     for p in (surface_group(1), surface_group(2), free_group(3)):
         cx = model_complex(p)
-        chi = cx.euler_characteristic()
+        chi = sum((-1) ** j * c for j, c in enumerate(cx.ranks))
         for _ in range(20):
             rho = sample_character(rng, cx.nvars, box=7)
             assert twisted_betti(cx, rho).alternating_sum() == chi

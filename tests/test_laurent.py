@@ -49,6 +49,16 @@ def test_evaluate_examples():
     assert (x - LaurentPolynomial.one(1)).evaluate(Character((1,))) == 0
 
 
+def test_float_coefficients_are_refused():
+    # a float would silently become the nearest binary fraction
+    with pytest.raises(TypeError):
+        LaurentPolynomial(1, {(0,): 0.1})
+    with pytest.raises(TypeError):
+        const(0.5)
+    with pytest.raises(TypeError):
+        t(0).scale(0.5)
+
+
 def test_generic_not_evaluable():
     with pytest.raises(GenericNotEvaluable):
         t(0).evaluate(GENERIC)
