@@ -19,9 +19,9 @@ from .lmatrix import (LaurentMatrix, SmithFormUnivariate, generic_rank,
 from .fox import (GroupRingElement, alexander_matrix, fox_derivative,
                   fundamental_identity_check)
 from .complexes import (BettiProfile, KernelHomologyReport, TwistedComplex,
-                        WindowReport, kernel_homology_univariate,
-                        presentation_complex, tensor_complex, twisted_betti,
-                        window_homology)
+                        WindowReport, generic_ranks,
+                        kernel_homology_univariate, presentation_complex,
+                        tensor_complex, twisted_betti, window_homology)
 from .covers import CoverReport, finite_cover_oracle, index_two_subgroup
 from .constructions import (BestvinaBradyData, Graph, GroupModel, PencilData,
                             SimplicialComplex, bestvina_brady, build_model,

@@ -71,6 +71,17 @@ CITATIONS = (
                      "forces a jump at every character",
         "supports": ["fullness"],
     },
+    {
+        "id": "modular-rank-sandwich",
+        "statement": "let d_j be the differentials of a complex of Laurent "
+                     "matrices with d_(j-1) d_j = 0, c_j the free ranks, p a "
+                     "prime dividing no coefficient denominator, a a point of "
+                     "(F_p^*)^n and r_j the rank of d_j(a) over F_p; then "
+                     "r_j <= generic rank of d_j <= min(c_(j-1) - r_(j-1), "
+                     "c_j - r_(j+1)), so the generic rank equals r_j when "
+                     "the two bounds meet",
+        "supports": ["fullness"],
+    },
 )
 
 
@@ -171,9 +182,10 @@ def _establish_fullness(presentation: Presentation, r: int, strategy: str,
         return FullnessVerdict(
             False, "not_concluded", "generic-rank",
             reason=f"chain model stops in degree {model.complex.top} < r={r}")
-    generic_b = generic_betti_in_degree(model.complex, r)
+    generic_b, route = generic_betti_in_degree(model.complex, r)
     specials = _special_point_checks(model.complex, r)
-    witness = {f"generic_b{r}": generic_b, "special_points": specials}
+    witness = {f"generic_b{r}": generic_b, "special_points": specials,
+               "route": route}
     if generic_b >= 1:
         _require_jumps(specials, "b_degree", f"generic b_{r} = {generic_b}")
         return FullnessVerdict(True, "full", "generic-rank", witness=witness)

@@ -333,7 +333,7 @@ def cmd_jumploci(args):
         # i.e. the maximal depth the generic character already witnesses
         b1 = verdict.witness.get("generic_b1")
         if b1 is None:
-            b1 = generic_betti_in_degree(build_model(presentation).complex, 1)
+            b1, _ = generic_betti_in_degree(build_model(presentation).complex, 1)
         result["ideal"] = None
         result["ideal_fallback"] = {
             "reason": str(exc),

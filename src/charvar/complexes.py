@@ -11,13 +11,14 @@ corresponding map onto Z.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import InternalInconsistency, NotUnivariate, WindowTooLarge
 from .fox import alexander_matrix, quotient_images
-from .intlinalg import rational_rank
-from .laurent import Character, LaurentPolynomial
+from .intlinalg import modular_rank, rational_rank
+from .laurent import GENERIC, Character, LaurentPolynomial
 from .lmatrix import LaurentMatrix, rank_at, smith_univariate
 from .presentations import Presentation
 
@@ -207,14 +208,89 @@ def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
     return TwistedComplex(m, tuple(ranks), tuple(diffs))
 
 
-def twisted_betti(complex_: TwistedComplex, character: Character) -> BettiProfile:
-    """b_j = c_j - rank d_j - rank d_(j+1), exactly; at the generic point
-    this gives the generic Betti numbers, attained off a proper closed
-    subvariety of the character torus."""
+SANDWICH_PRIME = 2 ** 31 - 1
+
+
+def sandwich_points(nvars: int) -> list[tuple[int, ...]]:
+    """The two points of (F_p^*)^nvars the modular sandwich tries, drawn
+    from a fixed seed so that every report is reproducible."""
+    rng = random.Random(0)
+    return [tuple(rng.randrange(2, SANDWICH_PRIME - 1) for _ in range(nvars))
+            for _ in range(2)]
+
+
+def generic_ranks(complex_: TwistedComplex,
+                  degrees=None) -> tuple[tuple[int | None, ...], dict]:
+    """Generic rank of d_j for every j in ``degrees`` (default 1..top), by
+    the modular sandwich, with exact symbolic elimination as the fallback.
+    Returns (ranks, route): ranks[j] is the rank of d_j, None where it was
+    not asked for, and 0 for j = 0 and j = top + 1.
+
+    With p = SANDWICH_PRIME, a a point of (F_p^*)^n and r_j the rank of
+    d_j mod p at a (0 if p divides a coefficient denominator of d_j), the
+    generic rank R_j satisfies r_j <= R_j, since a minor nonzero mod p at a
+    is a nonzero Laurent polynomial, and R_j <= min(c_(j-1) - r_(j-1),
+    c_j - r_(j+1)), since d o d = 0 over the ring (checked at
+    construction); r_0 = r_(top+1) = 0.  When the bounds meet, R_j = r_j
+    exactly, for every prime and every point: a proof, not a sample.  The
+    points of ``sandwich_points`` are tried in turn, r_j being the largest
+    rank seen so far, until every asked rank is pinned; a rank still open
+    after that is computed by ``rank_at(d_j, GENERIC)``.
+
+    The route names the deciding route ("modular-sandwich", or "symbolic"
+    when some asked rank fell back) and records the prime, the points
+    tried, the ranks mod p at each (entry j-1 for d_j, None where not
+    computed) and the degrees that fell back.
+    """
     top = complex_.top
-    ranks = [0] * (top + 2)
-    for j in range(1, top + 1):
-        ranks[j] = rank_at(complex_.differentials[j - 1], character)
+    wanted = sorted(set(range(1, top + 1) if degrees is None else degrees))
+    if any(j < 1 or j > top for j in wanted):
+        raise ValueError(f"differential degrees {wanted} outside 1..{top}")
+    # a bound on R_j reads the ranks of d_(j-1) and d_(j+1) too
+    involved = sorted({i for j in wanted for i in (j - 1, j, j + 1)
+                       if 1 <= i <= top})
+    lower = [0] * (top + 2)
+    tried, modular = [], []
+    pinned: dict[int, int] = {}
+    for point in sandwich_points(complex_.nvars):
+        at_point: list[int | None] = [None] * top
+        for j in involved:
+            grid = complex_.differentials[j - 1].evaluate_mod(point, SANDWICH_PRIME)
+            if grid is not None:
+                at_point[j - 1] = modular_rank(grid, SANDWICH_PRIME)
+                lower[j] = max(lower[j], at_point[j - 1])
+        tried.append(list(point))
+        modular.append(at_point)
+        pinned = {j: lower[j] for j in wanted
+                  if lower[j] == min(complex_.ranks[j - 1] - lower[j - 1],
+                                     complex_.ranks[j] - lower[j + 1])}
+        if len(pinned) == len(wanted):
+            break
+    ranks: list[int | None] = [None] * (top + 2)
+    ranks[0] = ranks[top + 1] = 0
+    fallback = [j for j in wanted if j not in pinned]
+    for j in wanted:
+        ranks[j] = pinned[j] if j in pinned else rank_at(
+            complex_.differentials[j - 1], GENERIC)
+    route = {"name": "symbolic" if fallback else "modular-sandwich",
+             "prime": SANDWICH_PRIME, "points": tried,
+             "modular_ranks": modular, "fallback_degrees": fallback}
+    return tuple(ranks), route
+
+
+def twisted_betti(complex_: TwistedComplex, character: Character) -> BettiProfile:
+    """b_j = c_j - rank d_j - rank d_(j+1), exactly.  At the generic point
+    the ranks come from ``generic_ranks`` (the modular sandwich, with
+    symbolic elimination only for a rank it leaves open), and this gives
+    the generic Betti numbers, attained off a proper closed subvariety of
+    the character torus."""
+    top = complex_.top
+    if character.is_generic:
+        ranks, _ = generic_ranks(complex_)
+    else:
+        ranks = [0] * (top + 2)
+        for j in range(1, top + 1):
+            ranks[j] = rank_at(complex_.differentials[j - 1], character)
     betti = tuple(complex_.ranks[j] - ranks[j] - ranks[j + 1] for j in range(top + 1))
     # a homology dimension is never negative; the Euler identity would be no
     # check, since the ranks cancel from the alternating sum whatever they are

@@ -1,4 +1,5 @@
-"""Exact integer and rational linear algebra: Bareiss rank and Smith form.
+"""Exact integer and rational linear algebra: Bareiss rank, rank mod a
+prime, and Smith form.
 
 Matrices are plain lists of lists.  One Smith elimination serves every
 Euclidean domain this package uses, described by an ``EuclideanRing``: the
@@ -70,6 +71,36 @@ def rational_rank(matrix) -> int:
         denom = lcm(*(x.denominator for x in row))
         cleared.append([x.numerator * (denom // x.denominator) for x in row])
     return integer_rank(cleared)
+
+
+def modular_rank(matrix, p: int) -> int:
+    """Rank over the prime field F_p of a matrix of integers.
+
+    Gaussian elimination on sparse rows: each row is reduced by the pivot
+    rows found so far, leading column first, and becomes a new pivot row
+    if anything is left of it.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> monic row
+    full = min(len(matrix), len(matrix[0]) if matrix else 0)
+    for dense in matrix:
+        row = {j: x % p for j, x in enumerate(dense) if x % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inverse = pow(row[lead], -1, p)
+                pivots[lead] = {j: x * inverse % p for j, x in row.items()}
+                break
+            factor = row[lead]
+            for j, x in pivot.items():
+                y = (row.get(j, 0) - factor * x) % p
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+        if len(pivots) == full:
+            break
+    return len(pivots)
 
 
 class EuclideanRing(NamedTuple):

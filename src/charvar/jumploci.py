@@ -2,9 +2,14 @@
 
 The depth-t locus in degree one is, away from the trivial character, the
 zero set of the (n - t)-minors of the Alexander matrix.  Fullness of a
-locus is decided by exact symbolic generic rank, never by sampling alone:
-the locus is closed, so it fills the torus exactly when the generic Betti
-number already jumps, and sampling only corroborates the verdict.  The
+locus is decided by the exact generic Betti number, never by sampling
+alone: the locus is closed, so it fills the torus exactly when the generic
+Betti number already jumps, and sampling only corroborates the verdict.
+Generic ranks come from the modular sandwich of
+``complexes.generic_ranks``: ranks mod a prime at one point bound each
+generic rank from below, d o d = 0 bounds it from above through the
+neighbouring ranks, and a rank the two bounds do not pin is computed by
+exact symbolic elimination.  The route is recorded in the witness.  The
 trivial character and the order-2 character are checked explicitly in
 every verdict.
 """
@@ -14,13 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .complexes import TwistedComplex, tensor_complex, twisted_betti
+from .complexes import TwistedComplex, generic_ranks, tensor_complex, twisted_betti
 from .constructions import GroupModel, build_model
 from .errors import InternalInconsistency, UnsupportedDegree
 from .fox import alexander_matrix
 from .intlinalg import integer_rank
-from .laurent import GENERIC, Character, LaurentPolynomial
-from .lmatrix import DEFAULT_MINOR_CEILING, minors, rank_at
+from .laurent import Character, LaurentPolynomial
+from .lmatrix import DEFAULT_MINOR_CEILING, minors
 from .presentations import Presentation, abelianize
 from .sampling import sample_character
 
@@ -143,16 +148,17 @@ class FullnessVerdict:
         }
 
 
-def generic_betti_in_degree(complex_: TwistedComplex, degree: int) -> int:
-    """b_degree at the generic point, computed from just the two adjacent
-    ranks (the full generic profile of a large tensor model is far more
-    expensive than the one degree a fullness decision needs)."""
+def generic_betti_in_degree(complex_: TwistedComplex,
+                            degree: int) -> tuple[int, dict]:
+    """b_degree at the generic point, with the route record that decided
+    it.  Only the two adjacent ranks are asked of ``generic_ranks``, so a
+    rank the modular sandwich leaves open elsewhere in a large tensor
+    model never reaches symbolic elimination."""
     if degree < 0 or degree > complex_.top:
         raise UnsupportedDegree(f"degree {degree} outside the complex")
-    r_here = rank_at(complex_.differential(degree), GENERIC) if degree >= 1 else 0
-    d_next = complex_.differential(degree + 1)
-    r_next = rank_at(d_next, GENERIC) if d_next is not None else 0
-    return complex_.ranks[degree] - r_here - r_next
+    adjacent = [j for j in (degree, degree + 1) if 1 <= j <= complex_.top]
+    ranks, route = generic_ranks(complex_, adjacent)
+    return complex_.ranks[degree] - ranks[degree] - ranks[degree + 1], route
 
 
 def _special_point_checks(complex_: TwistedComplex, degree: int) -> list[dict]:
@@ -188,10 +194,10 @@ def is_full_v1(presentation: Presentation,
 
     Curve groups with negative Euler characteristic are full with no
     elimination: the twisted Euler characteristic is character-independent
-    and forces b_1 > 0 everywhere.  Otherwise decide by exact generic rank;
-    since every rank only drops on closed sets, b_1 is minimized at the
-    generic point and the generic value settles the question in both
-    directions.
+    and forces b_1 > 0 everywhere.  Otherwise decide by the exact generic
+    b_1 (``generic_betti_in_degree``); since every rank only drops on
+    closed sets, b_1 is minimized at the generic point and the generic
+    value settles the question in both directions.
     """
     chi = presentation.tags.get("curve_chi")
     model = model or build_model(presentation)
@@ -200,9 +206,10 @@ def is_full_v1(presentation: Presentation,
         _require_jumps(specials, "b_degree", f"curve Euler characteristic {chi} < 0")
         return FullnessVerdict(True, "full", "euler-curve",
                                witness={"chi": chi, "special_points": specials})
-    generic_b1 = generic_betti_in_degree(model.complex, 1)
+    generic_b1, route = generic_betti_in_degree(model.complex, 1)
     specials = _special_point_checks(model.complex, 1)
-    witness = {"generic_b1": generic_b1, "special_points": specials}
+    witness = {"generic_b1": generic_b1, "special_points": specials,
+               "route": route}
     if generic_b1 >= 1:
         _require_jumps(specials, "b_degree", f"generic b_1 = {generic_b1}")
         return FullnessVerdict(True, "full", "generic-rank", witness=witness)

@@ -143,8 +143,9 @@ class LaurentPolynomial:
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, character: "Character") -> int | Fraction:
-        """Exact substitution at a rational character; negative exponents
-        use rational inverses."""
+        """Exact substitution at a rational character, in canonical form;
+        negative exponents use rational inverses, so an integer character
+        never yields a float."""
         if character.is_generic:
             raise GenericNotEvaluable("cannot evaluate at the generic point")
         coords = character.coords
@@ -156,9 +157,9 @@ class LaurentPolynomial:
             value = coeff
             for x, e in zip(coords, exps):
                 if e:
-                    value *= x ** e
+                    value *= _power(x, e)
             total += value
-        return total
+        return _canonical(total)
 
     def substitute_exponents(self, matrix) -> "LaurentPolynomial":
         """Apply the ring map t^e -> s^(M e) for an integer matrix M
@@ -315,6 +316,11 @@ def _canonical(value) -> int | Fraction:
     raise TypeError(f"coefficient {value!r} is not an int or a Fraction")
 
 
+def _power(x: int | Fraction, e: int) -> int | Fraction:
+    """x ** e exactly: ``int ** negative`` would be a float."""
+    return x ** e if e > 0 else Fraction(x) ** e
+
+
 def _make(nvars: int, terms: dict) -> LaurentPolynomial:
     """Internal fast constructor; terms must be clean but for integral
     Fractions, which Fraction arithmetic returns and this makes ints."""
@@ -328,8 +334,9 @@ def _make(nvars: int, terms: dict) -> LaurentPolynomial:
 
 
 class Character:
-    """A rational point of the character torus (all coordinates nonzero),
-    or the symbolic generic point."""
+    """A rational point of the character torus (all coordinates nonzero,
+    each in canonical form: an int when integral, else a Fraction), or the
+    symbolic generic point."""
 
     __slots__ = ("coords",)
 
@@ -337,14 +344,14 @@ class Character:
         if coords is None:
             self.coords = None
         else:
-            vals = tuple(Fraction(x) for x in coords)
+            vals = tuple(_canonical(x) for x in coords)
             if any(x == 0 for x in vals):
                 raise ValueError("character coordinates must be nonzero")
             self.coords = vals
 
     @classmethod
     def trivial(cls, nvars: int) -> "Character":
-        return cls((Fraction(1),) * nvars)
+        return cls((1,) * nvars)
 
     @property
     def is_generic(self) -> bool:
@@ -380,10 +387,10 @@ def pullback_character(nubar, rho: Character, nvars: int) -> Character:
         raise GenericNotEvaluable("pullback needs a rational character")
     coords = []
     for j in range(nvars):
-        value = Fraction(1)
+        value = 1
         for l, x in enumerate(rho.coords):
             e = nubar[l][j]
             if e:
-                value *= x ** e
+                value *= _power(x, e)
         coords.append(value)
     return Character(coords)

@@ -6,6 +6,8 @@ fraction field with Laurent-polynomial pivots: cross-multiplication,
 exact division by the previous pivot to control entry growth, and
 unit-content stripping (rational content and monomial factors are units
 here, so stripping preserves exact divisibility up to units).
+``evaluate_mod`` reduces a matrix mod a prime at a point of the torus over
+F_p, which gives the ranks mod p of the modular sandwich.
 
 The univariate ring Q[t, t^-1] is a Euclidean domain; ``smith_univariate``
 runs the Smith elimination of ``intlinalg`` over it and keeps only the
@@ -90,6 +92,33 @@ class LaurentMatrix:
         """The entries at a rational character, as ints and Fractions."""
         return [[p.evaluate(character) for p in row] for row in self.entries]
 
+    def evaluate_mod(self, point, prime: int) -> list[list[int]] | None:
+        """The entries reduced mod ``prime`` at a point of (F_p^*)^n, as
+        ints in [0, prime), or None when the prime divides a coefficient's
+        denominator: reduction mod p is a ring map only on the others."""
+        if len(point) != self.nvars:
+            raise VariableCountMismatch(
+                f"point has {len(point)} coordinates, matrix {self.nvars}")
+        if any(x % prime == 0 for x in point):
+            raise ValueError("point coordinates must be nonzero mod the prime")
+        out = []
+        for row in self.entries:
+            values = []
+            for p in row:
+                total = 0
+                for exps, coeff in p.terms.items():
+                    if coeff.__class__ is not int:
+                        if coeff.denominator % prime == 0:
+                            return None
+                        coeff = coeff.numerator * pow(coeff.denominator, -1, prime)
+                    for x, e in zip(point, exps):
+                        if e:
+                            coeff = coeff * pow(x, e, prime) % prime
+                    total += coeff
+                values.append(total % prime)
+            out.append(values)
+        return out
+
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
@@ -112,7 +141,13 @@ def rank_at(matrix: LaurentMatrix, character: Character) -> int:
     """Rank of the evaluated matrix at a rational character, or the rank
     over the fraction field at the generic point.  The generic rank bounds
     every pointwise rank from above and is attained on a nonempty Zariski
-    open set."""
+    open set.
+
+    A lone matrix at the generic point is always eliminated symbolically.
+    The differentials of a complex get their generic ranks from
+    ``complexes.generic_ranks``, which pins most of them by the modular
+    sandwich (ranks mod a prime at one point, bounded above through
+    d o d = 0) and comes here only for a rank that sandwich leaves open."""
     if character.is_generic:
         return generic_rank(matrix)
     return rational_rank(matrix.evaluate(character))

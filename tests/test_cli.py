@@ -75,6 +75,23 @@ def test_certify_product_surface(capsys):
         "H_leq_r_infinite", "not_FP_r", "not_commensurable_FP_r"]
 
 
+def test_certify_product_surface_by_generic_rank(capsys):
+    # symbolic elimination on this 12-variable tensor model did not finish
+    # in five minutes; the modular sandwich pins every rank it needs
+    code, payload = run_json(capsys, [
+        "certify", "--preset", "product-surface", "--genus", "2,2,2",
+        "--r", "3", "--strategy", "generic-rank"])
+    assert code == 0
+    assert payload["result"]["status"] == "certified"
+    fullness = payload["result"]["evidence"]["fullness"]
+    assert fullness["method"] == "generic-rank"
+    assert fullness["witness"]["generic_b3"] == 8
+    route = fullness["witness"]["route"]
+    assert route["name"] == "modular-sandwich"
+    assert route["fallback_degrees"] == []
+    assert "modular-rank-sandwich" in [c["id"] for c in payload["result"]["citations"]]
+
+
 def test_certify_torus_exit_code_two(capsys):
     code, payload = run_json(capsys, ["certify", "--preset", "torus",
                                       "--nu", "first", "--r", "1"])

@@ -163,3 +163,34 @@ def test_pullback_character_matches_substitution():
     for _ in range(50):
         p = _random_poly(rng)
         assert p.evaluate(pulled) == p.substitute_exponents(nubar).evaluate(rho)
+
+
+def is_canonical(value):
+    return type(value) is int or (type(value) is Fraction and value.denominator != 1)
+
+
+integer_characters = st.tuples(
+    st.integers(-5, 5).filter(bool), st.integers(-5, 5).filter(bool))
+
+
+@given(simple_polys, integer_characters)
+def test_integer_characters_never_evaluate_to_float(p, coords):
+    # int ** negative is a float; negative powers go through Fraction
+    rho = Character(coords)
+    assert all(type(x) is int for x in rho.coords)
+    value = p.evaluate(rho)
+    assert is_canonical(value)
+    assert value == sum(c * Fraction(coords[0]) ** e0 * Fraction(coords[1]) ** e1
+                        for (e0, e1), c in p.terms.items())
+    pulled = pullback_character([[1, -2], [-1, 3]], rho, 2)
+    assert all(is_canonical(x) for x in pulled.coords)
+
+
+def test_character_coordinates_are_canonical():
+    rho = Character((Fraction(4, 2), Fraction(1, 3), -1))
+    assert rho.coords == (2, Fraction(1, 3), -1)
+    assert [type(x) for x in rho.coords] == [int, Fraction, int]
+    assert Character.trivial(3).coords == (1, 1, 1)
+    assert rho.describe() == ["2", "1/3", "-1"]
+    with pytest.raises(TypeError):
+        Character((0.5,))
