@@ -31,8 +31,9 @@ from .constructions import (BestvinaBradyData, Graph, GroupModel, PencilData,
                             parse_graph_text, pencil_numerology,
                             punctured_surface_group, raag, raag_chain_model,
                             raag_complex, reduced_homology, surface_group)
-from .jumploci import (FullnessVerdict, JumpLocusQuery, V1Ideal, in_variety,
-                       is_full_v1, is_full_vr_product, v1_ideal)
+from .jumploci import (FullnessVerdict, JumpLocusQuery, V1Ideal,
+                       generic_rank_verdict, in_variety, is_full_v1,
+                       is_full_vr_product, v1_ideal)
 from .certify import (Certificate, KernelReport, ProbeReport, certify_non_fp,
                       generic_vanishing_probe, kernel_report_univariate)
 

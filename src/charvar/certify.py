@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .complexes import KernelHomologyReport, kernel_homology_univariate, twisted_betti
-from .constructions import GroupModel, build_model
-from .errors import (FullnessNotEstablished, NotUnivariate, TrivialNu,
-                     UnsupportedDegree, ZeroMap)
-from .jumploci import (FullnessVerdict, _require_jumps, _special_point_checks,
-                       generic_betti_in_degree, is_full_v1, is_full_vr_product)
+from .constructions import build_model
+from .errors import NotUnivariate, TrivialNu, UnsupportedDegree, ZeroMap
+from .jumploci import FullnessVerdict, generic_rank_verdict, is_full_vr_product
 from .laurent import pullback_character
 from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
                             validate_epimorphism)
@@ -119,14 +117,13 @@ class Certificate:
 
 
 def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
-                   strategy: str = "auto", seed: int = 0,
-                   require: bool = False) -> Certificate:
+                   strategy: str = "auto", seed: int = 0) -> Certificate:
     """Run the full pipeline: validate nu, establish fullness of the
     degree-r locus by the requested strategy, and emit the certificate.
 
-    Returns a no-conclusion report when fullness cannot be established
-    (or raises FullnessNotEstablished if ``require``).  Never claims the
-    kernel IS of type FP_r.
+    Returns a "not-established" certificate with no conclusions when
+    fullness cannot be established.  Never claims the kernel IS of type
+    FP_r.
     """
     if r < 1:
         raise ValueError("degree r must be >= 1")
@@ -149,8 +146,6 @@ def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
                          CONCLUSION_NOT_COMMENSURABLE),
             evidence={"fullness": verdict.to_json_dict()},
             citations=CITATIONS, seed=seed)
-    if require:
-        raise FullnessNotEstablished(verdict.reason or "fullness not established")
     return Certificate(
         group=group_name,
         nu_images=nu.images, nu_target_rank=nu.target_rank, degree=r,
@@ -176,21 +171,11 @@ def _establish_fullness(presentation: Presentation, r: int, strategy: str,
         raise UnsupportedDegree(
             "degree >= 2 fullness needs an aspherical chain model; "
             "only catalog groups carry that certainty")
-    if r == 1:
-        return is_full_v1(presentation, model)
     if r > model.complex.top:
         return FullnessVerdict(
             False, "not_concluded", "generic-rank",
             reason=f"chain model stops in degree {model.complex.top} < r={r}")
-    generic_b, route = generic_betti_in_degree(model.complex, r)
-    specials = _special_point_checks(model.complex, r)
-    witness = {f"generic_b{r}": generic_b, "special_points": specials,
-               "route": route}
-    if generic_b >= 1:
-        _require_jumps(specials, "b_degree", f"generic b_{r} = {generic_b}")
-        return FullnessVerdict(True, "full", "generic-rank", witness=witness)
-    return FullnessVerdict(False, "not_full", "generic-rank", witness=witness,
-                           reason=f"generic b_{r} = 0")
+    return generic_rank_verdict(model.complex, r)
 
 
 @dataclass(frozen=True)
@@ -222,8 +207,7 @@ class ProbeReport:
 
 
 def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
-                            r: int, trials: int = 100, seed: int = 0,
-                            model: GroupModel | None = None) -> ProbeReport:
+                            r: int, trials: int = 100, seed: int = 0) -> ProbeReport:
     """Sample rational characters of the target torus, pull back through
     nu, and record the twisted Betti numbers in degrees <= r.  The trivial
     character is never sampled; boxes start at {-2..2} and double every
@@ -231,7 +215,7 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
     if trials < 1:
         raise ValueError("need at least one trial")
     nu = validate_epimorphism(presentation, nu.images)
-    model = model or build_model(presentation)
+    model = build_model(presentation)
     if r > model.complex.top:
         raise UnsupportedDegree(f"degree r={r} outside the chain model "
                                 f"(top {model.complex.top})")
@@ -255,26 +239,22 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Exact kernel homology over Z (univariate case) with the scope of
-    validity and an optional cross-check against a certificate."""
+    """Exact kernel homology (univariate case) through ``top_degree``,
+    with the scope in which it is group homology."""
 
     homology: KernelHomologyReport
     top_degree: int
     degree2_scope: str
-    crosscheck: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         out = self.homology.to_json_dict()
         out["degrees"] = out["degrees"][:self.top_degree + 1]
         out["degree2_scope"] = self.degree2_scope
-        if self.crosscheck:
-            out["crosscheck"] = self.crosscheck
         return out
 
 
 def kernel_report_univariate(presentation: Presentation, nu: EpimorphismToZm,
-                             top_degree: int = 2,
-                             certificate: Certificate | None = None) -> KernelReport:
+                             top_degree: int = 2) -> KernelReport:
     """Per-degree structure of the kernel's homology via the Smith normal
     form over the one-variable ring; exact verdicts, no sampling."""
     nu = validate_epimorphism(presentation, nu.images)
@@ -288,17 +268,6 @@ def kernel_report_univariate(presentation: Presentation, nu: EpimorphismToZm,
              if model.aspherical else
              "group homology in degrees <= 1; degree 2 is homology of the "
              "presentation 2-complex")
-    crosscheck = {}
-    if certificate is not None and certificate.status == "certified":
-        r = certificate.degree
-        infinite = [e.degree for e in homology.entries
-                    if e.degree <= min(r, len(homology.entries) - 1)
-                    and e.infinite_dimensional]
-        crosscheck = {
-            "certificate_r": r,
-            "infinite_degrees_leq_r": infinite,
-            "consistent": bool(infinite),
-        }
     return KernelReport(homology=homology,
                         top_degree=min(top_degree, univariate.top),
-                        degree2_scope=scope, crosscheck=crosscheck)
+                        degree2_scope=scope)

@@ -29,8 +29,7 @@ from .constructions import (bestvina_brady, build_model, complete_graph,
 from .covers import finite_cover_oracle
 from .errors import CharvarError, TooManyMinors
 from .fox import alexander_matrix
-from .jumploci import (generic_betti_in_degree, is_full_v1, is_full_vr_product,
-                       v1_ideal)
+from .jumploci import is_full_v1, is_full_vr_product, v1_ideal
 from .laurent import GENERIC, Character
 from .lmatrix import DEFAULT_MINOR_CEILING
 from .parser import parse_presentation
@@ -249,7 +248,10 @@ def _int_list(value, flag) -> list[int]:
 def parse_character(text: str, nvars: int) -> Character:
     if text == "generic":
         return GENERIC
-    coords = [Fraction(x) for x in text.split(",")]
+    try:
+        coords = [Fraction(x) for x in text.split(",")]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in the character {text!r}") from exc
     if len(coords) != nvars:
         raise ValueError(f"character needs {nvars} coordinates, got {len(coords)}")
     return Character(coords)
@@ -331,9 +333,7 @@ def cmd_jumploci(args):
     except TooManyMinors as exc:
         # minor enumeration infeasible: report the generic-Betti route,
         # i.e. the maximal depth the generic character already witnesses
-        b1 = verdict.witness.get("generic_b1")
-        if b1 is None:
-            b1, _ = generic_betti_in_degree(build_model(presentation).complex, 1)
+        b1 = verdict.witness["generic_b1"]
         result["ideal"] = None
         result["ideal_fallback"] = {
             "reason": str(exc),

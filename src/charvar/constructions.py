@@ -3,8 +3,8 @@ products, right-angled Artin groups with their one-vertex-per-circle cube
 complexes, flag complexes, and the branched-cover numerology for products
 of curves over an elliptic base.
 
-Constructors attach catalog tags (asphericity, curve Euler characteristic,
-product factor data, defining graph).  Parsed user presentations never get
+Constructors attach catalog tags (name, asphericity, product factor data,
+defining graph).  Parsed user presentations never get
 tags: asphericity is undecidable in general, so only the catalog asserts it.
 """
 
@@ -183,7 +183,6 @@ def surface_group(genus: int) -> Presentation:
     return Presentation(tuple(names), (relator,), tags={
         "name": f"surface_genus_{genus}",
         "aspherical": True,
-        "curve_chi": 2 - 2 * genus,
     })
 
 
@@ -199,7 +198,6 @@ def punctured_surface_group(genus: int, punctures: int) -> Presentation:
     return Presentation(tuple(names), (), tags={
         "name": f"punctured_surface_{genus}_{punctures}",
         "aspherical": True,
-        "curve_chi": 2 - 2 * genus - punctures,
     })
 
 

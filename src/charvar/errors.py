@@ -90,10 +90,6 @@ class TrivialNu(CharvarError):
     code = "trivial-nu"
 
 
-class FullnessNotEstablished(CharvarError):
-    code = "fullness-not-established"
-
-
 class GenusTooSmall(CharvarError):
     code = "genus-too-small"
 

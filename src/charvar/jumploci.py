@@ -29,6 +29,9 @@ from .lmatrix import DEFAULT_MINOR_CEILING, minors
 from .presentations import Presentation, abelianize
 from .sampling import sample_character
 
+# seeded characters at which the product route spot-checks b_r
+SPOT_SAMPLES = 3
+
 
 @dataclass(frozen=True)
 class JumpLocusQuery:
@@ -188,47 +191,44 @@ def _require_jumps(points: list[dict], key: str, why: str) -> None:
                 f"{why}, but {key} = {p[key]} at the character {p['character']}")
 
 
-def is_full_v1(presentation: Presentation,
-               model: GroupModel | None = None) -> FullnessVerdict:
-    """Does the degree-one depth-one locus fill the whole torus?
-
-    Curve groups with negative Euler characteristic are full with no
-    elimination: the twisted Euler characteristic is character-independent
-    and forces b_1 > 0 everywhere.  Otherwise decide by the exact generic
-    b_1 (``generic_betti_in_degree``); since every rank only drops on
-    closed sets, b_1 is minimized at the generic point and the generic
-    value settles the question in both directions.
-    """
-    chi = presentation.tags.get("curve_chi")
-    model = model or build_model(presentation)
-    if chi is not None and chi < 0:
-        specials = _special_point_checks(model.complex, 1)
-        _require_jumps(specials, "b_degree", f"curve Euler characteristic {chi} < 0")
-        return FullnessVerdict(True, "full", "euler-curve",
-                               witness={"chi": chi, "special_points": specials})
-    generic_b1, route = generic_betti_in_degree(model.complex, 1)
-    specials = _special_point_checks(model.complex, 1)
-    witness = {"generic_b1": generic_b1, "special_points": specials,
+def generic_rank_verdict(complex_: TwistedComplex, r: int) -> FullnessVerdict:
+    """Does the degree-r depth-one locus fill the whole torus?  Decided by
+    the exact generic b_r (``generic_betti_in_degree``): every rank only
+    drops on closed sets, so b_r is minimized at the generic point and the
+    generic value settles the question in both directions."""
+    generic_b, route = generic_betti_in_degree(complex_, r)
+    specials = _special_point_checks(complex_, r)
+    witness = {f"generic_b{r}": generic_b, "special_points": specials,
                "route": route}
-    if generic_b1 >= 1:
-        _require_jumps(specials, "b_degree", f"generic b_1 = {generic_b1}")
+    if generic_b >= 1:
+        _require_jumps(specials, "b_degree", f"generic b_{r} = {generic_b}")
         return FullnessVerdict(True, "full", "generic-rank", witness=witness)
     return FullnessVerdict(False, "not_full", "generic-rank", witness=witness,
-                           reason="generic b_1 = 0, so the locus misses a "
-                                  "nonempty open set")
+                           reason=f"generic b_{r} = 0, so the locus misses a "
+                                  f"nonempty open set")
 
 
-def is_full_vr_product(factors, r: int, seed: int = 0,
-                       spot_samples: int = 3) -> FullnessVerdict:
+def is_full_v1(presentation: Presentation,
+               model: GroupModel | None = None) -> FullnessVerdict:
+    """Does the degree-one depth-one locus fill the whole torus?  The
+    generic-rank verdict in degree one, for catalog and user groups
+    alike."""
+    model = model or build_model(presentation)
+    return generic_rank_verdict(model.complex, 1)
+
+
+def is_full_vr_product(factors, r: int, seed: int = 0) -> FullnessVerdict:
     """Sufficiency route for a product: if every factor's degree-one locus
     is full, the degree-r locus of the product fills its torus (the r-fold
     tensor of jumping classes survives).  A non-full factor leaves the
-    question open, not answered."""
+    question open, not answered.  The product complex is spot-checked at
+    ``SPOT_SAMPLES`` seeded characters and at the special points."""
     factors = tuple(factors)
     if r != len(factors):
         raise ValueError(f"degree r={r} must equal the number of factors "
                          f"({len(factors)})")
-    verdicts = [is_full_v1(f) for f in factors]
+    models = [build_model(f) for f in factors]
+    verdicts = [is_full_v1(f, m) for f, m in zip(factors, models)]
     factor_witness = [v.to_json_dict() for v in verdicts]
     for i, v in enumerate(verdicts):
         if not v.is_full:
@@ -237,13 +237,12 @@ def is_full_vr_product(factors, r: int, seed: int = 0,
                 witness={"factors": factor_witness},
                 reason=f"factor {i + 1} not full; the product criterion "
                        f"is sufficient only")
-    models = [build_model(f) for f in factors]
     cx = models[0].complex
     for part in models[1:]:
         cx = tensor_complex(cx, part.complex)
     rng = random.Random(seed)
     samples = []
-    for _ in range(spot_samples):
+    for _ in range(SPOT_SAMPLES):
         rho = sample_character(rng, cx.nvars, box=3)
         betti = twisted_betti(cx, rho).betti
         samples.append({"character": rho.describe(),

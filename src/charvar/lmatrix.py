@@ -65,15 +65,17 @@ class LaurentMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         z = LaurentPolynomial.zero(self.nvars)
+        # only the nonzero entries of each column of ``other`` can contribute
+        columns = [[(k, other.entries[k][j]) for k in range(other.rows)
+                    if other.entries[k][j].terms] for j in range(other.cols)]
         out = []
-        for i in range(self.rows):
+        for a_row in self.entries:
             row = []
-            for j in range(other.cols):
+            for column in columns:
                 acc = z
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.terms and b.terms:
+                for k, b in column:
+                    a = a_row[k]
+                    if a.terms:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)

@@ -5,7 +5,7 @@ from charvar.certify import (certify_non_fp, generic_vanishing_probe,
 from charvar.constructions import (bestvina_brady, build_model,
                                    complete_graph, direct_product, free_group,
                                    octahedron_graph, surface_group)
-from charvar.errors import FullnessNotEstablished, TrivialNu, UnsupportedDegree
+from charvar.errors import TrivialNu, UnsupportedDegree
 from charvar.presentations import EpimorphismToZm, validate_epimorphism
 
 
@@ -44,8 +44,7 @@ def test_certify_torus_fails_hypothesis():
     assert cert.status == "not-established"
     assert cert.conclusions == ()
     assert "V^1_1" in cert.failed_hypothesis
-    with pytest.raises(FullnessNotEstablished):
-        certify_non_fp(p, nu, 1, seed=1, require=True)
+    assert cert.evidence["fullness"]["status"] == "not_full"
 
 
 def test_certify_rejects_trivial_nu():
@@ -148,6 +147,9 @@ def test_univariate_agreement_with_certificates():
     p = stallings()
     nu = EpimorphismToZm(1, ((1,),) * 6)
     cert = certify_non_fp(p, nu, 3, seed=13)
-    report = kernel_report_univariate(p, nu, top_degree=3, certificate=cert)
-    assert report.crosscheck["consistent"]
-    assert report.crosscheck["infinite_degrees_leq_r"] == [3]
+    assert cert.status == "certified"
+    report = kernel_report_univariate(p, nu, top_degree=3)
+    # a certified degree-r locus forces infinite homology in some degree <= r
+    infinite = [e.degree for e in report.homology.entries
+                if e.degree <= cert.degree and e.infinite_dimensional]
+    assert infinite == [3]

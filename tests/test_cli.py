@@ -205,6 +205,14 @@ def test_usage_error(capsys):
     assert payload["result"]["error"]["code"] == "usage"
 
 
+def test_zero_denominator_in_character_is_usage_error(capsys):
+    code, payload = run_json(capsys, ["betti", "--preset", "torus",
+                                      "--char", "1/0,1"])
+    assert code == 1
+    assert payload["status"] == "error"
+    assert payload["result"]["error"]["code"] == "usage"
+
+
 def test_reruns_are_byte_identical(capsys):
     argv = ["probe", "--preset", "torus", "--nu", "first", "--r", "1",
             "--trials", "10", "--seed", "4", "--json"]

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from charvar.complexes import tensor_complex, twisted_betti
-from charvar.constructions import build_model, direct_product, free_group, surface_group
+from charvar.constructions import (build_model, direct_product, free_group,
+                                   punctured_surface_group, surface_group)
 from charvar.errors import UnsupportedDegree
 from charvar.jumploci import (JumpLocusQuery, in_variety, is_full_v1,
                               is_full_vr_product, v1_ideal)
@@ -79,8 +80,8 @@ def test_zero_set_consistency():
 
 def test_is_full_v1_verdicts():
     full_g2 = is_full_v1(surface_group(2))
-    assert full_g2.is_full and full_g2.method == "euler-curve"
-    assert full_g2.witness["chi"] == -2
+    assert full_g2.is_full and full_g2.method == "generic-rank"
+    assert full_g2.witness["generic_b1"] == 2
 
     not_full = is_full_v1(surface_group(1))
     assert not not_full.is_full
@@ -89,6 +90,27 @@ def test_is_full_v1_verdicts():
 
     full_f2 = is_full_v1(free_group(2))
     assert full_f2.is_full
+
+
+CURVE_GROUPS = ([surface_group(g) for g in range(1, 6)]
+                + [free_group(k) for k in range(1, 6)]
+                + [punctured_surface_group(g, n)
+                   for g, n in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2))])
+
+
+@pytest.mark.parametrize("p", CURVE_GROUPS, ids=lambda p: p.tags["name"])
+def test_curve_group_fullness_matches_euler_characteristic(p):
+    # a curve group's locus is full exactly when chi < 0, since the twisted
+    # Euler characteristic does not depend on the character; the sandwich
+    # must reach that verdict on its own, with no symbolic fallback
+    model = build_model(p)
+    betti = twisted_betti(model.complex, Character.trivial(model.complex.nvars)).betti
+    chi = sum((-1) ** j * b for j, b in enumerate(betti))
+    verdict = is_full_v1(p, model)
+    route = verdict.witness["route"]
+    assert verdict.method == "generic-rank"
+    assert route["name"] == "modular-sandwich" and route["fallback_degrees"] == []
+    assert verdict.is_full == (chi < 0)
 
 
 def test_fullness_soundness_sampled():

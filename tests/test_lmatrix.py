@@ -85,6 +85,34 @@ def _random_matrix(rng, nvars, max_dim=4):
     return LaurentMatrix.from_rows(nvars, ents)
 
 
+def test_matmul_matches_entrywise_product():
+    # the product skips zero entries; compare it with the plain triple sum
+    rng = random.Random(71)
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        a = _random_sparse_matrix(rng, nvars, rng.randint(1, 6), rng.randint(1, 6))
+        b = _random_sparse_matrix(rng, nvars, a.cols, rng.randint(1, 6))
+        product = a @ b
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        for i in range(a.rows):
+            for j in range(b.cols):
+                expected = LaurentPolynomial.zero(nvars)
+                for k in range(a.cols):
+                    expected = expected + a.entries[i][k] * b.entries[k][j]
+                assert product.entries[i][j] == expected
+
+
+def _random_sparse_matrix(rng, nvars, rows, cols):
+    zero = LaurentPolynomial.zero(nvars)
+    ents = [[zero] * cols for _ in range(rows)]
+    for _ in range(rng.randint(0, rows * cols // 2 + 1)):
+        terms = {tuple(rng.randint(-2, 2) for _ in range(nvars)):
+                 Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for _ in range(rng.randint(1, 3))}
+        ents[rng.randrange(rows)][rng.randrange(cols)] = LaurentPolynomial(nvars, terms)
+    return LaurentMatrix.from_rows(nvars, ents)
+
+
 def test_minors_examples():
     alex = torus_alexander()
     texts = sorted(p.to_text() for p in minors(alex, 1))
