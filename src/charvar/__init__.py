@@ -1,14 +1,14 @@
 """charvar: exact characteristic varieties of finitely presented groups.
 
-Fox free differential calculus over the integral group ring, Alexander
-matrices over exact multivariate Laurent polynomials, twisted Betti
-numbers, jump-locus fullness decisions, and non-FP_r certificates for
-kernels of maps onto Z^m.
+Alexander matrices of pushed-forward Fox derivatives over exact
+multivariate Laurent polynomials, twisted Betti numbers, jump-locus
+fullness decisions, and non-FP_r certificates for kernels of maps onto
+Z^m.
 """
 
 __version__ = "0.1.0"
 
-from .words import Word, commutator, free_reduce
+from .words import Word, commutator
 from .presentations import (AbelianData, EpimorphismToZm, Presentation,
                             abelianize, induced_on_free_part,
                             validate_epimorphism)
@@ -16,8 +16,7 @@ from .parser import parse_presentation
 from .laurent import GENERIC, Character, LaurentPolynomial, pullback_character
 from .lmatrix import (LaurentMatrix, SmithFormUnivariate, generic_rank,
                       minors, rank_at, smith_univariate)
-from .fox import (GroupRingElement, alexander_matrix, fox_derivative,
-                  fundamental_identity_check)
+from .fox import alexander_matrix
 from .complexes import (BettiProfile, KernelHomologyReport, TwistedComplex,
                         WindowReport, generic_ranks,
                         kernel_homology_univariate, presentation_complex,
@@ -25,15 +24,14 @@ from .complexes import (BettiProfile, KernelHomologyReport, TwistedComplex,
 from .covers import CoverReport, finite_cover_oracle, index_two_subgroup
 from .constructions import (BestvinaBradyData, Graph, GroupModel, PencilData,
                             SimplicialComplex, bestvina_brady, build_model,
-                            branch_monodromy_check, cycle_graph,
-                            complete_graph, direct_product, edgeless_graph,
+                            cycle_graph, complete_graph, direct_product,
+                            edgeless_graph,
                             flag_complex, free_group, octahedron_graph,
                             parse_graph_text, pencil_numerology,
                             punctured_surface_group, raag, raag_chain_model,
                             raag_complex, reduced_homology, surface_group)
-from .jumploci import (FullnessVerdict, JumpLocusQuery, V1Ideal,
-                       generic_rank_verdict, in_variety, is_full_v1,
-                       is_full_vr_product, v1_ideal)
+from .jumploci import (FullnessVerdict, V1Ideal, generic_rank_verdict,
+                       is_full_v1, is_full_vr_product, v1_ideal)
 from .certify import (Certificate, KernelReport, ProbeReport, certify_non_fp,
                       generic_vanishing_probe, kernel_report_univariate)
 

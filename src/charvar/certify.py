@@ -212,6 +212,8 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
     nu, and record the twisted Betti numbers in degrees <= r.  The trivial
     character is never sampled; boxes start at {-2..2} and double every
     batch of 16 trials.  Deterministic under a fixed seed."""
+    if r < 1:
+        raise ValueError("degree r must be >= 1")
     if trials < 1:
         raise ValueError("need at least one trial")
     nu = validate_epimorphism(presentation, nu.images)
@@ -257,6 +259,8 @@ def kernel_report_univariate(presentation: Presentation, nu: EpimorphismToZm,
                              top_degree: int = 2) -> KernelReport:
     """Per-degree structure of the kernel's homology via the Smith normal
     form over the one-variable ring; exact verdicts, no sampling."""
+    if top_degree < 0:
+        raise ValueError("top degree must be >= 0")
     nu = validate_epimorphism(presentation, nu.images)
     if nu.target_rank != 1:
         raise NotUnivariate("exact kernel homology needs a map onto Z")

@@ -135,7 +135,9 @@ def presentation_complex(presentation: Presentation, q) -> TwistedComplex:
 
     The degree-two map is the transposed Alexander matrix, the degree-one
     map is the row (t^q(x_i) - 1)_i; their composite vanishes by the
-    fundamental identity of the calculus.
+    fundamental identity of the calculus.  The d o d = 0 check in
+    ``TwistedComplex.__post_init__`` is that identity pushed to Lambda on
+    every relator, so building this complex checks the Alexander rows.
     """
     images = quotient_images(q, presentation.ngens)
     m = len(images[0]) if images else 0

@@ -424,16 +424,3 @@ def pencil_numerology(genus_list) -> PencilData:
         ramification_sizes=branch, critical_points=critical, euler_x=euler,
         fiber_dimension=r - 1, finiteness_verdict=verdict, flags=flags)
 
-
-def branch_monodromy_check(genus: int, alpha_images, torus_images=None) -> bool:
-    """Valid double-cover datum: every small loop around a branch point
-    maps to 1 in Z/2 and the single relation (the loop classes sum to
-    zero) is respected.  The images of the base torus classes are
-    unconstrained.  |B| = 2g - 2 forces the sum to vanish automatically."""
-    if genus < 2:
-        raise GenusTooSmall("branch data needs genus >= 2")
-    values = [int(x) % 2 for x in alpha_images]
-    if len(values) != 2 * genus - 2:
-        raise ValueError(f"expected {2 * genus - 2} branch classes, "
-                         f"got {len(values)}")
-    return all(v == 1 for v in values) and sum(values) % 2 == 0

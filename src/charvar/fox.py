@@ -1,9 +1,12 @@
-"""Fox free differential calculus and Alexander matrices.
+"""Alexander matrices: Fox derivatives pushed through an abelian quotient.
 
-Derivatives are computed exactly in the integral group ring of the free
-group first, and only then pushed through an abelian quotient.  Keeping the
-integral stage separate enables the strongest available correctness check:
-the fundamental identity sum_i (dw/dx_i)(x_i - 1) = w - 1 in Z F.
+The Fox derivative d(w)/d(x_g) is the sum, over the letters x_g^{+-1} of
+w, of +u for a letter x_g read after the prefix u and of -u x_g^{-1} for a
+letter x_g^{-1} read after u.  Pushed through a quotient q: F -> Z^m, a
+prefix u becomes the monomial t^{q(u)}, so one pass over each relator with
+a running prefix exponent yields its whole row.  The integral identity
+sum_i (dw/dx_i)(x_i - 1) = w - 1 survives the push as d_1 d_2 = 0, which
+every ``presentation_complex`` checks.
 """
 
 from __future__ import annotations
@@ -12,119 +15,6 @@ from .errors import QuotientInvalid
 from .laurent import LaurentPolynomial
 from .lmatrix import LaurentMatrix
 from .presentations import AbelianData, EpimorphismToZm, Presentation
-from .words import Word
-
-
-class GroupRingElement:
-    """An element of Z F: finite map from freely reduced words to nonzero
-    integer coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean: dict[Word, int] = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    clean[w] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls) -> "GroupRingElement":
-        return cls()
-
-    @classmethod
-    def of_word(cls, w: Word, coeff: int = 1) -> "GroupRingElement":
-        return cls({w: coeff})
-
-    @classmethod
-    def one(cls) -> "GroupRingElement":
-        return cls({Word.identity(): 1})
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return GroupRingElement(out)
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out: dict[Word, int] = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = u * v
-                s = out.get(w, 0) + cu * cv
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return GroupRingElement(out)
-
-    def left_translate(self, u: Word) -> "GroupRingElement":
-        """u * self for a single word u."""
-        return GroupRingElement({u * w: c for w, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "GroupRingElement(0)"
-        body = " + ".join(f"{c}*{w.to_text()}" for w, c in self.terms.items())
-        return f"GroupRingElement({body})"
-
-
-def fox_derivative(w: Word, generator: int) -> GroupRingElement:
-    """d(w)/d(x_generator) in Z F.
-
-    Satisfies dx/dx = 1, dy/dx = 0, d(uv)/dx = du/dx + u dv/dx, and
-    d(x^-1)/dx = -x^-1.
-    """
-    out = GroupRingElement.zero()
-    prefix = Word.identity()
-    for g, step in w.letters():
-        if g == generator:
-            letter = Word.generator(g, step)
-            if step == 1:
-                # d(x)/dx = 1, translated by the prefix
-                out = out + GroupRingElement.of_word(prefix)
-            else:
-                # d(x^-1)/dx = -x^-1, translated by the prefix
-                out = out + GroupRingElement.of_word(prefix * letter, -1)
-        prefix = prefix * Word.generator(g, step)
-    return out
-
-
-def fundamental_identity_check(w: Word, ngens: int | None = None) -> bool:
-    """Whether sum_i (dw/dx_i)(x_i - 1) = w - 1 holds exactly in Z F.
-
-    A correct implementation of the calculus returns True for every word;
-    this is the independent oracle the test suite leans on.
-    """
-    if ngens is None:
-        ngens = w.max_generator() + 1
-    total = GroupRingElement.zero()
-    for i in range(ngens):
-        d = fox_derivative(w, i)
-        xi = GroupRingElement.of_word(Word.generator(i))
-        total = total + d * (xi - GroupRingElement.one())
-    expected = GroupRingElement.of_word(w) - GroupRingElement.one()
-    return total == expected
 
 
 def quotient_images(q, ngens: int) -> list[tuple[int, ...]]:
@@ -137,37 +27,28 @@ def quotient_images(q, ngens: int) -> list[tuple[int, ...]]:
     raise TypeError(f"unsupported quotient {type(q).__name__}")
 
 
-def push_to_laurent(element: GroupRingElement, images, m: int) -> LaurentPolynomial:
-    """Ring map Z F -> Lambda sending a word to the monomial of its image."""
-    terms: dict[tuple[int, ...], int] = {}
-    for w, c in element.terms.items():
-        exps = [0] * m
-        for g, e in w.syllables:
-            img = images[g]
-            for l in range(m):
-                exps[l] += e * img[l]
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + c
-    return LaurentPolynomial(m, {e: c for e, c in terms.items() if c})
-
-
 def alexander_matrix(presentation: Presentation, q) -> LaurentMatrix:
     """Relators x generators matrix of pushed-forward Fox derivatives.
 
     Entry (j, i) is the image of d(r_j)/d(x_i) under Z F -> Lambda induced
     by the quotient q, which must kill every relator.
     """
-    images = quotient_images(q, presentation.ngens)
+    n = presentation.ngens
+    images = quotient_images(q, n)
     m = len(images[0]) if images else 0
-    for idx, r in enumerate(presentation.relators):
-        vec = r.exponent_vector(presentation.ngens)
-        pushed = [sum(vec[i] * images[i][l] for i in range(presentation.ngens))
-                  for l in range(m)]
-        if any(pushed):
-            raise QuotientInvalid(f"relator {idx} is not killed by the quotient")
     rows = []
-    for r in presentation.relators:
-        row = [push_to_laurent(fox_derivative(r, i), images, m)
-               for i in range(presentation.ngens)]
-        rows.append(row)
-    return LaurentMatrix(m, len(presentation.relators), presentation.ngens, rows)
+    for idx, r in enumerate(presentation.relators):
+        row: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
+        prefix = (0,) * m
+        for g, step in r.letters():
+            after = tuple(a + step * b for a, b in zip(prefix, images[g]))
+            # x after u adds +t^q(u); x^-1 after u adds -t^q(u x^-1)
+            key = prefix if step == 1 else after
+            prefix = after
+            terms = row[g]
+            terms[key] = terms.get(key, 0) + step
+        # the prefix after the last letter is q(r_j)
+        if any(prefix):
+            raise QuotientInvalid(f"relator {idx} is not killed by the quotient")
+        rows.append([LaurentPolynomial(m, terms) for terms in row])
+    return LaurentMatrix(m, len(presentation.relators), n, rows)

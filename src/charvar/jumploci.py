@@ -1,4 +1,4 @@
-"""Membership in the homology jump loci and fullness decisions.
+"""Ideals of the homology jump loci and fullness decisions.
 
 The depth-t locus in degree one is, away from the trivial character, the
 zero set of the (n - t)-minors of the Alexander matrix.  Fullness of a
@@ -31,38 +31,6 @@ from .sampling import sample_character
 
 # seeded characters at which the product route spot-checks b_r
 SPOT_SAMPLES = 3
-
-
-@dataclass(frozen=True)
-class JumpLocusQuery:
-    degree: int
-    depth: int
-    presentation: Presentation
-    complex: TwistedComplex
-    character: Character
-
-    @classmethod
-    def build(cls, presentation: Presentation, degree: int, depth: int,
-              character: Character, model: GroupModel | None = None) -> "JumpLocusQuery":
-        model = model or build_model(presentation)
-        return cls(degree, depth, presentation, model.complex, character)
-
-
-def in_variety(query: JumpLocusQuery) -> bool:
-    """Whether the character lies in the degree-s depth-t jump locus,
-    i.e. b_s at the character is at least t."""
-    if query.character.is_generic:
-        raise ValueError("membership queries need a rational character")
-    s = query.degree
-    if s < 0 or s > query.complex.top:
-        raise UnsupportedDegree(f"degree {s} outside the complex (top "
-                                f"{query.complex.top})")
-    if s >= 2 and not query.presentation.tags.get("aspherical", False):
-        raise UnsupportedDegree(
-            "degree >= 2 jump loci need an aspherical chain model; "
-            "this presentation only certifies degrees <= 1")
-    profile = twisted_betti(query.complex, query.character)
-    return profile.betti[s] >= query.depth
 
 
 @dataclass(frozen=True)

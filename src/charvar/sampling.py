@@ -20,7 +20,10 @@ def box_for_trial(trial: int) -> int:
 
 
 def sample_character(rng: random.Random, nvars: int, box: int) -> Character:
-    """One nontrivial rational character with coordinates in the box."""
+    """One nontrivial rational character with coordinates in the box.
+    A torus with no coordinates has only the trivial character."""
+    if nvars < 1:
+        raise ValueError("a nontrivial character needs nvars >= 1")
     while True:
         coords = []
         for _ in range(nvars):

@@ -103,10 +103,5 @@ def _reduce(syllables: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
     return tuple((g, e) for g, e in out)
 
 
-def free_reduce(w: Word) -> Word:
-    """Freely reduced normal form; idempotent and length-nonincreasing."""
-    return Word(w.syllables)
-
-
 def commutator(u: Word, v: Word) -> Word:
     return u * v * u.inverse() * v.inverse()

@@ -17,13 +17,14 @@ from charvar.constructions import (build_model, complete_graph, cycle_graph,
                                    pencil_numerology, raag_complex,
                                    reduced_homology, surface_group)
 from charvar.covers import finite_cover_oracle
-from charvar.fox import fundamental_identity_check
+from charvar.fox import alexander_matrix
 from charvar.jumploci import is_full_vr_product, v1_ideal
 from charvar.laurent import Character
-from charvar.presentations import (EpimorphismToZm, induced_on_free_part,
-                                   validate_epimorphism)
+from charvar.presentations import (EpimorphismToZm, Presentation, abelianize,
+                                   induced_on_free_part, validate_epimorphism)
 from charvar.sampling import sample_character
 from conftest import random_word
+from fox_oracle import fundamental_identity_check, pushed_alexander_rows
 
 
 @contextmanager
@@ -43,13 +44,18 @@ def criterion(number, description, budget_seconds=None):
 
 
 def test_criterion_01_fox_soundness():
-    with criterion(1, "Fox fundamental identity on 1000 random words",
+    with criterion(1, "Fox fundamental identity and shipped Alexander rows "
+                      "on 1000 random words",
                    budget_seconds=5):
         rng = random.Random(20260810)
         for _ in range(1000):
             ngens = rng.randint(1, 4)
             w = random_word(rng, ngens, 20)
             assert fundamental_identity_check(w, ngens)
+            p = Presentation(tuple(f"x{i}" for i in range(ngens)), (w,))
+            q = abelianize(p)
+            shipped = alexander_matrix(p, q).entries
+            assert [list(row) for row in shipped] == pushed_alexander_rows(p, q)
 
 
 def test_criterion_02_euler_invariance():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from charvar.certify import (certify_non_fp, generic_vanishing_probe,
@@ -7,6 +9,7 @@ from charvar.constructions import (bestvina_brady, build_model,
                                    octahedron_graph, surface_group)
 from charvar.errors import TrivialNu, UnsupportedDegree
 from charvar.presentations import EpimorphismToZm, validate_epimorphism
+from charvar.sampling import sample_character
 
 
 def pencil_nu(factors=3):
@@ -105,6 +108,13 @@ def test_probe_deterministic_and_nontrivial_sampler():
     assert a.to_json_dict() == b.to_json_dict()
     for sample in a.samples:
         assert sample["rho"] != ["1"]
+
+
+def test_sampler_refuses_a_torus_without_coordinates():
+    # the only character of a 0-dimensional torus is trivial, so the
+    # nontrivial sampler must refuse rather than loop forever
+    with pytest.raises(ValueError):
+        sample_character(random.Random(0), 0, box=2)
 
 
 def test_soundness_coupling():

@@ -213,6 +213,18 @@ def test_zero_denominator_in_character_is_usage_error(capsys):
     assert payload["result"]["error"]["code"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [
+    ["probe", "--preset", "surface", "--genus", "2", "--r", "-1"],
+    ["probe", "--preset", "surface", "--genus", "2", "--r", "0"],
+    ["kernel", "--preset", "surface", "--genus", "2", "--top-degree", "-1"],
+], ids=["probe-r-negative", "probe-r-zero", "kernel-top-degree-negative"])
+def test_degree_below_range_is_usage_error(capsys, argv):
+    code, payload = run_json(capsys, argv)
+    assert code == 1
+    assert payload["status"] == "error"
+    assert payload["result"]["error"]["code"] == "usage"
+
+
 def test_reruns_are_byte_identical(capsys):
     argv = ["probe", "--preset", "torus", "--nu", "first", "--r", "1",
             "--trials", "10", "--seed", "4", "--json"]

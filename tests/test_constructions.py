@@ -4,8 +4,8 @@ import pytest
 
 from charvar.complexes import kernel_homology_univariate, twisted_betti
 from charvar.constructions import (bestvina_brady, build_model,
-                                   branch_monodromy_check, complete_graph,
-                                   cycle_graph, direct_product, edgeless_graph,
+                                   complete_graph, cycle_graph,
+                                   direct_product, edgeless_graph,
                                    flag_complex, free_group, octahedron_graph,
                                    parse_graph_text, pencil_numerology,
                                    punctured_surface_group, raag,
@@ -183,16 +183,6 @@ def test_riemann_hurwitz_audit_up_to_genus_ten():
         data = pencil_numerology([g, g])
         assert all(entry["ok"] for entry in data.riemann_hurwitz_audit())
         assert data.branch_sizes == (2 * g - 2,) * 2
-
-
-def test_branch_monodromy_check():
-    assert branch_monodromy_check(2, [1, 1])
-    assert not branch_monodromy_check(2, [1, 0])
-    # torus classes are unconstrained
-    assert branch_monodromy_check(2, [1, 1], torus_images=(1, 0))
-    assert branch_monodromy_check(3, [1, 1, 1, 1])
-    with pytest.raises(ValueError):
-        branch_monodromy_check(2, [1, 1, 1])
 
 
 def test_graph_text_roundtrip():

