@@ -14,13 +14,12 @@ certificate alone.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
 from . import __version__
 from .complexes import KernelHomologyReport, kernel_homology_univariate, twisted_betti
-from .constructions import build_model
+from .constructions import GroupModel, build_model
 from .errors import NotUnivariate, TrivialNu, UnsupportedDegree, ZeroMap
 from .jumploci import FullnessVerdict, generic_rank_verdict, is_full_vr_product
 from .laurent import pullback_character
@@ -112,9 +111,6 @@ class Certificate:
             "tool_version": self.tool_version,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
 
 def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
                    strategy: str = "auto", seed: int = 0) -> Certificate:
@@ -131,11 +127,11 @@ def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
         nu = validate_epimorphism(presentation, nu.images)
     except ZeroMap as exc:
         raise TrivialNu("the map to Z^m is trivial") from exc
+    model = build_model(presentation)
     if strategy == "auto":
-        strategy = ("kunneth-product" if "factors" in presentation.tags
-                    else "generic-rank")
+        strategy = "kunneth-product" if model.factors else "generic-rank"
 
-    verdict = _establish_fullness(presentation, r, strategy, seed)
+    verdict = _establish_fullness(model, r, strategy, seed)
     group_name = presentation.tags.get("name", presentation.describe())
     if verdict.is_full:
         return Certificate(
@@ -156,17 +152,15 @@ def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
                           f"{verdict.reason or verdict.status}")
 
 
-def _establish_fullness(presentation: Presentation, r: int, strategy: str,
+def _establish_fullness(model: GroupModel, r: int, strategy: str,
                         seed: int) -> FullnessVerdict:
     if strategy == "kunneth-product":
-        factors = presentation.tags.get("factors")
-        if not factors:
+        if not model.factors:
             raise ValueError("kunneth-product strategy needs a presentation "
                              "tagged as a direct product")
-        return is_full_vr_product(factors, r, seed=seed)
+        return is_full_vr_product(model, r, seed=seed)
     if strategy != "generic-rank":
         raise ValueError(f"unknown strategy {strategy!r}")
-    model = build_model(presentation)
     if r >= 2 and not model.aspherical:
         raise UnsupportedDegree(
             "degree >= 2 fullness needs an aspherical chain model; "

@@ -321,7 +321,8 @@ def cmd_alexander(args):
 
 def cmd_jumploci(args):
     presentation, _ = resolve_group(args)
-    verdict = is_full_v1(presentation)
+    model = build_model(presentation)
+    verdict = is_full_v1(model)
     result = {
         "group": presentation.tags.get("name", presentation.describe()),
         "depth": args.t,
@@ -341,11 +342,10 @@ def cmd_jumploci(args):
             "max_generic_depth_degree1": b1,
         }
     if args.r is not None:
-        factors = presentation.tags.get("factors")
-        if not factors:
+        if not model.factors:
             raise ValueError("--r fullness needs a product preset")
         result["fullness_vr"] = is_full_vr_product(
-            factors, args.r, seed=args.seed).to_json_dict()
+            model, args.r, seed=args.seed).to_json_dict()
     return "ok", result
 
 

@@ -45,17 +45,11 @@ class TwistedComplex:
                                  f"expected {self.ranks[j - 1]}x{self.ranks[j]}")
         for j in range(1, len(self.differentials)):
             if not (self.differentials[j - 1] @ self.differentials[j]).is_zero():
-                raise ValueError(f"d_{j} o d_{j + 1} is nonzero")
+                raise InternalInconsistency(f"d_{j} o d_{j + 1} is nonzero")
 
     @property
     def top(self) -> int:
         return len(self.ranks) - 1
-
-    def differential(self, j: int) -> LaurentMatrix | None:
-        """The map from degree j to degree j-1, or None outside 1..top."""
-        if 1 <= j <= self.top:
-            return self.differentials[j - 1]
-        return None
 
     def specialize(self, matrix) -> "TwistedComplex":
         """Push through the ring map t^e -> s^(M e); a ring homomorphism,
@@ -94,11 +88,6 @@ class KernelDegreeEntry:
     def infinite_dimensional(self) -> bool:
         return self.free_rank > 0
 
-    @property
-    def q_dimension(self) -> int | None:
-        """Dimension over Q, or None when infinite."""
-        return None if self.free_rank else self.torsion_dimension
-
 
 @dataclass(frozen=True)
 class KernelHomologyReport:
@@ -109,9 +98,6 @@ class KernelHomologyReport:
 
     def degree(self, j: int) -> KernelDegreeEntry:
         return self.entries[j]
-
-    def infinite_degrees(self) -> tuple[int, ...]:
-        return tuple(e.degree for e in self.entries if e.infinite_dimensional)
 
     def to_json_dict(self) -> dict:
         return {
@@ -330,9 +316,6 @@ class WindowReport:
 
     radii: tuple[int, ...]
     dimensions: tuple[tuple[int, ...], ...]  # per degree, one value per radius
-
-    def degree_sequence(self, j: int) -> tuple[int, ...]:
-        return self.dimensions[j]
 
     def to_json_dict(self) -> dict:
         return {"radii": list(self.radii),

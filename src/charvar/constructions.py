@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import TwistedComplex, presentation_complex, tensor_complex
-from .errors import GenusTooSmall, PresentationSyntaxError
+from .errors import GenusTooSmall, InternalInconsistency, PresentationSyntaxError
 from .intlinalg import integer_rank
 from .laurent import LaurentPolynomial
 from .lmatrix import LaurentMatrix
@@ -203,6 +203,8 @@ def punctured_surface_group(genus: int, punctures: int) -> Presentation:
 
 def free_group(rank: int) -> Presentation:
     """F_rank as a thrice-punctured-sphere-style curve group."""
+    if rank < 0:
+        raise ValueError("free rank must be >= 0")
     return punctured_surface_group(0, rank + 1)
 
 
@@ -304,29 +306,74 @@ class GroupModel:
 
     ``aspherical`` records whether every degree of the complex computes
     group homology; otherwise only degrees <= 1 do, and degree-2 values are
-    homology of the presentation 2-complex.
+    homology of the presentation 2-complex.  ``factors`` holds the factor
+    models of a catalog direct product, in order, and is empty otherwise.
+    A product's character coordinates are blockwise, one block per factor
+    in the factor's own coordinates, so a character of the product
+    restricts to each factor by slicing.
     """
 
     presentation: Presentation
     abelian: AbelianData
     complex: TwistedComplex
     aspherical: bool
+    factors: tuple["GroupModel", ...] = ()
 
 
 def build_model(presentation: Presentation) -> GroupModel:
-    abelian = abelianize(presentation)
+    """The chain model: the tensor product of the factor models for a
+    catalog direct product, the clique cube complex for a right-angled Artin
+    group, and the presentation 2-complex otherwise.
+
+    This is the only code that assembles a product.  Each factor model is
+    built once and kept in ``factors``.  The product's projection and
+    section are laid out block by block from the factors', which lines the
+    coordinates up with the variables of the tensor complex and agrees
+    with the Smith form of the product presentation up to a unimodular
+    change of coordinates.  Torsion invariants and free rank come from that
+    Smith form, and the factors' free ranks must add up to it.
+    """
     tags = presentation.tags
+    abelian = abelianize(presentation)
+    factors = ()
     if "factors" in tags:
-        parts = [build_model(f) for f in tags["factors"]]
-        cx = parts[0].complex
-        for part in parts[1:]:
+        factors = tuple(build_model(f) for f in tags["factors"])
+        abelian = _blockwise(abelian, factors)
+        cx = factors[0].complex
+        for part in factors[1:]:
             cx = tensor_complex(cx, part.complex)
     elif "graph" in tags:
         cx = raag_chain_model(tags["graph"])
     else:
         cx = presentation_complex(presentation, abelian)
     return GroupModel(presentation, abelian, cx,
-                      bool(tags.get("aspherical", False)))
+                      bool(tags.get("aspherical", False)), factors)
+
+
+def _blockwise(smith: AbelianData, factors) -> AbelianData:
+    free_ranks = [f.abelian.torsion_free_rank for f in factors]
+    if sum(free_ranks) != smith.torsion_free_rank:
+        raise InternalInconsistency(
+            f"factor free ranks {free_ranks} do not add up to the free rank "
+            f"{smith.torsion_free_rank} of the product")
+    return AbelianData(
+        smith.torsion_free_rank, smith.torsion_invariants,
+        _block_diagonal([f.abelian.projection for f in factors],
+                        [f.presentation.ngens for f in factors]),
+        _block_diagonal([f.abelian.section for f in factors], free_ranks))
+
+
+def _block_diagonal(blocks, widths) -> tuple[tuple[int, ...], ...]:
+    """Rows of the block-diagonal matrix whose i-th block has the rows of
+    ``blocks[i]`` and ``widths[i]`` columns."""
+    total = sum(widths)
+    rows = []
+    left = 0
+    for block, width in zip(blocks, widths):
+        rows += [(0,) * left + tuple(row) + (0,) * (total - left - width)
+                 for row in block]
+        left += width
+    return tuple(rows)
 
 
 # -- pencil numerology ----------------------------------------------------------

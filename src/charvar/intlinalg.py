@@ -30,10 +30,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def integer_rank(matrix) -> int:
     """Rank via fraction-free Bareiss elimination."""
     m = [list(row) for row in matrix]

@@ -19,8 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .complexes import TwistedComplex, generic_ranks, tensor_complex, twisted_betti
-from .constructions import GroupModel, build_model
+from .complexes import TwistedComplex, generic_ranks, twisted_betti
+from .constructions import GroupModel
 from .errors import InternalInconsistency, UnsupportedDegree
 from .fox import alexander_matrix
 from .intlinalg import integer_rank
@@ -176,27 +176,23 @@ def generic_rank_verdict(complex_: TwistedComplex, r: int) -> FullnessVerdict:
                                   f"nonempty open set")
 
 
-def is_full_v1(presentation: Presentation,
-               model: GroupModel | None = None) -> FullnessVerdict:
+def is_full_v1(model: GroupModel) -> FullnessVerdict:
     """Does the degree-one depth-one locus fill the whole torus?  The
     generic-rank verdict in degree one, for catalog and user groups
     alike."""
-    model = model or build_model(presentation)
     return generic_rank_verdict(model.complex, 1)
 
 
-def is_full_vr_product(factors, r: int, seed: int = 0) -> FullnessVerdict:
-    """Sufficiency route for a product: if every factor's degree-one locus
-    is full, the degree-r locus of the product fills its torus (the r-fold
-    tensor of jumping classes survives).  A non-full factor leaves the
-    question open, not answered.  The product complex is spot-checked at
-    ``SPOT_SAMPLES`` seeded characters and at the special points."""
-    factors = tuple(factors)
-    if r != len(factors):
+def is_full_vr_product(model: GroupModel, r: int, seed: int = 0) -> FullnessVerdict:
+    """Sufficiency route for a product model: if every factor's degree-one
+    locus is full, the degree-r locus of the product fills its torus (the
+    r-fold tensor of jumping classes survives).  A non-full factor leaves
+    the question open, not answered.  The product complex is spot-checked
+    at ``SPOT_SAMPLES`` seeded characters and at the special points."""
+    if r != len(model.factors):
         raise ValueError(f"degree r={r} must equal the number of factors "
-                         f"({len(factors)})")
-    models = [build_model(f) for f in factors]
-    verdicts = [is_full_v1(f, m) for f, m in zip(factors, models)]
+                         f"({len(model.factors)})")
+    verdicts = [is_full_v1(f) for f in model.factors]
     factor_witness = [v.to_json_dict() for v in verdicts]
     for i, v in enumerate(verdicts):
         if not v.is_full:
@@ -205,9 +201,7 @@ def is_full_vr_product(factors, r: int, seed: int = 0) -> FullnessVerdict:
                 witness={"factors": factor_witness},
                 reason=f"factor {i + 1} not full; the product criterion "
                        f"is sufficient only")
-    cx = models[0].complex
-    for part in models[1:]:
-        cx = tensor_complex(cx, part.complex)
+    cx = model.complex
     rng = random.Random(seed)
     samples = []
     for _ in range(SPOT_SAMPLES):

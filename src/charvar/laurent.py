@@ -265,16 +265,6 @@ class LaurentPolynomial:
             c = -c
         return shifted.scale(1 / c)
 
-    def monic_univariate(self) -> "LaurentPolynomial":
-        """For nvars == 1: the monic polynomial with nonzero constant term
-        that generates the same ideal."""
-        if not self.terms:
-            return self
-        lo, _ = self.exponent_range(0)
-        shifted = self.shift((-lo,))
-        _, lead = shifted.leading()
-        return shifted.scale(Fraction(1, lead))
-
     # -- printing ------------------------------------------------------------
 
     def to_text(self, names: tuple[str, ...] | None = None) -> str:
@@ -356,11 +346,6 @@ class Character:
     @property
     def is_generic(self) -> bool:
         return self.coords is None
-
-    def restrict(self, start: int, stop: int) -> "Character":
-        if self.is_generic:
-            return GENERIC
-        return Character(self.coords[start:stop])
 
     def describe(self) -> str | list[str]:
         if self.is_generic:

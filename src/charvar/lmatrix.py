@@ -45,17 +45,6 @@ class LaurentMatrix:
                         f"entry with {p.nvars} variables in a {nvars}-variable matrix")
         self.entries = ents
 
-    @classmethod
-    def from_rows(cls, nvars: int, rows) -> "LaurentMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return cls(nvars, len(rows), ncols, rows)
-
-    @classmethod
-    def zeros(cls, nvars: int, rows: int, cols: int) -> "LaurentMatrix":
-        z = LaurentPolynomial.zero(nvars)
-        return cls(nvars, rows, cols, [[z] * cols for _ in range(rows)])
-
     def transpose(self) -> "LaurentMatrix":
         return LaurentMatrix(self.nvars, self.cols, self.rows,
                              [[self.entries[i][j] for i in range(self.rows)]

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotSurjective, RelatorNotKilled, ZeroMap
-from .intlinalg import mat_mul, mat_vec, smith_normal_form
+from .intlinalg import mat_mul, smith_normal_form
 from .words import Word
 
 
@@ -15,8 +15,8 @@ class Presentation:
     """A finite presentation <generators | relators>.
 
     ``tags`` carries catalog metadata set only by the construction helpers
-    (asphericity, curve Euler characteristic, product factor data); parsed
-    user input never has tags.
+    (name, asphericity, product factors, defining graph); parsed user input
+    never has tags.
     """
 
     generators: tuple[str, ...]
@@ -55,9 +55,6 @@ class AbelianData:
     projection: tuple[tuple[int, ...], ...]  # m x n
     section: tuple[tuple[int, ...], ...]  # n x m, projection @ section = I
 
-    def project(self, vec) -> tuple[int, ...]:
-        return tuple(mat_vec([list(r) for r in self.projection], list(vec)))
-
 
 @dataclass(frozen=True)
 class EpimorphismToZm:
@@ -79,59 +76,18 @@ class EpimorphismToZm:
 
 
 def abelianize(presentation: Presentation) -> AbelianData:
-    """Smith normal form of the relator exponent lattice.
-
-    For presentations tagged as direct products the projection is assembled
-    blockwise from the factors, so that character coordinates line up with
-    the tensor chain model; this agrees with the Smith route up to a
-    unimodular change of coordinates.
-    """
-    factors = presentation.tags.get("factors")
-    if factors:
-        return _abelianize_product(factors)
+    """Smith normal form of the relator exponent lattice."""
     n = presentation.ngens
-    # columns of A are the relator exponent vectors
-    a = [[r.exponent_vector(n)[i] for r in presentation.relators]
-         for i in range(n)]
+    exponents = presentation.exponent_matrix()
+    # columns of A are the relator exponent vectors; n x 0 without relators
+    a = [[row[i] for row in exponents] for i in range(n)]
     d, u, _v, uinv, _vinv = smith_normal_form(a)
-    diag = [d[i][i] for i in range(min(n, len(presentation.relators)))]
+    diag = [d[i][i] for i in range(min(n, len(exponents)))]
     k = sum(1 for x in diag if x)
     torsion = tuple(x for x in diag if x > 1)
     projection = tuple(tuple(u[i]) for i in range(k, n))
     section = tuple(tuple(uinv[i][k:n]) for i in range(n))
     return AbelianData(n - k, torsion, projection, section)
-
-
-def _abelianize_product(factors) -> AbelianData:
-    datas = [abelianize(f) for f in factors]
-    m = sum(d.torsion_free_rank for d in datas)
-    n = sum(len(f.generators) for f in factors)
-    projection = [[0] * n for _ in range(m)]
-    section = [[0] * m for _ in range(n)]
-    row = col = 0
-    for f, d in zip(factors, datas):
-        for i in range(d.torsion_free_rank):
-            for j in range(f.ngens):
-                projection[row + i][col + j] = d.projection[i][j]
-        for j in range(f.ngens):
-            for i in range(d.torsion_free_rank):
-                section[col + j][row + i] = d.section[j][i]
-        row += d.torsion_free_rank
-        col += f.ngens
-    torsion = _merge_torsion([d.torsion_invariants for d in datas])
-    return AbelianData(m, torsion,
-                       tuple(tuple(r) for r in projection),
-                       tuple(tuple(r) for r in section))
-
-
-def _merge_torsion(chains) -> tuple[int, ...]:
-    entries = [x for chain in chains for x in chain]
-    if not entries:
-        return ()
-    diag = [[entries[i] if i == j else 0 for j in range(len(entries))]
-            for i in range(len(entries))]
-    d, *_ = smith_normal_form(diag)
-    return tuple(d[i][i] for i in range(len(entries)) if d[i][i] > 1)
 
 
 def validate_epimorphism(presentation: Presentation, images) -> EpimorphismToZm:
@@ -145,6 +101,8 @@ def validate_epimorphism(presentation: Presentation, images) -> EpimorphismToZm:
     images = tuple(tuple(v) for v in images)
     if len(images) != presentation.ngens:
         raise ValueError("need one image vector per generator")
+    if not images:
+        raise ZeroMap("the group has no generators, so every map is zero")
     ranks = {len(v) for v in images}
     if len(ranks) != 1:
         raise ValueError("image vectors have mixed lengths")

@@ -43,19 +43,12 @@ class Word:
             out = out * base
         return out
 
-    def conjugate_by(self, u: "Word") -> "Word":
-        """u * self * u^-1."""
-        return u * self * u.inverse()
-
     def letters(self) -> Iterator[tuple[int, int]]:
         """Expand syllables into single letters (gen, +1) or (gen, -1)."""
         for g, e in self.syllables:
             step = 1 if e > 0 else -1
             for _ in range(abs(e)):
                 yield (g, step)
-
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.syllables)
 
     def is_identity(self) -> bool:
         return not self.syllables

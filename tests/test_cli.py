@@ -10,7 +10,10 @@ import jsonschema
 import pytest
 
 import charvar
+import charvar.complexes
 from charvar.cli import main
+from charvar.laurent import LaurentPolynomial
+from charvar.lmatrix import LaurentMatrix
 
 SCHEMA = json.loads(
     resources.files("charvar.schemas").joinpath("cli-report.schema.json")
@@ -223,6 +226,42 @@ def test_degree_below_range_is_usage_error(capsys, argv):
     assert code == 1
     assert payload["status"] == "error"
     assert payload["result"]["error"]["code"] == "usage"
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["certify", "--preset", "free", "--rank", "0", "--r", "1"],
+     "zero-map", "no generators"),
+    (["probe", "--preset", "free", "--rank", "0", "--r", "1"],
+     "zero-map", "no generators"),
+    (["kernel", "--preset", "free", "--rank", "0"], "zero-map", "no generators"),
+    (["certify", "--preset", "free", "--rank", "-1", "--r", "1"],
+     "usage", "free rank must be >= 0"),
+    (["betti", "--preset", "free", "--rank", "-1"], "usage", "free rank must be >= 0"),
+], ids=["certify-rank-0", "probe-rank-0", "kernel-rank-0", "certify-rank-negative",
+        "betti-rank-negative"])
+def test_degenerate_free_rank_errors(capsys, argv, code, message):
+    exit_code, payload = run_json(capsys, argv)
+    assert exit_code == 1
+    assert payload["result"]["error"]["code"] == code
+    assert message in payload["result"]["error"]["message"]
+
+
+def test_broken_alexander_row_is_internal_inconsistency(capsys, monkeypatch):
+    # a wrong Fox term breaks d_1 o d_2 = 0; that is the program's fault,
+    # not the user's, so it must not be reported as a usage error
+    real = charvar.complexes.alexander_matrix
+
+    def broken(presentation, q):
+        alex = real(presentation, q)
+        rows = [list(row) for row in alex.entries]
+        rows[0][0] = rows[0][0] + LaurentPolynomial.one(alex.nvars)
+        return LaurentMatrix(alex.nvars, alex.rows, alex.cols, rows)
+
+    monkeypatch.setattr(charvar.complexes, "alexander_matrix", broken)
+    code, payload = run_json(capsys, ["betti", "--preset", "surface", "--genus", "2",
+                                      "--char", "2,3,5,7"])
+    assert code == 1
+    assert payload["result"]["error"]["code"] == "internal-inconsistency"
 
 
 def test_reruns_are_byte_identical(capsys):

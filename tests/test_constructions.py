@@ -1,7 +1,14 @@
+import contextlib
+import dataclasses
+import importlib
+import io
 import random
+import sys
 
 import pytest
 
+import charvar.cli
+import charvar.constructions
 from charvar.complexes import kernel_homology_univariate, twisted_betti
 from charvar.constructions import (bestvina_brady, build_model,
                                    complete_graph, cycle_graph,
@@ -11,9 +18,12 @@ from charvar.constructions import (bestvina_brady, build_model,
                                    punctured_surface_group, raag,
                                    raag_chain_model, raag_complex,
                                    reduced_homology, surface_group)
-from charvar.errors import GenusTooSmall
+from charvar.errors import GenusTooSmall, InternalInconsistency
+from charvar.intlinalg import mat_mul
 from charvar.laurent import Character
-from charvar.presentations import induced_on_free_part, validate_epimorphism
+from charvar.parser import parse_presentation
+from charvar.presentations import (abelianize, induced_on_free_part,
+                                   validate_epimorphism)
 from charvar.sampling import sample_character
 from charvar.words import Word, commutator
 
@@ -73,6 +83,113 @@ def test_catalog_betti_consistency():
         assert twisted_betti(cx, Character.trivial(2 * g)).betti == (1, 2 * g, 1)
 
 
+CATALOG_PRODUCTS = {
+    "product-surface": direct_product([surface_group(2), surface_group(3)]),
+    "product-free": direct_product([free_group(2), free_group(3)]),
+    "stallings": direct_product([free_group(2)] * 3),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_PRODUCTS)
+def test_catalog_product_coordinates_are_the_smith_coordinates(name):
+    p = CATALOG_PRODUCTS[name]
+    model = build_model(p)
+    assert abelianize(p) == model.abelian
+    assert [f.presentation for f in model.factors] == list(p.tags["factors"])
+
+
+def test_product_with_torsion_factor_has_blockwise_coordinates():
+    # H_1 of the first factor is Z^2 + Z/3; whatever the Smith form of the
+    # product presentation gives, the model's coordinates must be blockwise
+    torsion = parse_presentation("gens a,b,c; rel a^3 b^-3 c^6; rel [b,c];")
+    p = direct_product([torsion, surface_group(1)])
+    model = build_model(p)
+    first, second = (f.abelian for f in model.factors)
+    abelian = model.abelian
+    assert abelian.torsion_invariants == (3,)
+    assert abelian.torsion_free_rank == 4
+    assert abelian.projection == (
+        tuple(row + (0, 0) for row in first.projection)
+        + tuple((0, 0, 0) + row for row in second.projection))
+    assert abelian.section == (
+        tuple(row + (0, 0) for row in first.section)
+        + tuple((0, 0) + row for row in second.section))
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert mat_mul([list(r) for r in abelian.projection],
+                   [list(r) for r in abelian.section]) == identity
+    for r in p.relators:
+        vec = r.exponent_vector(p.ngens)
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0
+                   for row in abelian.projection)
+    # the blocks line up with the variables of the tensor complex: Betti
+    # numbers of the product are the convolution of the factors' at the
+    # restricted characters
+    rng = random.Random(5)
+    for _ in range(5):
+        rho = sample_character(rng, 4, box=4)
+        pa = twisted_betti(model.factors[0].complex, Character(rho.coords[:2])).betti
+        pb = twisted_betti(model.factors[1].complex, Character(rho.coords[2:])).betti
+        expected = [0] * (len(pa) + len(pb) - 1)
+        for i, x in enumerate(pa):
+            for j, y in enumerate(pb):
+                expected[i + j] += x * y
+        assert list(twisted_betti(model.complex, rho).betti) == expected
+
+
+def test_product_free_rank_mismatch_is_internal_inconsistency(monkeypatch):
+    real = charvar.constructions.abelianize
+
+    def short(presentation):
+        data = real(presentation)
+        if "factors" not in presentation.tags:
+            return data
+        return dataclasses.replace(data, torsion_free_rank=data.torsion_free_rank - 1)
+
+    monkeypatch.setattr(charvar.constructions, "abelianize", short)
+    with pytest.raises(InternalInconsistency):
+        build_model(direct_product([surface_group(1)] * 2))
+
+
+def cli_call_counts(monkeypatch, functions, argv):
+    """Run the CLI with every module binding of each (module, name) in
+    ``functions`` wrapped by a counter, and return the counts."""
+    counts = {}
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name == "charvar" or name.startswith("charvar.")]
+    for module_name, attr in functions:
+        key = f"{module_name}.{attr}"
+        original = getattr(importlib.import_module(f"charvar.{module_name}"), attr)
+        counts[key] = 0
+
+        def counter(*args, _key=key, _original=original, **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counter)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert charvar.cli.main(argv + ["--json"]) == 0
+    return counts
+
+
+def test_one_model_per_query(monkeypatch):
+    functions = [("constructions", "build_model"), ("presentations", "abelianize"),
+                 ("complexes", "tensor_complex")]
+    counts = cli_call_counts(monkeypatch, functions, [
+        "jumploci", "--preset", "product-surface", "--genus", "2,2", "--r", "2"])
+    # the product model and its two factor models; the ideal abelianizes once
+    assert counts["constructions.build_model"] == 3
+    assert counts["presentations.abelianize"] <= 4
+    assert counts["complexes.tensor_complex"] == 1
+    monkeypatch.undo()
+    counts = cli_call_counts(monkeypatch, functions, [
+        "certify", "--preset", "product-surface", "--genus", "2,2,2", "--r", "3"])
+    assert counts["constructions.build_model"] == 4
+    assert counts["complexes.tensor_complex"] == 2
+
+
 def test_raag_presentations():
     assert raag(edgeless_graph(2)).relators == ()
     k3 = raag(complete_graph(3))
@@ -102,7 +219,7 @@ def test_bb_complete_graphs_are_finite_kernels():
     # Z^n kernels are FP: no degree may show positive free rank
     for n in (2, 3, 4):
         report = kernel_homology_univariate(raag_complex(complete_graph(n)))
-        assert report.infinite_degrees() == ()
+        assert [e.degree for e in report.entries if e.infinite_dimensional] == []
 
 
 def test_flag_complex_examples():
@@ -139,7 +256,7 @@ def test_raag_model_agrees_with_tensor_route():
 
 def test_raag_k3_kernel_is_Z2():
     report = kernel_homology_univariate(raag_complex(complete_graph(3)))
-    dims = [e.q_dimension for e in report.entries]
+    dims = [None if e.free_rank else e.torsion_dimension for e in report.entries]
     assert dims == [1, 2, 1, 0]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from charvar.complexes import tensor_complex, twisted_betti
-from charvar.constructions import (build_model, free_group,
+from charvar.constructions import (build_model, direct_product, free_group,
                                    punctured_surface_group, surface_group)
 from charvar.jumploci import is_full_v1, is_full_vr_product, v1_ideal
 from charvar.laurent import Character
@@ -70,16 +70,16 @@ def test_zero_set_consistency():
 
 
 def test_is_full_v1_verdicts():
-    full_g2 = is_full_v1(surface_group(2))
+    full_g2 = is_full_v1(build_model(surface_group(2)))
     assert full_g2.is_full and full_g2.method == "generic-rank"
     assert full_g2.witness["generic_b1"] == 2
 
-    not_full = is_full_v1(surface_group(1))
+    not_full = is_full_v1(build_model(surface_group(1)))
     assert not not_full.is_full
     assert not_full.status == "not_full"
     assert not_full.witness["generic_b1"] == 0
 
-    full_f2 = is_full_v1(free_group(2))
+    full_f2 = is_full_v1(build_model(free_group(2)))
     assert full_f2.is_full
 
 
@@ -97,7 +97,7 @@ def test_curve_group_fullness_matches_euler_characteristic(p):
     model = build_model(p)
     betti = twisted_betti(model.complex, Character.trivial(model.complex.nvars)).betti
     chi = sum((-1) ** j * b for j, b in enumerate(betti))
-    verdict = is_full_v1(p, model)
+    verdict = is_full_v1(model)
     route = verdict.witness["route"]
     assert verdict.method == "generic-rank"
     assert route["name"] == "modular-sandwich" and route["fallback_degrees"] == []
@@ -107,9 +107,8 @@ def test_curve_group_fullness_matches_euler_characteristic(p):
 def test_fullness_soundness_sampled():
     rng = random.Random(44)
     for p in (surface_group(2), free_group(2)):
-        verdict = is_full_v1(p)
-        assert verdict.is_full
         model = build_model(p)
+        assert is_full_v1(model).is_full
         for _ in range(30):
             rho = sample_character(rng, model.complex.nvars, box=10)
             assert b1_jumps(p, rho, model)
@@ -118,21 +117,26 @@ def test_fullness_soundness_sampled():
         assert b1_jumps(p, order2, model)
 
 
+def product_model(factors):
+    return build_model(direct_product(factors))
+
+
 def test_is_full_vr_product_verdicts():
-    full = is_full_vr_product([surface_group(2)] * 3, 3)
+    full = is_full_vr_product(product_model([surface_group(2)] * 3), 3)
     assert full.is_full and full.method == "kunneth-product"
     assert all(s["b_r"] >= 1 for s in full.witness["spot_checks"])
 
-    f2_cubed = is_full_vr_product([free_group(2)] * 3, 3)
+    f2_cubed = is_full_vr_product(product_model([free_group(2)] * 3), 3)
     assert f2_cubed.is_full
 
-    mixed = is_full_vr_product([surface_group(2), surface_group(1)], 2)
+    mixed = is_full_vr_product(
+        product_model([surface_group(2), surface_group(1)]), 2)
     assert not mixed.is_full
     assert mixed.status == "not_concluded"
     assert "factor 2" in mixed.reason
 
     with pytest.raises(ValueError):
-        is_full_vr_product([surface_group(2)] * 3, 2)
+        is_full_vr_product(product_model([surface_group(2)] * 3), 2)
 
 
 def test_product_lower_bound_kunneth():
@@ -142,7 +146,7 @@ def test_product_lower_bound_kunneth():
     prod = tensor_complex(models[0].complex, models[1].complex)
     for _ in range(10):
         rho = sample_character(rng, prod.nvars, box=5)
-        b1a = twisted_betti(models[0].complex, rho.restrict(0, 4)).betti[1]
-        b1b = twisted_betti(models[1].complex, rho.restrict(4, 6)).betti[1]
+        b1a = twisted_betti(models[0].complex, Character(rho.coords[:4])).betti[1]
+        b1b = twisted_betti(models[1].complex, Character(rho.coords[4:])).betti[1]
         b2 = twisted_betti(prod, rho).betti[2]
         assert b2 >= b1a * b1b

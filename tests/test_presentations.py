@@ -46,11 +46,15 @@ def test_abelianize_free_group():
     assert data.torsion_invariants == ()
 
 
+def project(data, vec):
+    return tuple(sum(a * b for a, b in zip(row, vec)) for row in data.projection)
+
+
 def test_projection_kills_relators_exactly():
     p = parse_presentation("gens a,b,c; rel a^2 b^-3 c; rel [a,b] c^5;")
     data = abelianize(p)
     for r in p.relators:
-        assert data.project(r.exponent_vector(3)) == (0,) * data.torsion_free_rank
+        assert project(data, r.exponent_vector(3)) == (0,) * data.torsion_free_rank
 
 
 def test_projection_section_identity():
@@ -60,7 +64,7 @@ def test_projection_section_identity():
     # projection composed with section is the identity on Z^m
     for j in range(m):
         col = [data.section[i][j] for i in range(3)]
-        assert data.project(col) == tuple(1 if l == j else 0 for l in range(m))
+        assert project(data, col) == tuple(1 if l == j else 0 for l in range(m))
 
 
 def test_validate_bb_diagonal():
@@ -114,7 +118,7 @@ def test_normal_closure_maps_to_zero():
         for _ in range(rng.randint(1, 4)):
             u = random_word(rng, 4, 8)
             r = p.relators[0] if rng.random() < 0.5 else p.relators[0].inverse()
-            w = w * r.conjugate_by(u)
+            w = w * u * r * u.inverse()
         assert nu.of_word(w) == (0,)
 
 

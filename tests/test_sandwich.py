@@ -21,9 +21,10 @@ from charvar.constructions import (bestvina_brady, build_model, cycle_graph,
                                    surface_group)
 from charvar.intlinalg import integer_rank, modular_rank
 from charvar.laurent import GENERIC, Character, LaurentPolynomial
-from charvar.lmatrix import LaurentMatrix, generic_rank
+from charvar.lmatrix import generic_rank
 from charvar.presentations import Presentation
 from charvar.words import Word
+from conftest import laurent_matrix
 
 CATALOG = {
     "surface-1": surface_group(1),
@@ -70,7 +71,7 @@ def test_evaluate_mod_is_reduction_of_evaluate():
             (rng.randint(-3, 3), rng.randint(-3, 3)):
                 Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
             for _ in range(rng.randint(0, 3))}) for _ in range(3)] for _ in range(2)]
-        m = LaurentMatrix.from_rows(2, entries)
+        m = laurent_matrix(2, entries)
         point = (rng.randint(1, p - 1), rng.randint(1, p - 1))
         exact = m.evaluate(Character(point))
         assert m.evaluate_mod(point, p) == [
@@ -79,7 +80,7 @@ def test_evaluate_mod_is_reduction_of_evaluate():
 
 
 def test_evaluate_mod_refuses_a_denominator_divisible_by_p():
-    m = LaurentMatrix.from_rows(1, [[LaurentPolynomial(1, {(1,): Fraction(1, 14)})]])
+    m = laurent_matrix(1, [[LaurentPolynomial(1, {(1,): Fraction(1, 14)})]])
     assert m.evaluate_mod((3,), 7) is None
     assert m.evaluate_mod((3,), 5) == [[3 * pow(14, -1, 5) % 5]]
     with pytest.raises(ValueError):

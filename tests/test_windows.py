@@ -20,7 +20,7 @@ def bb_f2xf2():
 def test_window_growth_matches_free_rank():
     cx = bb_f2xf2()
     report = window_homology(cx, 6)
-    seq = report.degree_sequence(2)
+    seq = report.dimensions[2]
     assert all(x < y for x, y in zip(seq, seq[1:]))
     diffs = [y - x for x, y in zip(seq, seq[1:])]
     free_rank = kernel_homology_univariate(cx).degree(2).free_rank
@@ -33,14 +33,14 @@ def test_window_stabilizes_for_finite_homology():
     p = surface_group(1)
     cx = univariate_model(p, [(1,), (0,)])
     report = window_homology(cx, 8)
-    seq = report.degree_sequence(1)
+    seq = report.dimensions[1]
     assert seq[-1] == seq[-2] == 1  # H_1(kernel) = Q, dimension one
 
 
 def test_window_degree_zero_is_one():
     for cx in (bb_f2xf2(), univariate_model(surface_group(1), [(1,), (0,)])):
         report = window_homology(cx, 5)
-        assert set(report.degree_sequence(0)) == {1}
+        assert set(report.dimensions[0]) == {1}
 
 
 def test_window_monotone_nondecreasing():
@@ -51,7 +51,7 @@ def test_window_monotone_nondecreasing():
     for cx in suite:
         report = window_homology(cx, 6)
         for j in range(cx.top + 1):
-            seq = report.degree_sequence(j)
+            seq = report.dimensions[j]
             assert all(x <= y for x, y in zip(seq, seq[1:]))
 
 
@@ -64,7 +64,7 @@ def test_window_unbounded_iff_positive_free_rank():
         kernel = kernel_homology_univariate(cx)
         report = window_homology(cx, 7)
         for j in range(cx.top + 1):
-            seq = report.degree_sequence(j)
+            seq = report.dimensions[j]
             growing = seq[-1] > seq[-3]
             assert growing == (kernel.degree(j).free_rank > 0)
 
@@ -75,8 +75,8 @@ def test_window_two_variables():
     cx = univariate_model(p, [(1, 0), (0, 1), (0, 0), (0, 0)])
     assert cx.nvars == 2
     report = window_homology(cx, 4)
-    assert set(report.degree_sequence(0)) == {1}
-    seq = report.degree_sequence(1)
+    assert set(report.dimensions[0]) == {1}
+    seq = report.dimensions[1]
     assert all(x <= y for x, y in zip(seq, seq[1:]))
     assert seq[-1] > seq[0]  # H_1 of the Z^2-kernel is infinite-dimensional
 
