@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 
 from . import __version__
+# perfbench's tracer test reads twisted_betti from this module
 from .complexes import KernelHomologyReport, kernel_homology_univariate, twisted_betti
 from .constructions import GroupModel, build_model
 from .errors import NotUnivariate, TrivialNu, UnsupportedDegree, ZeroMap
@@ -169,7 +170,7 @@ def _establish_fullness(model: GroupModel, r: int, strategy: str,
         return FullnessVerdict(
             False, "not_concluded", "generic-rank",
             reason=f"chain model stops in degree {model.complex.top} < r={r}")
-    return generic_rank_verdict(model.complex, r)
+    return generic_rank_verdict(model, r)
 
 
 @dataclass(frozen=True)
@@ -203,9 +204,10 @@ class ProbeReport:
 def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
                             r: int, trials: int = 100, seed: int = 0) -> ProbeReport:
     """Sample rational characters of the target torus, pull back through
-    nu, and record the twisted Betti numbers in degrees <= r.  The trivial
-    character is never sampled; boxes start at {-2..2} and double every
-    batch of 16 trials.  Deterministic under a fixed seed."""
+    nu, and record the twisted Betti numbers in degrees <= r, from
+    ``GroupModel.betti`` (on a product, convolved from the factors').  The
+    trivial character is never sampled; boxes start at {-2..2} and double
+    every batch of 16 trials.  Deterministic under a fixed seed."""
     if r < 1:
         raise ValueError("degree r must be >= 1")
     if trials < 1:
@@ -222,7 +224,7 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
     for trial in range(trials):
         rho = sample_character(rng, nu.target_rank, box_for_trial(trial))
         pulled = pullback_character(nubar, rho, model.complex.nvars)
-        betti = twisted_betti(model.complex, pulled).betti[:r + 1]
+        betti = model.betti(pulled).betti[:r + 1]
         is_zero = all(b == 0 for b in betti)
         vanishing += is_zero
         samples.append({"rho": rho.describe(), "betti": list(betti),

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .certify import certify_non_fp, generic_vanishing_probe, kernel_report_univariate
-from .complexes import DEFAULT_WINDOW_CEILING, twisted_betti, window_homology
+from .complexes import DEFAULT_WINDOW_CEILING, window_homology
 from .constructions import (bestvina_brady, build_model, complete_graph,
                             cycle_graph, direct_product, edgeless_graph,
                             flag_complex, free_group, octahedron_graph,
@@ -288,7 +288,7 @@ def cmd_betti(args):
     presentation, _ = resolve_group(args)
     model = build_model(presentation)
     rho = parse_character(args.char, model.complex.nvars)
-    profile = twisted_betti(model.complex, rho)
+    profile = model.betti(rho)
     result = {
         "group": presentation.tags.get("name", presentation.describe()),
         "character": rho.describe(),
@@ -329,7 +329,7 @@ def cmd_jumploci(args):
         "fullness_v1": verdict.to_json_dict(),
     }
     try:
-        result["ideal"] = v1_ideal(presentation, args.t,
+        result["ideal"] = v1_ideal(model, args.t,
                                    ceiling=args.minor_ceiling).to_json_dict()
     except TooManyMinors as exc:
         # minor enumeration infeasible: report the generic-Betti route,

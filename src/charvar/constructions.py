@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import TwistedComplex, presentation_complex, tensor_complex
+from .complexes import (BettiProfile, TwistedComplex, presentation_complex,
+                        tensor_complex, twisted_betti)
 from .errors import GenusTooSmall, InternalInconsistency, PresentationSyntaxError
 from .intlinalg import integer_rank
-from .laurent import LaurentPolynomial
+from .laurent import Character, LaurentPolynomial
 from .lmatrix import LaurentMatrix
 from .presentations import AbelianData, EpimorphismToZm, Presentation, abelianize
 from .words import Word, commutator
@@ -210,8 +211,10 @@ def free_group(rank: int) -> Presentation:
 
 def direct_product(factors) -> Presentation:
     """Union of the factor presentations plus commutators between
-    generators of distinct factors.  Homology computations use the tensor
-    product of the factor chain models, not this presentation's 2-complex."""
+    generators of distinct factors.  Homology computations never use this
+    presentation's 2-complex: ``build_model`` keeps the factor models,
+    twisted Betti numbers at a character come from theirs by Kunneth, and
+    the tensor product of their chain models serves the rest."""
     factors = tuple(factors)
     if len(factors) < 2:
         raise ValueError("a direct product needs at least two factors")
@@ -311,6 +314,10 @@ class GroupModel:
     A product's character coordinates are blockwise, one block per factor
     in the factor's own coordinates, so a character of the product
     restricts to each factor by slicing.
+
+    A product's twisted Betti numbers come from its factors (``betti``);
+    its tensor complex serves generic ranks, the kernel over Q[t, t^-1],
+    windows, and the d o d = 0 check made when it is built.
     """
 
     presentation: Presentation
@@ -318,6 +325,39 @@ class GroupModel:
     complex: TwistedComplex
     aspherical: bool
     factors: tuple["GroupModel", ...] = ()
+
+    def betti(self, character: Character) -> BettiProfile:
+        """Twisted Betti numbers at a rational character or at the generic
+        point; the only code that computes them for a product.
+
+        Over a field K the tensor model at a character is the tensor
+        product over K of the factor complexes, each at its own block of
+        coordinates.  K is Q at a rational character; at the generic point
+        it is the field of rational functions in all the variables, over
+        which each factor has its generic Betti numbers, so the generic
+        point passes to every factor whole.  By Kunneth over K the profile
+        is the convolution of the factors' profiles, exactly, cut to the
+        degrees the tensor model keeps (it trims trailing zero ranks).
+        """
+        if not self.factors:
+            return twisted_betti(self.complex, character)
+        if not character.is_generic and len(character.coords) != self.complex.nvars:
+            raise ValueError(f"character needs {self.complex.nvars} coordinates, "
+                             f"got {len(character.coords)}")
+        profile = [1]
+        start = 0
+        for factor in self.factors:
+            width = factor.complex.nvars
+            part = character if character.is_generic else Character(
+                character.coords[start:start + width])
+            start += width
+            betti = factor.betti(part).betti
+            convolved = [0] * (len(profile) + len(betti) - 1)
+            for i, x in enumerate(profile):
+                for j, y in enumerate(betti):
+                    convolved[i + j] += x * y
+            profile = convolved
+        return BettiProfile(tuple(profile[:self.complex.top + 1]), character)
 
 
 def build_model(presentation: Presentation) -> GroupModel:

@@ -12,6 +12,10 @@ neighbouring ranks, and a rank the two bounds do not pin is computed by
 exact symbolic elimination.  The route is recorded in the witness.  The
 trivial character and the order-2 character are checked explicitly in
 every verdict.
+
+On a product, the generic rank is taken on the tensor model, while the
+Betti numbers at the special points and at the spot checks come from the
+factors by Kunneth over Q (``GroupModel.betti``).
 """
 
 from __future__ import annotations
@@ -19,14 +23,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+# perfbench's tracer test reads twisted_betti from this module
 from .complexes import TwistedComplex, generic_ranks, twisted_betti
 from .constructions import GroupModel
 from .errors import InternalInconsistency, UnsupportedDegree
 from .fox import alexander_matrix
-from .intlinalg import integer_rank
 from .laurent import Character, LaurentPolynomial
 from .lmatrix import DEFAULT_MINOR_CEILING, minors
-from .presentations import Presentation, abelianize
 from .sampling import sample_character
 
 # seeded characters at which the product route spot-checks b_r
@@ -53,14 +56,14 @@ class V1Ideal:
         }
 
 
-def v1_ideal(presentation: Presentation, depth: int = 1,
+def v1_ideal(model: GroupModel, depth: int = 1,
              ceiling: int = DEFAULT_MINOR_CEILING) -> V1Ideal:
     """Generators of the determinantal ideal cutting out the depth-t locus
     in degree one, away from the trivial character.
 
     Size-(n-t) minors of the Alexander matrix vanish exactly where the
     matrix rank drops to n-1-t, i.e. where b_1 >= t for a nontrivial
-    character.  At the trivial character b_1 = n - rank(exponent matrix),
+    character.  At the trivial character b_1 is the free rank of H_1,
     reported separately.  When n - t exceeds the matrix dimensions there
     are no minors and the ideal is zero (locus is everything); when
     n - t <= 0 no character can jump that far and the ideal is the unit
@@ -68,11 +71,10 @@ def v1_ideal(presentation: Presentation, depth: int = 1,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    abelian = abelianize(presentation)
-    alex = alexander_matrix(presentation, abelian)
-    n = presentation.ngens
+    alex = alexander_matrix(model.presentation, model.abelian)
+    n = model.presentation.ngens
     k = n - depth
-    trivial_b1 = n - integer_rank(presentation.exponent_matrix())
+    trivial_b1 = model.abelian.torsion_free_rank
     if k <= 0:
         return V1Ideal((LaurentPolynomial.one(alex.nvars),), k,
                        zero_ideal=False, unit_ideal=True,
@@ -132,16 +134,16 @@ def generic_betti_in_degree(complex_: TwistedComplex,
     return complex_.ranks[degree] - ranks[degree] - ranks[degree + 1], route
 
 
-def _special_point_checks(complex_: TwistedComplex, degree: int) -> list[dict]:
+def _special_point_checks(model: GroupModel, degree: int) -> list[dict]:
     """Betti numbers in the target degree at the trivial character and the
     order-2 character with every coordinate -1."""
-    points = [("trivial", Character.trivial(complex_.nvars))]
-    if complex_.nvars:
-        points.append(("order2-all-minus",
-                       Character((-1,) * complex_.nvars)))
+    nvars = model.complex.nvars
+    points = [("trivial", Character.trivial(nvars))]
+    if nvars:
+        points.append(("order2-all-minus", Character((-1,) * nvars)))
     out = []
     for label, rho in points:
-        betti = twisted_betti(complex_, rho).betti
+        betti = model.betti(rho).betti
         out.append({"point": label,
                     "character": rho.describe(),
                     "betti": list(betti),
@@ -159,13 +161,13 @@ def _require_jumps(points: list[dict], key: str, why: str) -> None:
                 f"{why}, but {key} = {p[key]} at the character {p['character']}")
 
 
-def generic_rank_verdict(complex_: TwistedComplex, r: int) -> FullnessVerdict:
+def generic_rank_verdict(model: GroupModel, r: int) -> FullnessVerdict:
     """Does the degree-r depth-one locus fill the whole torus?  Decided by
     the exact generic b_r (``generic_betti_in_degree``): every rank only
     drops on closed sets, so b_r is minimized at the generic point and the
     generic value settles the question in both directions."""
-    generic_b, route = generic_betti_in_degree(complex_, r)
-    specials = _special_point_checks(complex_, r)
+    generic_b, route = generic_betti_in_degree(model.complex, r)
+    specials = _special_point_checks(model, r)
     witness = {f"generic_b{r}": generic_b, "special_points": specials,
                "route": route}
     if generic_b >= 1:
@@ -180,15 +182,16 @@ def is_full_v1(model: GroupModel) -> FullnessVerdict:
     """Does the degree-one depth-one locus fill the whole torus?  The
     generic-rank verdict in degree one, for catalog and user groups
     alike."""
-    return generic_rank_verdict(model.complex, 1)
+    return generic_rank_verdict(model, 1)
 
 
 def is_full_vr_product(model: GroupModel, r: int, seed: int = 0) -> FullnessVerdict:
     """Sufficiency route for a product model: if every factor's degree-one
     locus is full, the degree-r locus of the product fills its torus (the
     r-fold tensor of jumping classes survives).  A non-full factor leaves
-    the question open, not answered.  The product complex is spot-checked
-    at ``SPOT_SAMPLES`` seeded characters and at the special points."""
+    the question open, not answered.  b_r is spot-checked at
+    ``SPOT_SAMPLES`` seeded characters and at the special points, each
+    profile convolved from the factors' by ``GroupModel.betti``."""
     if r != len(model.factors):
         raise ValueError(f"degree r={r} must equal the number of factors "
                          f"({len(model.factors)})")
@@ -201,15 +204,14 @@ def is_full_vr_product(model: GroupModel, r: int, seed: int = 0) -> FullnessVerd
                 witness={"factors": factor_witness},
                 reason=f"factor {i + 1} not full; the product criterion "
                        f"is sufficient only")
-    cx = model.complex
     rng = random.Random(seed)
     samples = []
     for _ in range(SPOT_SAMPLES):
-        rho = sample_character(rng, cx.nvars, box=3)
-        betti = twisted_betti(cx, rho).betti
+        rho = sample_character(rng, model.complex.nvars, box=3)
+        betti = model.betti(rho).betti
         samples.append({"character": rho.describe(),
                         "betti": list(betti), "b_r": betti[r]})
-    specials = _special_point_checks(cx, r)
+    specials = _special_point_checks(model, r)
     _require_jumps(samples, "b_r", "every factor locus is full")
     _require_jumps(specials, "b_degree", "every factor locus is full")
     return FullnessVerdict(True, "full", "kunneth-product", witness={

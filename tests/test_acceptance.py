@@ -74,10 +74,11 @@ def test_criterion_02_euler_invariance():
 def test_criterion_03_torus_jump_locus():
     with criterion(3, "torus-group depth-1 locus is the trivial character"):
         torus = surface_group(1)
-        ideal = v1_ideal(torus, 1)
+        model = build_model(torus)
+        ideal = v1_ideal(model, 1)
         assert sorted(p.to_text() for p in ideal.generators) == \
             ["t1 - 1", "t2 - 1"]
-        cx = build_model(torus).complex
+        cx = model.complex
         rng = random.Random(3)
         for _ in range(100):
             rho = sample_character(rng, 2, box=12)

@@ -34,26 +34,26 @@ def test_in_variety_genus2_everywhere():
 
 
 def test_v1_ideal_torus():
-    ideal = v1_ideal(surface_group(1), 1)
+    ideal = v1_ideal(build_model(surface_group(1)), 1)
     assert sorted(g.to_text() for g in ideal.generators) == ["t1 - 1", "t2 - 1"]
     assert ideal.trivial_character_b1 == 2
     assert not ideal.zero_ideal
 
 
 def test_v1_ideal_free_group_is_zero_by_shape():
-    ideal = v1_ideal(free_group(2), 1)
+    ideal = v1_ideal(build_model(free_group(2)), 1)
     assert ideal.zero_ideal and ideal.by_shape
     assert ideal.generators == ()
 
 
 def test_v1_ideal_genus2_depth2_no_minors():
-    ideal = v1_ideal(surface_group(2), 2)
+    ideal = v1_ideal(build_model(surface_group(2)), 2)
     assert ideal.zero_ideal and ideal.by_shape
     assert ideal.minor_size == 2
 
 
 def test_v1_ideal_unit_when_depth_too_deep():
-    ideal = v1_ideal(surface_group(1), 2)
+    ideal = v1_ideal(build_model(surface_group(1)), 2)
     assert ideal.unit_ideal
 
 
@@ -62,7 +62,7 @@ def test_zero_set_consistency():
     rng = random.Random(15)
     for p in (surface_group(1), surface_group(2)):
         model = build_model(p)
-        ideal = v1_ideal(p, 1)
+        ideal = v1_ideal(model, 1)
         for _ in range(25):
             rho = sample_character(rng, model.complex.nvars, box=6)
             in_zero_set = all(g.evaluate(rho) == 0 for g in ideal.generators)
