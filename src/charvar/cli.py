@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1, help="jump depth")
     p.add_argument("--r", type=int, help="also decide degree-r fullness of a product")
     p.add_argument("--minor-ceiling", type=int,
-                   default=int(os.environ.get("CHARVAR_MINOR_CEILING",
-                                              DEFAULT_MINOR_CEILING)))
+                   help="default: $CHARVAR_MINOR_CEILING, else "
+                        f"{DEFAULT_MINOR_CEILING}")
 
     p = sub.add_parser("certify", help="non-FP_r certificate for ker(nu)")
     group_flags(p, nu=True)
@@ -120,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     group_flags(p, nu=True)
     p.add_argument("--radius", type=int, default=6)
     p.add_argument("--window-ceiling", type=int,
-                   default=int(os.environ.get("CHARVAR_WINDOW_CEILING",
-                                              DEFAULT_WINDOW_CEILING)))
+                   help="default: $CHARVAR_WINDOW_CEILING, else "
+                        f"{DEFAULT_WINDOW_CEILING}")
 
     p = sub.add_parser("oracle", help="index-2 cover consistency check")
     group_flags(p, nu=True)
@@ -233,6 +233,21 @@ def resolve_graph(args):
     raise ValueError(f"unknown graph {name!r}")
 
 
+def _ceiling(flag_value, variable: str, default: int) -> int:
+    """A work ceiling: the flag if given, else the environment variable,
+    else the default.  A malformed variable is a usage error of the command
+    that reads it."""
+    if flag_value is not None:
+        return flag_value
+    text = os.environ.get(variable)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{variable}={text!r} is not an integer") from None
+
+
 def _int_arg(value, flag) -> int:
     if value is None:
         raise ValueError(f"missing {flag}")
@@ -320,6 +335,8 @@ def cmd_alexander(args):
 
 
 def cmd_jumploci(args):
+    ceiling = _ceiling(args.minor_ceiling, "CHARVAR_MINOR_CEILING",
+                       DEFAULT_MINOR_CEILING)
     presentation, _ = resolve_group(args)
     model = build_model(presentation)
     verdict = is_full_v1(model)
@@ -330,7 +347,7 @@ def cmd_jumploci(args):
     }
     try:
         result["ideal"] = v1_ideal(model, args.t,
-                                   ceiling=args.minor_ceiling).to_json_dict()
+                                   ceiling=ceiling).to_json_dict()
     except TooManyMinors as exc:
         # minor enumeration infeasible: report the generic-Betti route,
         # i.e. the maximal depth the generic character already witnesses
@@ -376,12 +393,14 @@ def cmd_kernel(args):
 
 
 def cmd_window(args):
+    ceiling = _ceiling(args.window_ceiling, "CHARVAR_WINDOW_CEILING",
+                       DEFAULT_WINDOW_CEILING)
     presentation, default_nu = resolve_group(args)
     nu = resolve_nu(presentation, args.nu or default_nu or "ones")
     model = build_model(presentation)
     nubar = induced_on_free_part(nu, model.abelian)
     pushed = model.complex.specialize(nubar)
-    report = window_homology(pushed, args.radius, ceiling=args.window_ceiling)
+    report = window_homology(pushed, args.radius, ceiling=ceiling)
     result = report.to_json_dict()
     result["group"] = presentation.tags.get("name", presentation.describe())
     return "ok", result

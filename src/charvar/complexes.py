@@ -18,7 +18,7 @@ from itertools import product as iproduct
 from .errors import InternalInconsistency, NotUnivariate, WindowTooLarge
 from .fox import alexander_matrix, quotient_images
 from .intlinalg import modular_rank, rational_rank
-from .laurent import GENERIC, Character, LaurentPolynomial
+from .laurent import GENERIC, Character, LaurentPolynomial, _make
 from .lmatrix import LaurentMatrix, rank_at, smith_univariate
 from .presentations import Presentation
 
@@ -138,16 +138,18 @@ def presentation_complex(presentation: Presentation, q) -> TwistedComplex:
 
 def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
     """Chain-level tensor product over the joint ring; variables of the two
-    factors concatenate.  Signs follow d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.
-    Trailing zero degrees are trimmed."""
+    factors concatenate, so an entry of a factor lifts by padding its
+    exponent vectors with zeros for the other factor's variables.  Signs
+    follow d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.  A cell of a tensor
+    differential receives at most one entry: a d_A entry when the degree
+    of the A-part drops, a d_B entry when it stays.  Trailing zero degrees
+    are trimmed."""
     ma, mb = a.nvars, b.nvars
     m = ma + mb
-    lift_a = [[1 if i == j else 0 for j in range(ma)] for i in range(ma)] + \
-             [[0] * ma for _ in range(mb)]
-    lift_b = [[0] * mb for _ in range(ma)] + \
-             [[1 if i == j else 0 for j in range(mb)] for i in range(mb)]
-    da = [d.substitute_exponents(lift_a) for d in a.differentials]
-    db = [d.substitute_exponents(lift_b) for d in b.differentials]
+    da = [_pad_entries(d, (), (0,) * mb, m) for d in a.differentials]
+    db = [_pad_entries(d, (0,) * ma, (), m) for d in b.differentials]
+    # the d_B entries with the sign (-1)^p, by the parity of p
+    db_signed = (db, [[[-e for e in col] for col in d] for d in db])
 
     top = a.top + b.top
     ranks = []
@@ -170,23 +172,15 @@ def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
             for i, j in iproduct(range(a.ranks[p]), range(b.ranks[q])):
                 col = col_off + i * b.ranks[q] + j
                 if p >= 1 and (p - 1) in offsets[k - 1]:
-                    dmat = da[p - 1]
                     row_off = offsets[k - 1][p - 1]
-                    for i2 in range(a.ranks[p - 1]):
-                        entry = dmat.entries[i2][i]
+                    for i2, entry in enumerate(da[p - 1][i]):
                         if entry.terms:
-                            row = row_off + i2 * b.ranks[q] + j
-                            grid[row][col] = grid[row][col] + entry
+                            grid[row_off + i2 * b.ranks[q] + j][col] = entry
                 if q >= 1 and p in offsets[k - 1]:
-                    dmat = db[q - 1]
-                    row_off = offsets[k - 1][p]
-                    sign = -1 if p % 2 else 1
-                    for j2 in range(b.ranks[q - 1]):
-                        entry = dmat.entries[j2][j]
+                    row_off = offsets[k - 1][p] + i * b.ranks[q - 1]
+                    for j2, entry in enumerate(db_signed[p % 2][q - 1][j]):
                         if entry.terms:
-                            row = row_off + i * b.ranks[q - 1] + j2
-                            term = entry if sign > 0 else -entry
-                            grid[row][col] = grid[row][col] + term
+                            grid[row_off + j2][col] = entry
         diffs.append(LaurentMatrix(m, ranks[k - 1], ranks[k], grid))
 
     while ranks and ranks[-1] == 0:
@@ -194,6 +188,15 @@ def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
         if diffs:
             diffs.pop()
     return TwistedComplex(m, tuple(ranks), tuple(diffs))
+
+
+def _pad_entries(d: LaurentMatrix, left: tuple, right: tuple,
+                 nvars: int) -> list[list[LaurentPolynomial]]:
+    """The columns of d, each entry lifted to ``nvars`` variables by the
+    exponent vectors left + e + right; the lift is injective on exponents,
+    so no terms merge."""
+    return [[_make(nvars, {left + e + right: c for e, c in d.entries[i][j].terms.items()})
+             for i in range(d.rows)] for j in range(d.cols)]
 
 
 SANDWICH_PRIME = 2 ** 31 - 1

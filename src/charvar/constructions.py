@@ -32,6 +32,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.nverts < 0:
+            raise ValueError("vertex count must be >= 0")
         for u, v in self.edges:
             if u == v:
                 raise ValueError("loops are not allowed")

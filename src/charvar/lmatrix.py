@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
+from operator import add
 
 from .errors import NotUnivariate, TooManyMinors, VariableCountMismatch
 from .intlinalg import EuclideanRing, _smith_form, rational_rank
-from .laurent import Character, LaurentPolynomial, _canonical
+from .laurent import Character, LaurentPolynomial, _canonical, _make
 
 DEFAULT_MINOR_CEILING = 20000
 
@@ -51,24 +52,42 @@ class LaurentMatrix:
                               for j in range(self.cols)])
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        """The exact product over the Laurent ring.  Each row of ``self``
+        meets only its nonzero entries a_ik and the nonzero entries of row
+        k of ``other``; every output cell sums its term products into one
+        exponent map.  The d o d = 0 check of ``TwistedComplex`` is the
+        caller."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        z = LaurentPolynomial.zero(self.nvars)
-        # only the nonzero entries of each column of ``other`` can contribute
-        columns = [[(k, other.entries[k][j]) for k in range(other.rows)
-                    if other.entries[k][j].terms] for j in range(other.cols)]
+        if self.nvars != other.nvars:
+            raise VariableCountMismatch(f"{self.nvars} vs {other.nvars} variables")
+        nvars = self.nvars
+        # row k of ``other`` as its nonzero (column, terms) pairs
+        other_rows = [[(j, b.terms.items()) for j, b in enumerate(row) if b.terms]
+                      for row in other.entries]
+        zero = LaurentPolynomial.zero(nvars)
         out = []
         for a_row in self.entries:
-            row = []
-            for column in columns:
-                acc = z
-                for k, b in column:
-                    a = a_row[k]
-                    if a.terms:
-                        acc = acc + a * b
-                row.append(acc)
+            cells: dict[int, dict] = {}
+            for a, b_row in zip(a_row, other_rows):
+                if not (a.terms and b_row):
+                    continue
+                a_terms = a.terms.items()
+                for j, b_terms in b_row:
+                    cell = cells.get(j)
+                    if cell is None:
+                        cell = cells[j] = {}
+                    for ea, ca in a_terms:
+                        for eb, cb in b_terms:
+                            e = tuple(map(add, ea, eb))
+                            cell[e] = cell.get(e, 0) + ca * cb
+            row = [zero] * other.cols
+            for j, cell in cells.items():
+                terms = {e: c for e, c in cell.items() if c}
+                if terms:
+                    row[j] = _make(nvars, terms)
             out.append(row)
-        return LaurentMatrix(self.nvars, self.rows, other.cols, out)
+        return LaurentMatrix(nvars, self.rows, other.cols, out)
 
     def map_entries(self, fn, nvars: int | None = None) -> "LaurentMatrix":
         return LaurentMatrix(self.nvars if nvars is None else nvars,
@@ -111,7 +130,7 @@ class LaurentMatrix:
         return out
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
+        return not any(p.terms for row in self.entries for p in row)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentMatrix)

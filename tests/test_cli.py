@@ -246,6 +246,57 @@ def test_degenerate_free_rank_errors(capsys, argv, code, message):
     assert message in payload["result"]["error"]["message"]
 
 
+@pytest.mark.parametrize("variable", ["CHARVAR_MINOR_CEILING", "CHARVAR_WINDOW_CEILING"])
+def test_malformed_ceiling_variable_is_ignored_by_other_commands(capsys, monkeypatch,
+                                                                 variable):
+    monkeypatch.setenv(variable, "abc")
+    code, payload = run_json(capsys, ["pencil", "--genus", "2,2,2"])
+    assert code == 0 and payload["status"] == "ok"
+
+
+@pytest.mark.parametrize("variable,argv", [
+    ("CHARVAR_MINOR_CEILING", ["jumploci", "--preset", "torus"]),
+    ("CHARVAR_WINDOW_CEILING", ["window", "--preset", "surface", "--genus", "2",
+                                "--radius", "1"]),
+], ids=["jumploci", "window"])
+def test_malformed_ceiling_variable_is_usage_error(capsys, monkeypatch, variable, argv):
+    monkeypatch.setenv(variable, "abc")
+    code, payload = run_json(capsys, argv)
+    assert code == 1
+    assert payload["result"]["error"]["code"] == "usage"
+    assert variable in payload["result"]["error"]["message"]
+
+
+def test_ceiling_variable_applies_unless_the_flag_is_given(capsys, monkeypatch):
+    # the genus-1 surface has 2 minors of size 1
+    monkeypatch.setenv("CHARVAR_MINOR_CEILING", "1")
+    _, payload = run_json(capsys, ["jumploci", "--preset", "torus"])
+    assert payload["result"]["ideal"] is None
+    assert "ceiling 1" in payload["result"]["ideal_fallback"]["reason"]
+    _, payload = run_json(capsys, ["jumploci", "--preset", "torus",
+                                   "--minor-ceiling", "2"])
+    assert payload["result"]["ideal"]["generators"] == ["t1 - 1", "t2 - 1"]
+    monkeypatch.setenv("CHARVAR_WINDOW_CEILING", "10")
+    code, payload = run_json(capsys, ["window", "--preset", "surface", "--genus", "2",
+                                      "--radius", "2"])
+    assert code == 1
+    assert payload["result"]["error"]["code"] == "window-too-large"
+
+
+@pytest.mark.parametrize("source", ["cycle:-1", "edgeless:-2", "file"])
+def test_negative_vertex_count_is_usage_error(capsys, tmp_path, source):
+    if source == "file":
+        path = tmp_path / "g.txt"
+        path.write_text("v -3\n", encoding="utf-8")
+        argv = ["raag", "--graph", str(path)]
+    else:
+        argv = ["raag", "--graph-name", source]
+    code, payload = run_json(capsys, argv)
+    assert code == 1
+    assert payload["result"]["error"]["code"] == "usage"
+    assert "vertex count must be >= 0" in payload["result"]["error"]["message"]
+
+
 def test_broken_alexander_row_is_internal_inconsistency(capsys, monkeypatch):
     # a wrong Fox term breaks d_1 o d_2 = 0; that is the program's fault,
     # not the user's, so it must not be reported as a usage error

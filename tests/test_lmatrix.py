@@ -5,7 +5,7 @@ import pytest
 from sympy import QQ, Matrix, Poly, symbols
 from sympy.matrices.normalforms import invariant_factors
 
-from charvar.errors import TooManyMinors
+from charvar.errors import TooManyMinors, VariableCountMismatch
 from charvar.laurent import GENERIC, Character, LaurentPolynomial
 from charvar.intlinalg import _smith_form
 from charvar.lmatrix import (LAURENT_UNIVARIATE, generic_rank, minors, rank_at,
@@ -100,6 +100,13 @@ def test_matmul_matches_entrywise_product():
                 for k in range(a.cols):
                     expected = expected + a.entries[i][k] * b.entries[k][j]
                 assert product.entries[i][j] == expected
+    # a variable-count mismatch is refused even when every product is zero
+    one_var = laurent_matrix(1, [[x(), LaurentPolynomial.zero(1)]])
+    two_vars = zero_matrix(2, 2, 3)
+    with pytest.raises(VariableCountMismatch):
+        one_var @ two_vars
+    with pytest.raises(VariableCountMismatch):
+        zero_matrix(2, 1, 2) @ laurent_matrix(1, [[x()], [x()]])
 
 
 def _random_sparse_matrix(rng, nvars, rows, cols):
