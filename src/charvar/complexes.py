@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import add
 
 from .errors import InternalInconsistency, NotUnivariate, WindowTooLarge
 from .fox import alexander_matrix, quotient_images
@@ -333,8 +334,12 @@ def window_homology(complex_: TwistedComplex, radius: int,
 
     A cell is kept when its entire boundary lies among kept cells one
     degree down, so each window is a genuine subcomplex and the reported
-    dimensions are honest; one translate enters per radius step, so in
-    degree j the increments stabilize at the Lambda-free-rank of H_j.
+    dimensions are honest.  In one variable one translate enters per
+    radius step, so in degree j the increments stabilize at the
+    Lambda-free-rank of H_j.  In two variables the box {0..k}^2 gains
+    2k + 1 translates per step and the increments need not stabilize (F_2
+    with nu = 1,0;0,1 has H_1 of dimension k^2), so such windows show
+    growth only.
     """
     if complex_.nvars not in (1, 2):
         raise ValueError("windows are supported for 1 or 2 variables")
@@ -344,52 +349,45 @@ def window_homology(complex_: TwistedComplex, radius: int,
     total = sum(c * size for c in complex_.ranks)
     if total > ceiling:
         raise WindowTooLarge(total, ceiling)
+    # each column of each d_j as its nonzero (row, exponent, coefficient)
+    # terms, listed once for every window
+    columns = [[[(r, e, c) for r in range(d.rows)
+                 for e, c in d.entries[r][i].terms.items()]
+                for i in range(d.cols)] for d in complex_.differentials]
     per_degree = [[] for _ in complex_.ranks]
     for k in range(1, radius + 1):
-        dims = _window_dims(complex_, k)
+        dims = _window_dims(complex_, columns, k)
         for j, d in enumerate(dims):
             per_degree[j].append(d)
     return WindowReport(tuple(range(1, radius + 1)),
                         tuple(tuple(seq) for seq in per_degree))
 
 
-def _window_dims(complex_: TwistedComplex, k: int) -> list[int]:
+def _window_dims(complex_: TwistedComplex, columns, k: int) -> list[int]:
     m = complex_.nvars
     box = [tuple(v) for v in iproduct(range(k + 1), repeat=m)]
-    box_set = set(box)
     kept: list[set] = [{(i, v) for i in range(complex_.ranks[0]) for v in box}]
     for j in range(1, complex_.top + 1):
-        d = complex_.differentials[j - 1]
         prev = kept[j - 1]
-        cells = set()
-        for i in range(complex_.ranks[j]):
-            shifts = [(r, e) for r in range(d.rows)
-                      for e in d.entries[r][i].terms]
-            for v in box:
-                ok = True
-                for r, e in shifts:
-                    w = tuple(x + y for x, y in zip(v, e))
-                    if w not in box_set or (r, w) not in prev:
-                        ok = False
-                        break
-                if ok:
-                    cells.add((i, v))
-        kept.append(cells)
+        # a cell is kept when every boundary cell is kept one degree down;
+        # kept cells lie in the box, so that check covers the box too
+        kept.append({(i, v) for i, terms in enumerate(columns[j - 1])
+                     for v in box
+                     if all((r, tuple(map(add, v, e))) in prev
+                            for r, e, _c in terms)})
     ranks = [0] * (complex_.top + 2)
     for j in range(1, complex_.top + 1):
-        ranks[j] = _window_rank(complex_.differentials[j - 1], kept[j], kept[j - 1])
+        ranks[j] = _window_rank(columns[j - 1], kept[j], kept[j - 1])
     return [len(kept[j]) - ranks[j] - ranks[j + 1] for j in range(complex_.top + 1)]
 
 
-def _window_rank(d: LaurentMatrix, cols: set, rows: set) -> int:
+def _window_rank(columns, cols: set, rows: set) -> int:
+    """Rank of d_j restricted to the kept cells ``cols`` and ``rows``."""
     if not cols or not rows:
         return 0
-    col_index = {cell: idx for idx, cell in enumerate(sorted(cols))}
     row_index = {cell: idx for idx, cell in enumerate(sorted(rows))}
-    grid = [[0] * len(col_index) for _ in range(len(row_index))]
-    for (i, v), cidx in col_index.items():
-        for r in range(d.rows):
-            for e, coeff in d.entries[r][i].terms.items():
-                w = tuple(x + y for x, y in zip(v, e))
-                grid[row_index[(r, w)]][cidx] += coeff
+    grid = [[0] * len(cols) for _ in range(len(row_index))]
+    for cidx, (i, v) in enumerate(sorted(cols)):
+        for r, e, coeff in columns[i]:
+            grid[row_index[(r, tuple(map(add, v, e)))]][cidx] += coeff
     return rational_rank(grid)

@@ -1,5 +1,5 @@
-"""Exact integer and rational linear algebra: Bareiss rank, rank mod a
-prime, and Smith form.
+"""Exact integer and rational linear algebra: rank over Q by sparse
+fraction-free row reduction, rank mod a prime, and Smith form.
 
 Matrices are plain lists of lists.  One Smith elimination serves every
 Euclidean domain this package uses, described by an ``EuclideanRing``: the
@@ -11,8 +11,13 @@ over Z.
 
 from __future__ import annotations
 
-from math import lcm
+from itertools import compress
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Callable, NamedTuple
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def mat_mul(a, b):
@@ -31,41 +36,58 @@ def mat_mul(a, b):
 
 
 def integer_rank(matrix) -> int:
-    """Rank via fraction-free Bareiss elimination."""
-    m = [list(row) for row in matrix]
-    rows, cols = len(m), len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        pivot_row = None
-        for r in range(rank, rows):
-            if m[r][col]:
-                if pivot_row is None or abs(m[r][col]) < abs(m[pivot_row][col]):
-                    pivot_row = r
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        top = m[rank]
-        for r in range(rank + 1, rows):
-            factor = m[r][col]
-            row = m[r]
-            for j in range(col, cols):
-                row[j] = (row[j] * pivot - factor * top[j]) // prev
-        prev = pivot
-        rank += 1
-        if rank == min(rows, cols):
+    """Rank over Q of a matrix of integers.
+
+    Fraction-free elimination on sparse rows, in the pattern of
+    ``modular_rank``: each row is reduced by the pivot rows found so far,
+    leading column first, through row <- (a/g)*row - (b/g)*pivot with a and
+    b the two leading entries and g = gcd(a, b), and then divided by its
+    content.  Every step is an invertible row operation over Q, so the rank
+    is exact.  Every row is kept primitive, the smallest integer vector on
+    its line, so entries grow only as far as the line itself needs.  A
+    pivot row meets only the rows that lead in its column, never a row
+    whose entry there is zero.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> primitive row
+    full = min(len(matrix), len(matrix[0]) if matrix else 0)
+    for dense in matrix:
+        if len(pivots) == full:
             break
-    return rank
+        row = dict(compress(enumerate(dense), dense))
+        while row:
+            content = gcd(*row.values())
+            if content != 1:
+                row = {j: x // content for j, x in row.items()}
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            a, b = pivot[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {j: x * a for j, x in row.items()}
+            for j, x in pivot.items():
+                y = row.get(j, 0) - b * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return len(pivots)
 
 
 def rational_rank(matrix) -> int:
     """Rank of a matrix of rationals (ints and Fractions), by clearing
-    denominators per row; a nonzero row scaling leaves the rank unchanged."""
+    denominators per row; a nonzero row scaling leaves the rank unchanged.
+    An integral row, ``Fraction(2, 1)`` included, passes as its numerators."""
     cleared = []
     for row in matrix:
-        denom = lcm(*(x.denominator for x in row))
-        cleared.append([x.numerator * (denom // x.denominator) for x in row])
+        denom = lcm(*map(_denominator, row))
+        if denom == 1:
+            cleared.append(list(map(_numerator, row)))
+        else:
+            cleared.append([x.numerator * (denom // x.denominator) for x in row])
     return integer_rank(cleared)
 
 

@@ -1,11 +1,12 @@
 """Matrices over the Laurent polynomial ring: rank, minors, Smith form.
 
 Rank at a rational character evaluates first and eliminates over Q
-(fraction-free Bareiss).  Rank at the generic point eliminates over the
-fraction field with Laurent-polynomial pivots: cross-multiplication,
-exact division by the previous pivot to control entry growth, and
-unit-content stripping (rational content and monomial factors are units
-here, so stripping preserves exact divisibility up to units).
+(``intlinalg.rational_rank``, a sparse fraction-free row reduction).  Rank
+at the generic point eliminates over the fraction field with
+Laurent-polynomial pivots: cross-multiplication, exact division by the
+previous pivot to control entry growth, and unit-content stripping
+(rational content and monomial factors are units here, so stripping
+preserves exact divisibility up to units).
 ``evaluate_mod`` reduces a matrix mod a prime at a point of the torus over
 F_p, which gives the ranks mod p of the modular sandwich.
 
@@ -95,8 +96,12 @@ class LaurentMatrix:
                              [[fn(p) for p in row] for row in self.entries])
 
     def substitute_exponents(self, matrix) -> "LaurentMatrix":
-        return self.map_entries(lambda p: p.substitute_exponents(matrix),
-                                nvars=len(matrix))
+        """Apply the ring map t^e -> s^(M e) to every entry; the zero
+        entries all become one shared zero."""
+        zero = LaurentPolynomial.zero(len(matrix))
+        return self.map_entries(
+            lambda p: p.substitute_exponents(matrix) if p.terms else zero,
+            nvars=len(matrix))
 
     def evaluate(self, character: Character) -> list[list[int | Fraction]]:
         """The entries at a rational character, as ints and Fractions."""

@@ -1,0 +1,169 @@
+"""The shipped sparse ranks against the dense Bareiss oracle, directly and
+through their callers."""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import rank_oracle
+from charvar import constructions, covers, intlinalg
+from charvar.complexes import window_homology
+from charvar.constructions import (complete_graph, cycle_graph, flag_complex,
+                                   free_group, octahedron_graph, reduced_homology,
+                                   surface_group)
+from charvar.intlinalg import integer_rank, rational_rank
+from test_windows import bb_f2xf2, univariate_model
+
+
+def matrices(entries, max_rows=10, max_cols=10):
+    """Matrices of any shape up to the bounds, zero rows or zero columns
+    included; a matrix with no rows is the empty list."""
+    return st.tuples(st.integers(0, max_rows), st.integers(0, max_cols)).flatmap(
+        lambda shape: st.lists(
+            st.lists(entries, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0]))
+
+
+sparse_signs = st.sampled_from((0,) * 18 + (1, -1))
+dense_small = st.integers(-50, 50)
+huge = st.one_of(st.integers(-3, 3),
+                 st.integers(2 ** 70 - 4, 2 ** 70 + 4),
+                 st.integers(-2 ** 70 - 4, -2 ** 70 + 4))
+
+
+@st.composite
+def deficient(draw):
+    """Rows that are integer combinations of at most ``k`` base rows, so
+    the rank is at most k."""
+    cols = draw(st.integers(1, 10))
+    k = draw(st.integers(0, 4))
+    base = draw(st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+                         min_size=k, max_size=k))
+    combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                           min_size=k, max_size=12))
+    grid = [[sum(c * b[j] for c, b in zip(combo, base)) for j in range(cols)]
+            for combo in combos]
+    return k, grid
+
+
+def assert_ranks_agree(grid):
+    expected = rank_oracle.integer_rank(grid)
+    assert integer_rank(grid) == expected
+    assert rational_rank(grid) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(sparse_signs, 14, 14))
+def test_sparse_sign_matrices(grid):
+    assert_ranks_agree(grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(dense_small))
+def test_dense_matrices(grid):
+    assert_ranks_agree(grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(deficient())
+def test_rank_deficient_matrices(case):
+    k, grid = case
+    assert_ranks_agree(grid)
+    assert integer_rank(grid) <= k
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(huge, 8, 8))
+def test_entries_near_two_to_the_seventy(grid):
+    assert_ranks_agree(grid)
+
+
+rational_entries = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-6, 6).map(lambda n: Fraction(n, 1)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(rational_entries, 8, 8))
+def test_rational_rank_with_integral_fractions(grid):
+    assert rational_rank(grid) == rank_oracle.rational_rank(grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(deficient(), st.lists(st.integers(1, 12), min_size=12, max_size=12))
+def test_rational_rank_deficient(case, divisors):
+    # row i divided by divisors[i]: each row keeps its direction, and its
+    # entries are Fractions, integral ones included, of mixed denominators
+    k, grid = case
+    scaled = [[Fraction(x, d) for x in row] for row, d in zip(grid, divisors)]
+    assert rational_rank(scaled) == rank_oracle.rational_rank(scaled) == \
+        rank_oracle.integer_rank(grid)
+
+
+def test_rows_of_integral_fractions_pass_as_numerators():
+    grid = [[Fraction(2, 1), Fraction(4, 1)], [1, 2], [Fraction(3), Fraction(1, 2)]]
+    assert rational_rank(grid) == rank_oracle.rational_rank(grid) == 2
+
+
+def test_empty_shapes():
+    for grid in ([], [[]], [[], [], []], [[0, 0, 0]], [[0], [0]]):
+        assert integer_rank(grid) == rational_rank(grid) == 0 == \
+            rank_oracle.integer_rank(grid)
+
+
+def test_window_shaped_matrices():
+    # banded, about 2% nonzero with entries +-1, like the window matrices
+    rng = random.Random(5)
+    for rows, cols in ((60, 80), (120, 90), (150, 200)):
+        grid = [[0] * cols for _ in range(rows)]
+        for i in range(rows):
+            for _ in range(max(1, cols // 50)):
+                j = min(cols - 1, max(0, i * cols // rows + rng.randint(-6, 6)))
+                grid[i][j] = rng.choice((1, -1))
+        assert_ranks_agree(grid)
+
+
+# -- the callers under the oracle --------------------------------------------
+
+
+def oracle_rank(monkeypatch):
+    """Bind the oracle wherever the package reads ``integer_rank``, and
+    return the list its calls are counted in."""
+    calls = []
+
+    def counted(matrix):
+        calls.append(1)
+        return rank_oracle.integer_rank(matrix)
+
+    for module in (intlinalg, constructions, covers):
+        monkeypatch.setattr(module, "integer_rank", counted)
+    return calls
+
+
+WINDOW_CASES = [
+    (bb_f2xf2, 6),
+    (lambda: univariate_model(surface_group(1), [(1,), (0,)]), 6),
+    (lambda: univariate_model(surface_group(2), [(1,), (0,), (0,), (0,)]), 6),
+    (lambda: univariate_model(free_group(2), [(1,), (1,)]), 6),
+    (lambda: univariate_model(surface_group(2), [(1, 0), (0, 1), (0, 0), (0, 0)]), 4),
+]
+
+
+def test_window_homology_under_the_oracle(monkeypatch):
+    shipped = [window_homology(make(), radius) for make, radius in WINDOW_CASES]
+    calls = oracle_rank(monkeypatch)
+    oracle = [window_homology(make(), radius) for make, radius in WINDOW_CASES]
+    assert calls
+    assert oracle == shipped
+
+
+def test_reduced_homology_under_the_oracle(monkeypatch):
+    graphs = (octahedron_graph(), cycle_graph(5), complete_graph(4))
+    shipped = [reduced_homology(flag_complex(g)) for g in graphs]
+    calls = oracle_rank(monkeypatch)
+    oracle = [reduced_homology(flag_complex(g)) for g in graphs]
+    assert calls
+    assert oracle == shipped
+    assert shipped == [(0, 0, 1), (0, 1), (0, 0, 0, 0)]
