@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import __version__
 # perfbench's tracer test reads twisted_betti from this module
-from .complexes import KernelHomologyReport, kernel_homology_univariate, twisted_betti
+from .complexes import KernelHomologyReport, twisted_betti
 from .constructions import GroupModel, build_model
 from .errors import NotUnivariate, TrivialNu, UnsupportedDegree, ZeroMap
 from .jumploci import FullnessVerdict, generic_rank_verdict, is_full_vr_product
@@ -237,8 +237,9 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Exact kernel homology (univariate case) through ``top_degree``,
-    with the scope in which it is group homology."""
+    """Exact rational homology of the kernel of a map onto Z, as a module
+    over Q[t, t^-1], through ``top_degree``, with the scope in which it is
+    group homology."""
 
     homology: KernelHomologyReport
     top_degree: int
@@ -253,8 +254,9 @@ class KernelReport:
 
 def kernel_report_univariate(presentation: Presentation, nu: EpimorphismToZm,
                              top_degree: int = 2) -> KernelReport:
-    """Per-degree structure of the kernel's homology via the Smith normal
-    form over the one-variable ring; exact verdicts, no sampling."""
+    """Per-degree structure of the kernel's rational homology as a module
+    over Q[t, t^-1], by ``GroupModel.kernel_homology``; exact verdicts, no
+    sampling."""
     if top_degree < 0:
         raise ValueError("top degree must be >= 0")
     nu = validate_epimorphism(presentation, nu.images)
@@ -262,12 +264,11 @@ def kernel_report_univariate(presentation: Presentation, nu: EpimorphismToZm,
         raise NotUnivariate("exact kernel homology needs a map onto Z")
     model = build_model(presentation)
     nubar = induced_on_free_part(nu, model.abelian)
-    univariate = model.complex.specialize(nubar)
-    homology = kernel_homology_univariate(univariate)
+    homology = model.kernel_homology(nubar)
     scope = ("group homology in every degree (aspherical model)"
              if model.aspherical else
              "group homology in degrees <= 1; degree 2 is homology of the "
              "presentation 2-complex")
     return KernelReport(homology=homology,
-                        top_degree=min(top_degree, univariate.top),
+                        top_degree=min(top_degree, model.complex.top),
                         degree2_scope=scope)

@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
 
-    p = sub.add_parser("kernel", help="exact kernel homology over Z (nu onto Z)")
+    p = sub.add_parser("kernel", help="exact rational homology of ker(nu) as a "
+                                      "Q[t^+-1]-module (nu onto Z)")
     group_flags(p, nu=True)
     p.add_argument("--top-degree", type=int, default=2)
 

@@ -5,8 +5,10 @@ pair (j, j-1); consecutive differentials compose to zero exactly over the
 ring, and this is checked at construction.  Evaluating at a character gives
 twisted Betti numbers; for one variable the ring is a PID and the full
 module structure of the homology (free rank plus torsion) is computed by
-Smith normal form, which is exactly the homology of the kernel of the
-corresponding map onto Z.
+Smith normal form, which is exactly the rational homology of the kernel of
+the corresponding map onto Z.  A product's kernel homology is assembled
+from its factors' by ``GroupModel.kernel_homology``; its tensor complex
+serves generic ranks and windows.
 """
 
 from __future__ import annotations

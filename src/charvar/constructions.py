@@ -10,15 +10,17 @@ tags: asphericity is undecidable in general, so only the catalog asserts it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product as iproduct
 
-from .complexes import (BettiProfile, TwistedComplex, presentation_complex,
-                        tensor_complex, twisted_betti)
+from .complexes import (BettiProfile, KernelDegreeEntry, KernelHomologyReport,
+                        TwistedComplex, kernel_homology_univariate,
+                        presentation_complex, tensor_complex, twisted_betti)
 from .errors import GenusTooSmall, InternalInconsistency, PresentationSyntaxError
 from .intlinalg import integer_rank
 from .laurent import Character, LaurentPolynomial
-from .lmatrix import LaurentMatrix
+from .lmatrix import LaurentMatrix, univariate_divmod, univariate_gcd
 from .presentations import AbelianData, EpimorphismToZm, Presentation, abelianize
 from .words import Word, commutator
 
@@ -215,8 +217,9 @@ def direct_product(factors) -> Presentation:
     """Union of the factor presentations plus commutators between
     generators of distinct factors.  Homology computations never use this
     presentation's 2-complex: ``build_model`` keeps the factor models,
-    twisted Betti numbers at a character come from theirs by Kunneth, and
-    the tensor product of their chain models serves the rest."""
+    twisted Betti numbers and the kernel homology over Q[t, t^-1] come from
+    theirs by Kunneth, and the tensor product of their chain models serves
+    generic ranks and windows."""
     factors = tuple(factors)
     if len(factors) < 2:
         raise ValueError("a direct product needs at least two factors")
@@ -317,9 +320,10 @@ class GroupModel:
     in the factor's own coordinates, so a character of the product
     restricts to each factor by slicing.
 
-    A product's twisted Betti numbers come from its factors (``betti``);
-    its tensor complex serves generic ranks, the kernel over Q[t, t^-1],
-    windows, and the d o d = 0 check made when it is built.
+    A product's twisted Betti numbers (``betti``) and its kernel homology
+    over Q[t, t^-1] (``kernel_homology``) come from its factors; its
+    tensor complex serves generic ranks, windows, and the d o d = 0 check
+    made when it is built.
     """
 
     presentation: Presentation
@@ -360,6 +364,67 @@ class GroupModel:
                     convolved[i + j] += x * y
             profile = convolved
         return BettiProfile(tuple(profile[:self.complex.top + 1]), character)
+
+    def kernel_homology(self, nubar) -> KernelHomologyReport:
+        """The homology of the complex pushed through ``nubar`` (a map onto
+        Z) as a module over the PID Lambda = Q[t, t^-1]; on a product, from
+        the factors' complexes alone, each pushed through its own column
+        block and free over Lambda.  By Kunneth over a PID, H_n is the sum of
+        H_p (x) H_q over p + q = n and of Tor(H_p, H_q) over p + q = n - 1;
+        for Lambda/(a) and Lambda/(b) both are Lambda/gcd(a, b), where
+        Lambda = Lambda/(0) has no Tor."""
+        if not self.factors:
+            return kernel_homology_univariate(self.complex.specialize(nubar))
+        zero = LaurentPolynomial.zero(1)
+        # per degree, how many summands Lambda/(x) of each order x, with
+        # x = 0 for Lambda itself
+        summands = [Counter({zero: 1})]
+        start = 0
+        for factor in self.factors:
+            width = factor.complex.nvars
+            part = factor.kernel_homology([row[start:start + width] for row in nubar])
+            start += width
+            folded = [Counter() for _ in range(len(summands) + len(part.entries))]
+            for (p, a), e in iproduct(enumerate(summands), part.entries):
+                b = Counter(e.torsion_factors) + Counter({zero: e.free_rank})
+                for (x, kx), (y, ky) in iproduct(a.items(), b.items()):
+                    g = univariate_gcd(x, y)
+                    folded[p + e.degree][g] += kx * ky
+                    if x and y:
+                        folded[p + e.degree + 1][g] += kx * ky
+            summands = folded
+        entries = []
+        for n, cyclic in enumerate(summands[:self.complex.top + 1]):
+            free_rank = cyclic.pop(zero, 0)
+            chain = _invariant_factors(cyclic.elements())
+            entries.append(KernelDegreeEntry(
+                n, free_rank, chain, sum(f.degree_span(0) for f in chain)))
+        return KernelHomologyReport(tuple(entries))
+
+
+def _invariant_factors(orders) -> tuple[LaurentPolynomial, ...]:
+    """The invariant factors of the sum of the Lambda/(x), x in ``orders``
+    monic with nonzero constant term: an ascending divisibility chain
+    without units.  Each x enters from the top by the swaps Lambda/(d) (+)
+    Lambda/(x) = Lambda/(lcm) (+) Lambda/(gcd), carrying the gcd down until
+    it is a unit or equals the entry it meets."""
+    chain = []
+    for x in orders:
+        j = len(chain)
+        while j and not x.is_unit():
+            d = chain[j - 1]
+            if x == d:
+                break
+            g = univariate_gcd(d, x)
+            if g == x:  # every copy of d stays
+                while j and chain[j - 1] == d:
+                    j -= 1
+                continue
+            chain[j - 1] = univariate_divmod(d * x, g)[0]
+            x, j = g, j - 1
+        if not x.is_unit():
+            chain.insert(j, x)
+    return tuple(chain)
 
 
 def build_model(presentation: Presentation) -> GroupModel:

@@ -337,6 +337,15 @@ def _normalising_unit(p: LaurentPolynomial):
             LaurentPolynomial(1, {(lo,): lead}))
 
 
+def univariate_gcd(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
+    """The monic generator with nonzero constant term of the ideal (f, g),
+    or zero when f = g = 0, by Euclid's algorithm on ``univariate_divmod``."""
+    while g:
+        f, g = g, univariate_divmod(f, g)[1]
+    units = _normalising_unit(f) if f else None
+    return f if units is None else f * units[0]
+
+
 # univariate_divmod is looked up at call time, so a wrapper installed on the
 # module attribute sees every division the Smith form makes
 LAURENT_UNIVARIATE = EuclideanRing(

@@ -1,17 +1,21 @@
-"""A product's twisted Betti numbers come from its factors by Kunneth.
+"""A product's twisted Betti numbers and kernel homology come from its
+factors by Kunneth.
 
-``GroupModel.betti`` convolves the factors' profiles; the tensor model
-stays as the oracle.  The CLI must reach twisted Betti numbers of a
-product only through its factor complexes.
+``GroupModel.betti`` convolves the factors' profiles over a field, and
+``GroupModel.kernel_homology`` applies the Kunneth formula over the PID
+Q[t, t^-1]; the tensor model stays as the oracle.  The CLI must reach
+either of them on a product only through its factor complexes.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from charvar.complexes import twisted_betti
+from charvar.cli import main
+from charvar.complexes import kernel_homology_univariate, twisted_betti
 from charvar.constructions import (build_model, complete_graph,
                                    direct_product, free_group, raag,
                                    surface_group)
@@ -84,3 +88,92 @@ def test_product_betti_numbers_come_from_factor_complexes(monkeypatch, argv):
     ranked = [args[0] for args in calls["complexes.twisted_betti"]]
     assert ranked and all(cx == factor for cx in ranked)
     assert calls["lmatrix.generic_rank"] == []
+
+
+# Baumslag-Solitar groups BS(1,2) and BS(1,3) and the trefoil group: their
+# kernel homology has torsion other than powers of t - 1 (t - 1/2,
+# t - 1/3, t^2 - t + 1), so gcds and lcms of distinct factors occur
+TORSION_FACTORS = [parse_presentation("gens a,t; rel t^-1 a t a^-2;"),
+                   parse_presentation("gens a,t; rel t^-1 a t a^-3;"),
+                   parse_presentation("gens x,y; rel x y x y^-1 x^-1 y^-1;")]
+POOL = FACTORS + TORSION_FACTORS
+
+# The oracle's Smith form on the tensor model swells its rational
+# coefficients past 10^5 bits, and runs for minutes, on some products of
+# TORSION or the trefoil with one another (TORSION x TORSION, TORSION x
+# trefoil) or with two more factors (S_2 x TORSION x S_2); the Kunneth
+# route takes a millisecond on each.  So the oracle meets these two groups
+# only in pairs with a factor from outside the set.
+SWELLING = {POOL.index(TORSION), POOL.index(TORSION_FACTORS[2])}
+
+
+def seeded_block(rng: random.Random, width: int) -> list[int]:
+    """One factor's block of a map onto Z: zero, twice a vector in
+    {-1, 0, 1}^width, or such a vector."""
+    kind = rng.choice(["zero", "multiple", "small"])
+    if kind == "zero":
+        return [0] * width
+    scale = 2 if kind == "multiple" else 1
+    return [scale * rng.choice([-1, 0, 1]) for _ in range(width)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(range(len(POOL))), min_size=2, max_size=3),
+       st.integers(0, 2 ** 32))
+def test_kunneth_kernel_homology_matches_the_tensor_model(choice, seed):
+    assume(len([i for i in choice if i in SWELLING]) <= 3 - len(choice))
+    model = build_model(direct_product([POOL[i] for i in choice]))
+    rng = random.Random(seed)
+    nubar = [[x for f in model.factors for x in seeded_block(rng, f.complex.nvars)]]
+    got = model.kernel_homology(nubar)
+    expected = kernel_homology_univariate(model.complex.specialize(nubar))
+    assert got.to_json_dict() == expected.to_json_dict()
+
+
+@pytest.mark.parametrize("choice, nubar, torsion", [
+    # F_0 has chain ranks (1, 0, 0), so the products keep fewer degrees
+    # than the sum of the factors' tops
+    ((2, 1), [[1, 1, 1, 1]], {"t1 - 1"}),
+    ((1, 2, 3), [[0, 1, 0, 2, 1]], {"t1 - 1"}),
+    # Z^3 with a zero block, then with a block of 2
+    ((6, 1), [[0, 0, 0, 1, 1, 0, 1]], {"t1 - 1"}),
+    ((6, 1), [[2, 2, 2, 1, 0, 0, 0]], {"t1 - 1", "t1^2 - 1"}),
+    # the lcm of t1 - 1 and t1 - 1/2, and of t1 - 1 and t1^2 - t1 + 1
+    ((8, 1), [[1, 1, 1, 1, 1]],
+     {"t1 - 1", "t1 - 1/2", "t1^2 - 3/2*t1 + 1/2"}),
+    ((10, 8, 0), [[1, 0, 0, 0]],
+     {"t1 - 1", "t1^2 - t1 + 1", "t1^3 - 2*t1^2 + 2*t1 - 1"}),
+    ((9, 8), [[1, 0]], {"t1 - 1", "t1 - 1/3", "t1^2 - 4/3*t1 + 1/3"}),
+], ids=["F0xS2", "S2xF0xF1", "Z3xS2-zero-block", "Z3xS2-block-of-2",
+        "BS12xS2", "trefoilxBS12xS1", "BS13xBS12"])
+def test_kunneth_kernel_homology_on_chosen_products(choice, nubar, torsion):
+    model = build_model(direct_product([POOL[i] for i in choice]))
+    got = model.kernel_homology(nubar)
+    expected = kernel_homology_univariate(model.complex.specialize(nubar))
+    assert len(got.entries) == model.complex.top + 1
+    assert got.to_json_dict() == expected.to_json_dict()
+    assert {f.to_text() for e in got.entries for f in e.torsion_factors} == torsion
+
+
+def test_product_kernel_homology_smith_reduces_factor_matrices_only(monkeypatch):
+    factor = build_model(surface_group(2)).complex
+    calls = cli_calls(monkeypatch, [("lmatrix", "smith_univariate"),
+                                    ("complexes", "kernel_homology_univariate")],
+                      ["kernel", *S2_CUBED, "--nu", "ones", "--top-degree", "6"])
+    pushed = [args[0] for args in calls["complexes.kernel_homology_univariate"]]
+    assert len(pushed) == 3 and all(cx.ranks == factor.ranks for cx in pushed)
+    shapes = {(m.rows, m.cols) for (m,) in calls["lmatrix.smith_univariate"]}
+    assert shapes == {(1, 4), (4, 1)}
+
+
+def test_kernel_of_s2_to_the_fourth(capsys):
+    # the sum map S_2^4 -> Z: the Euler characteristic 16 sits in degree 4
+    # as free rank, and every other degree is torsion t1 - 1 only
+    assert main(["kernel", "--preset", "product-surface", "--genus", "2,2,2,2",
+                 "--nu", "ones", "--top-degree", "8", "--json"]) == 0
+    degrees = json.loads(capsys.readouterr().out)["result"]["degrees"]
+    assert sum((-1) ** d["degree"] * d["free_rank"] for d in degrees) == 16
+    assert [d["free_rank"] for d in degrees] == [0, 0, 0, 0, 16, 0, 0, 0, 0]
+    assert [len(d["torsion_factors"]) for d in degrees] == [1, 15, 85, 219, 219,
+                                                            85, 15, 1, 0]
+    assert {f for d in degrees for f in d["torsion_factors"]} == {"t1 - 1"}
