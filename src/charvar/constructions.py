@@ -322,8 +322,8 @@ class GroupModel:
 
     A product's twisted Betti numbers (``betti``) and its kernel homology
     over Q[t, t^-1] (``kernel_homology``) come from its factors; its
-    tensor complex serves generic ranks, windows, and the d o d = 0 check
-    made when it is built.
+    tensor complex serves generic ranks and windows, and building it checks
+    d o d = 0 on the whole product (``TwistedComplex``).
     """
 
     presentation: Presentation

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
-from operator import add
 
 from .errors import NotUnivariate, TooManyMinors, VariableCountMismatch
 from .intlinalg import EuclideanRing, _smith_form, rational_rank
@@ -53,40 +52,26 @@ class LaurentMatrix:
                               for j in range(self.cols)])
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        """The exact product over the Laurent ring.  Each row of ``self``
-        meets only its nonzero entries a_ik and the nonzero entries of row
-        k of ``other``; every output cell sums its term products into one
-        exponent map.  The d o d = 0 check of ``TwistedComplex`` is the
-        caller."""
+        """The exact product over the Laurent ring: the accumulation of
+        ``packed_row_products`` on the two matrices, each key decoded back
+        into a column and an exponent vector."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         if self.nvars != other.nvars:
             raise VariableCountMismatch(f"{self.nvars} vs {other.nvars} variables")
         nvars = self.nvars
-        # row k of ``other`` as its nonzero (column, terms) pairs
-        other_rows = [[(j, b.terms.items()) for j, b in enumerate(row) if b.terms]
-                      for row in other.entries]
+        box, (left, right) = packed_rows(nvars, (self, other))
         zero = LaurentPolynomial.zero(nvars)
         out = []
-        for a_row in self.entries:
+        for sums in packed_row_products(left, right, box.span):
             cells: dict[int, dict] = {}
-            for a, b_row in zip(a_row, other_rows):
-                if not (a.terms and b_row):
-                    continue
-                a_terms = a.terms.items()
-                for j, b_terms in b_row:
-                    cell = cells.get(j)
-                    if cell is None:
-                        cell = cells[j] = {}
-                    for ea, ca in a_terms:
-                        for eb, cb in b_terms:
-                            e = tuple(map(add, ea, eb))
-                            cell[e] = cell.get(e, 0) + ca * cb
+            for key, c in sums.items():
+                if c:
+                    j, packed = divmod(key, box.span)
+                    cells.setdefault(j, {})[box.unpack_sum(packed)] = c
             row = [zero] * other.cols
-            for j, cell in cells.items():
-                terms = {e: c for e, c in cell.items() if c}
-                if terms:
-                    row[j] = _make(nvars, terms)
+            for j, terms in cells.items():
+                row[j] = _make(nvars, terms)
             out.append(row)
         return LaurentMatrix(nvars, self.rows, other.cols, out)
 
@@ -134,9 +119,6 @@ class LaurentMatrix:
             out.append(values)
         return out
 
-    def is_zero(self) -> bool:
-        return not any(p.terms for row in self.entries for p in row)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentMatrix)
                 and (self.nvars, self.rows, self.cols) == (other.nvars, other.rows, other.cols)
@@ -150,6 +132,89 @@ class LaurentMatrix:
 
     def __repr__(self) -> str:
         return f"LaurentMatrix({self.rows}x{self.cols}, {self.nvars} vars)"
+
+
+# -- exact sparse products on packed exponents ---------------------------------
+
+
+class ExponentBox:
+    """Exponent vectors packed into ints, injectively on sums of two.
+
+    Every exponent vector e the box was made for has lo_i <= e_i <= hi_i.
+    Variable i gets the width w_i = 2 (hi_i - lo_i) + 1 and the weight
+    W_i = w_0 ... w_(i-1), and e packs to sum_i (e_i - lo_i) W_i.  The
+    packed sum of two such vectors e, e' has the digit e_i + e'_i - 2 lo_i,
+    which lies in [0, w_i), at weight W_i: it is a mixed-radix numeral, so
+    two sums pack alike exactly when they are equal, and every packed sum
+    lies in [0, span) with span = w_0 ... w_(m-1).  Python ints are
+    unbounded, so a large span never overflows."""
+
+    __slots__ = ("lo", "widths", "weights", "span")
+
+    def __init__(self, nvars: int, exponents):
+        if exponents:
+            lo = tuple(map(min, zip(*exponents)))
+            hi = tuple(map(max, zip(*exponents)))
+        else:
+            lo = hi = (0,) * nvars
+        self.lo = lo
+        self.widths = tuple(2 * (h - low) + 1 for low, h in zip(lo, hi))
+        weights = []
+        span = 1
+        for w in self.widths:
+            weights.append(span)
+            span *= w
+        self.weights = tuple(weights)
+        self.span = span
+
+    def pack(self, exponents) -> int:
+        return sum((e - low) * w for e, low, w in zip(exponents, self.lo, self.weights))
+
+    def unpack_sum(self, packed: int) -> tuple[int, ...]:
+        """The exponent vector e + e' of a packed sum of two packed vectors."""
+        out = []
+        for low, w in zip(self.lo, self.widths):
+            packed, digit = divmod(packed, w)
+            out.append(digit + 2 * low)
+        return tuple(out)
+
+
+def packed_rows(nvars: int, matrices):
+    """One ``ExponentBox`` for all the exponents of ``matrices``, and each
+    matrix as sparse rows: row i is the list of (k, [(packed exponent,
+    coefficient), ...]) over the nonzero entries a_ik, in column order."""
+    sparse = [[[(k, p.terms) for k, p in enumerate(row) if p.terms]
+               for row in m.entries] for m in matrices]
+    exponents: set = set()
+    for rows in sparse:
+        for row in rows:
+            for _k, terms in row:
+                exponents.update(terms)
+    box = ExponentBox(nvars, exponents)
+    code = {e: box.pack(e) for e in exponents}
+    return box, [[[(k, [(code[e], c) for e, c in terms.items()]) for k, terms in row]
+                  for row in rows] for rows in sparse]
+
+
+def packed_row_products(left, right, span: int):
+    """The rows of the product of two matrices in the sparse rows of
+    ``packed_rows`` (one box for both), one at a time: for each row i of
+    ``left``, the map {j * span + packed sum: coefficient} that sums every
+    term product a_ik b_kj.  By the box, each value is exactly the
+    coefficient of one monomial in cell (i, j); keys whose products cancel
+    stay, with value zero."""
+    # row k of the right factor flattened: its column folds into the key
+    flat = [[(j * span + e, c) for j, terms in row for e, c in terms] for row in right]
+    for row in left:
+        sums: dict[int, int | Fraction] = {}
+        get = sums.get
+        for k, a_terms in row:
+            b_terms = flat[k]
+            for ea, ca in a_terms:
+                for eb, cb in b_terms:
+                    key = ea + eb
+                    sums[key] = get(key, 0) + ca * cb
+        yield sums
 
 
 def rank_at(matrix: LaurentMatrix, character: Character) -> int:

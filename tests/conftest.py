@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import charvar.cli
+from charvar.complexes import TwistedComplex
 from charvar.laurent import LaurentPolynomial
 from charvar.lmatrix import LaurentMatrix
 from charvar.words import Word
@@ -27,6 +28,24 @@ def laurent_matrix(nvars: int, rows) -> LaurentMatrix:
 def zero_matrix(nvars: int, rows: int, cols: int) -> LaurentMatrix:
     return laurent_matrix(nvars, [[LaurentPolynomial.zero(nvars)] * cols
                                   for _ in range(rows)])
+
+
+def entrywise_product(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+    """a b by the plain triple sum over every index, zero entries included:
+    the oracle for the packed sparse product and the d o d = 0 check."""
+    zero = LaurentPolynomial.zero(a.nvars)
+    return LaurentMatrix(a.nvars, a.rows, b.cols, [
+        [sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), zero)
+         for j in range(b.cols)] for i in range(a.rows)])
+
+
+def scaled(cx: TwistedComplex, factors) -> TwistedComplex:
+    """cx with its j-th differential multiplied by factors[j - 1]; scaling
+    by nonzero constants keeps every composite zero."""
+    scale = [LaurentPolynomial.constant(cx.nvars, f) for f in factors]
+    return TwistedComplex(cx.nvars, cx.ranks, tuple(
+        LaurentMatrix(d.nvars, d.rows, d.cols, [[p * s for p in row] for row in d.entries])
+        for d, s in zip(cx.differentials, scale)))
 
 
 def monic_univariate(p: LaurentPolynomial) -> LaurentPolynomial:

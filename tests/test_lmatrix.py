@@ -10,7 +10,8 @@ from charvar.laurent import GENERIC, Character, LaurentPolynomial
 from charvar.intlinalg import _smith_form
 from charvar.lmatrix import (LAURENT_UNIVARIATE, generic_rank, minors, rank_at,
                              smith_univariate, univariate_divmod)
-from conftest import laurent_matrix, monic_univariate, zero_matrix
+from conftest import (entrywise_product, laurent_matrix, monic_univariate,
+                      zero_matrix)
 
 
 def x(power=1):
@@ -92,14 +93,7 @@ def test_matmul_matches_entrywise_product():
         nvars = rng.randint(1, 3)
         a = _random_sparse_matrix(rng, nvars, rng.randint(1, 6), rng.randint(1, 6))
         b = _random_sparse_matrix(rng, nvars, a.cols, rng.randint(1, 6))
-        product = a @ b
-        assert (product.rows, product.cols) == (a.rows, b.cols)
-        for i in range(a.rows):
-            for j in range(b.cols):
-                expected = LaurentPolynomial.zero(nvars)
-                for k in range(a.cols):
-                    expected = expected + a.entries[i][k] * b.entries[k][j]
-                assert product.entries[i][j] == expected
+        assert a @ b == entrywise_product(a, b)
     # a variable-count mismatch is refused even when every product is zero
     one_var = laurent_matrix(1, [[x(), LaurentPolynomial.zero(1)]])
     two_vars = zero_matrix(2, 2, 3)

@@ -14,19 +14,10 @@ from charvar.constructions import (build_model, complete_graph, direct_product,
                                    free_group, raag, surface_group)
 from charvar.errors import InternalInconsistency
 from charvar.laurent import LaurentPolynomial
-from charvar.lmatrix import LaurentMatrix
 from charvar.parser import parse_presentation
 
 import tensor_oracle
-
-
-def scaled(cx: TwistedComplex, factors) -> TwistedComplex:
-    """cx with its j-th differential multiplied by factors[j - 1]; scaling
-    by nonzero constants keeps every composite zero."""
-    scale = [LaurentPolynomial.constant(cx.nvars, f) for f in factors]
-    return TwistedComplex(cx.nvars, cx.ranks, tuple(
-        LaurentMatrix(d.nvars, d.rows, d.cols, [[p * s for p in row] for row in d.entries])
-        for d, s in zip(cx.differentials, scale)))
+from conftest import scaled
 
 
 # a torsion presentation whose Fox entries carry negative exponents, with
