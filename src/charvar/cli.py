@@ -234,19 +234,22 @@ def resolve_graph(args):
     raise ValueError(f"unknown graph {name!r}")
 
 
-def _ceiling(flag_value, variable: str, default: int) -> int:
+def _ceiling(flag_value, flag: str, variable: str, default: int) -> int:
     """A work ceiling: the flag if given, else the environment variable,
-    else the default.  A malformed variable is a usage error of the command
-    that reads it."""
-    if flag_value is not None:
-        return flag_value
-    text = os.environ.get(variable)
-    if text is None:
-        return default
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{variable}={text!r} is not an integer") from None
+    else the default.  A malformed or negative value is a usage error of
+    the command that reads it."""
+    value, source = flag_value, flag
+    if value is None:
+        text = os.environ.get(variable)
+        if text is None:
+            return default
+        try:
+            value, source = int(text), variable
+        except ValueError:
+            raise ValueError(f"{variable}={text!r} is not an integer") from None
+    if value < 0:
+        raise ValueError(f"{source} must be >= 0, got {value}")
+    return value
 
 
 def _int_arg(value, flag) -> int:
@@ -336,7 +339,7 @@ def cmd_alexander(args):
 
 
 def cmd_jumploci(args):
-    ceiling = _ceiling(args.minor_ceiling, "CHARVAR_MINOR_CEILING",
+    ceiling = _ceiling(args.minor_ceiling, "--minor-ceiling", "CHARVAR_MINOR_CEILING",
                        DEFAULT_MINOR_CEILING)
     presentation, _ = resolve_group(args)
     model = build_model(presentation)
@@ -394,7 +397,7 @@ def cmd_kernel(args):
 
 
 def cmd_window(args):
-    ceiling = _ceiling(args.window_ceiling, "CHARVAR_WINDOW_CEILING",
+    ceiling = _ceiling(args.window_ceiling, "--window-ceiling", "CHARVAR_WINDOW_CEILING",
                        DEFAULT_WINDOW_CEILING)
     presentation, default_nu = resolve_group(args)
     nu = resolve_nu(presentation, args.nu or default_nu or "ones")

@@ -10,7 +10,7 @@ module structure of the homology (free rank plus torsion) is computed by
 Smith normal form, which is exactly the rational homology of the kernel of
 the corresponding map onto Z.  A product's kernel homology is assembled
 from its factors' by ``GroupModel.kernel_homology``; its tensor complex
-serves generic ranks and windows.
+serves generic ranks and windows, which grow one echelon per degree.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product as iproduct
-from operator import add
 
 from .errors import InternalInconsistency, NotUnivariate, WindowTooLarge
 from .fox import alexander_matrix, quotient_images
-from .intlinalg import modular_rank, rational_rank
+from .intlinalg import clear_denominators, modular_rank, reduce_row
 from .laurent import GENERIC, Character, LaurentPolynomial, _make
-from .lmatrix import (LaurentMatrix, packed_row_products, packed_rows, rank_at,
-                      smith_univariate)
+from .lmatrix import (ExponentBox, LaurentMatrix, packed_row_products, packed_rows,
+                      rank_at, smith_univariate)
 from .presentations import Presentation
 
 DEFAULT_WINDOW_CEILING = 200_000
@@ -169,7 +168,7 @@ def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
     da = [_pad_entries(d, (), (0,) * mb, m) for d in a.differentials]
     db = [_pad_entries(d, (0,) * ma, (), m) for d in b.differentials]
     # the d_B entries with the sign (-1)^p, by the parity of p
-    db_signed = (db, [[[-e for e in col] for col in d] for d in db])
+    db_signed = (db, [[[-e if e.terms else e for e in col] for col in d] for d in db])
 
     top = a.top + b.top
     ranks = []
@@ -214,9 +213,10 @@ def _pad_entries(d: LaurentMatrix, left: tuple, right: tuple,
                  nvars: int) -> list[list[LaurentPolynomial]]:
     """The columns of d, each entry lifted to ``nvars`` variables by the
     exponent vectors left + e + right; the lift is injective on exponents,
-    so no terms merge."""
-    return [[_make(nvars, {left + e + right: c for e, c in d.entries[i][j].terms.items()})
-             for i in range(d.rows)] for j in range(d.cols)]
+    so no terms merge.  Every zero entry is one shared zero."""
+    zero = LaurentPolynomial.zero(nvars)
+    return [[_make(nvars, {left + e + right: c for e, c in p.terms.items()}) if p.terms
+             else zero for p in col] for col in d.transpose().entries]
 
 
 SANDWICH_PRIME = 2 ** 31 - 1
@@ -359,54 +359,55 @@ def window_homology(complex_: TwistedComplex, radius: int,
     2k + 1 translates per step and the increments need not stabilize (F_2
     with nu = 1,0;0,1 has H_1 of dimension k^2), so such windows show
     growth only.
+
+    The windows are nested and a kept cell's boundary does not depend on k,
+    so each cell is visited once, for the least radius keeping it, and each
+    degree grows one echelon (``intlinalg.reduce_row``) by the boundaries,
+    denominators cleared, of the cells each radius adds; its size is the
+    rank of d_j on the window.  Cell (i, v) is the int i + width * (packed
+    v + packed 0) in an ``ExponentBox`` of the exponents and box corners, so
+    boundary cell (r, v + e) is (0, v) plus an offset of the term, and is
+    no kept cell when v + e leaves the box.
     """
-    if complex_.nvars not in (1, 2):
+    m = complex_.nvars
+    if m not in (1, 2):
         raise ValueError("windows are supported for 1 or 2 variables")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    size = (radius + 1) ** complex_.nvars
-    total = sum(c * size for c in complex_.ranks)
+    total = sum(complex_.ranks) * (radius + 1) ** m
     if total > ceiling:
         raise WindowTooLarge(total, ceiling)
-    # each column of each d_j as its nonzero (row, exponent, coefficient)
-    # terms, listed once for every window
-    columns = [[[(r, e, c) for r in range(d.rows)
-                 for e, c in d.entries[r][i].terms.items()]
-                for i in range(d.cols)] for d in complex_.differentials]
-    per_degree = [[] for _ in complex_.ranks]
+    raw = [[[(r, e, c) for r, p in enumerate(col) if p.terms for e, c in p.terms.items()]
+            for col in d.transpose().entries] for d in complex_.differentials]
+    box = ExponentBox(m, {e for cols in raw for col in cols for _r, e, _c in col}
+                      | {(0,) * m, (radius,) * m})
+    width, zero, never = max(complex_.ranks), box.pack((0,) * m), radius + 1
+    # each column of d_j as (key offset, coefficient) terms, degree 0's empty
+    columns = [[()] * complex_.ranks[0]] + [
+        [list(zip([width * (box.pack(e) - zero) + r for r, e, _c in col],
+                  clear_denominators([c for _r, _e, c in col]))) for col in cols]
+        for cols in raw]
+    translates = [(v, width * (box.pack(v) + zero))
+                  for v in iproduct(range(radius + 1), repeat=m)]
+    batches = [[[] for _ in range(never + 1)] for _ in columns]
+    enters: dict[int, int] = {}
+    for j, cols in enumerate(columns):
+        below, enters = enters, {}
+        for i, terms in enumerate(cols):
+            for v, key in translates:
+                k = max(1, *v, *(below.get(key + off, never) for off, _c in terms))
+                enters[key + i] = k
+                batches[j][k].append((key, terms))
+    kept = [0] * len(columns)
+    pivots: list[dict] = [{} for _ in columns]  # the echelon of d_j at j
+    per_degree = [[] for _ in columns]
     for k in range(1, radius + 1):
-        dims = _window_dims(complex_, columns, k)
-        for j, d in enumerate(dims):
-            per_degree[j].append(d)
+        for j, batch in enumerate(batches):
+            kept[j] += len(batch[k])
+            for key, terms in batch[k]:
+                reduce_row(pivots[j], {key + off: c for off, c in terms})
+        ranks = [len(p) for p in pivots] + [0]
+        for j, seq in enumerate(per_degree):
+            seq.append(kept[j] - ranks[j] - ranks[j + 1])
     return WindowReport(tuple(range(1, radius + 1)),
                         tuple(tuple(seq) for seq in per_degree))
-
-
-def _window_dims(complex_: TwistedComplex, columns, k: int) -> list[int]:
-    m = complex_.nvars
-    box = [tuple(v) for v in iproduct(range(k + 1), repeat=m)]
-    kept: list[set] = [{(i, v) for i in range(complex_.ranks[0]) for v in box}]
-    for j in range(1, complex_.top + 1):
-        prev = kept[j - 1]
-        # a cell is kept when every boundary cell is kept one degree down;
-        # kept cells lie in the box, so that check covers the box too
-        kept.append({(i, v) for i, terms in enumerate(columns[j - 1])
-                     for v in box
-                     if all((r, tuple(map(add, v, e))) in prev
-                            for r, e, _c in terms)})
-    ranks = [0] * (complex_.top + 2)
-    for j in range(1, complex_.top + 1):
-        ranks[j] = _window_rank(columns[j - 1], kept[j], kept[j - 1])
-    return [len(kept[j]) - ranks[j] - ranks[j + 1] for j in range(complex_.top + 1)]
-
-
-def _window_rank(columns, cols: set, rows: set) -> int:
-    """Rank of d_j restricted to the kept cells ``cols`` and ``rows``."""
-    if not cols or not rows:
-        return 0
-    row_index = {cell: idx for idx, cell in enumerate(sorted(rows))}
-    grid = [[0] * len(cols) for _ in range(len(row_index))]
-    for cidx, (i, v) in enumerate(sorted(cols)):
-        for r, e, coeff in columns[i]:
-            grid[row_index[(r, tuple(map(add, v, e)))]][cidx] += coeff
-    return rational_rank(grid)

@@ -1,5 +1,6 @@
 """Exact integer and rational linear algebra: rank over Q by sparse
-fraction-free row reduction, rank mod a prime, and Smith form.
+fraction-free row reduction (``reduce_row``, one step that the windows of
+``complexes`` share), rank mod a prime, and Smith form.
 
 Matrices are plain lists of lists.  One Smith elimination serves every
 Euclidean domain this package uses, described by an ``EuclideanRing``: the
@@ -36,59 +37,66 @@ def mat_mul(a, b):
 
 
 def integer_rank(matrix) -> int:
-    """Rank over Q of a matrix of integers.
-
-    Fraction-free elimination on sparse rows, in the pattern of
-    ``modular_rank``: each row is reduced by the pivot rows found so far,
-    leading column first, through row <- (a/g)*row - (b/g)*pivot with a and
-    b the two leading entries and g = gcd(a, b), and then divided by its
-    content.  Every step is an invertible row operation over Q, so the rank
-    is exact.  Every row is kept primitive, the smallest integer vector on
-    its line, so entries grow only as far as the line itself needs.  A
-    pivot row meets only the rows that lead in its column, never a row
-    whose entry there is zero.
-    """
-    pivots: dict[int, dict[int, int]] = {}  # leading column -> primitive row
+    """Rank over Q of a matrix of integers: its nonzero entries, row by
+    row, reduced into one echelon by ``reduce_row``."""
+    pivots: dict[int, dict[int, int]] = {}
     full = min(len(matrix), len(matrix[0]) if matrix else 0)
     for dense in matrix:
         if len(pivots) == full:
             break
-        row = dict(compress(enumerate(dense), dense))
-        while row:
-            content = gcd(*row.values())
-            if content != 1:
-                row = {j: x // content for j, x in row.items()}
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
-            a, b = pivot[lead], row[lead]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                row = {j: x * a for j, x in row.items()}
-            for j, x in pivot.items():
-                y = row.get(j, 0) - b * x
-                if y:
-                    row[j] = y
-                else:
-                    del row[j]
+        reduce_row(pivots, dict(compress(enumerate(dense), dense)))
     return len(pivots)
+
+
+def reduce_row(pivots: dict, row: dict) -> bool:
+    """Reduce the sparse integer row {key: nonzero x}, keys of any total
+    order, into the echelon ``pivots`` (leading key -> primitive row);
+    return whether it became a pivot row.  ``row`` is consumed.
+
+    Fraction-free elimination, in the pattern of ``modular_rank``: while a
+    pivot row leads where the row does, row <- (a/g)*row - (b/g)*pivot, a
+    and b the leading entries and g = gcd(a, b), and the row is divided by
+    its content.  Each step is invertible over Q, so the echelon's size is
+    the rank of the rows fed to it, in any order and any number of calls;
+    primitive rows grow their entries only as far as their lines need.
+    """
+    while row:
+        content = gcd(*row.values())
+        if content != 1:
+            row = {j: x // content for j, x in row.items()}
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = row
+            return True
+        a, b = pivot[lead], row[lead]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            row = {j: x * a for j, x in row.items()}
+        for j, x in pivot.items():
+            y = row.get(j, 0) - b * x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+    return False
 
 
 def rational_rank(matrix) -> int:
     """Rank of a matrix of rationals (ints and Fractions), by clearing
-    denominators per row; a nonzero row scaling leaves the rank unchanged.
-    An integral row, ``Fraction(2, 1)`` included, passes as its numerators."""
-    cleared = []
-    for row in matrix:
-        denom = lcm(*map(_denominator, row))
-        if denom == 1:
-            cleared.append(list(map(_numerator, row)))
-        else:
-            cleared.append([x.numerator * (denom // x.denominator) for x in row])
-    return integer_rank(cleared)
+    denominators per row."""
+    return integer_rank([clear_denominators(row) for row in matrix])
+
+
+def clear_denominators(values) -> list[int]:
+    """Rationals scaled by the lcm of their denominators, as ints; a
+    nonzero scaling leaves a vector's line unchanged.  Integral values,
+    ``Fraction(2, 1)`` included, pass as their numerators."""
+    denom = lcm(*map(_denominator, values))
+    if denom == 1:
+        return list(map(_numerator, values))
+    return [x.numerator * (denom // x.denominator) for x in values]
 
 
 def modular_rank(matrix, p: int) -> int:

@@ -267,6 +267,24 @@ def test_malformed_ceiling_variable_is_usage_error(capsys, monkeypatch, variable
     assert variable in payload["result"]["error"]["message"]
 
 
+@pytest.mark.parametrize("variable,argv,source", [
+    ("CHARVAR_MINOR_CEILING", ["jumploci", "--preset", "torus"], None),
+    ("CHARVAR_WINDOW_CEILING", ["window", "--preset", "surface", "--genus", "2",
+                                "--radius", "1"], None),
+    (None, ["jumploci", "--preset", "torus", "--minor-ceiling", "-5"],
+     "--minor-ceiling"),
+    (None, ["window", "--preset", "surface", "--genus", "2", "--radius", "1",
+            "--window-ceiling", "-5"], "--window-ceiling"),
+], ids=["minor-variable", "window-variable", "minor-flag", "window-flag"])
+def test_negative_ceiling_is_usage_error(capsys, monkeypatch, variable, argv, source):
+    if variable is not None:
+        monkeypatch.setenv(variable, "-5")
+    code, payload = run_json(capsys, argv)
+    assert code == 1
+    assert payload["result"]["error"]["code"] == "usage"
+    assert payload["result"]["error"]["message"] == f"{source or variable} must be >= 0, got -5"
+
+
 def test_ceiling_variable_applies_unless_the_flag_is_given(capsys, monkeypatch):
     # the genus-1 surface has 2 minors of size 1
     monkeypatch.setenv("CHARVAR_MINOR_CEILING", "1")

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import rank_oracle
 from charvar import constructions, covers, intlinalg
-from charvar.complexes import window_homology
-from charvar.constructions import (complete_graph, cycle_graph, flag_complex,
-                                   free_group, octahedron_graph, reduced_homology,
+from charvar.complexes import TwistedComplex, window_homology
+from charvar.constructions import (complete_graph, cycle_graph, direct_product,
+                                   flag_complex, free_group, octahedron_graph, reduced_homology,
                                    surface_group)
-from charvar.intlinalg import integer_rank, rational_rank
+from charvar.intlinalg import integer_rank, rational_rank, reduce_row
+from charvar.laurent import LaurentPolynomial
+from charvar.lmatrix import LaurentMatrix
 from test_windows import bb_f2xf2, univariate_model
 
 
@@ -102,6 +104,30 @@ def test_rational_rank_deficient(case, divisors):
         rank_oracle.integer_rank(grid)
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrices(st.sampled_from((0,) * 6 + (1, -1, 2, -3, 5)), 14, 10),
+       st.randoms(use_true_random=False), st.lists(st.integers(1, 4), min_size=14))
+def test_growing_echelon_rank_after_every_chunk(grid, rng, chunks):
+    # the rows in a random order and the columns under random keys, fed to
+    # one echelon a chunk at a time, as the windows feed new cells per radius
+    order = list(range(len(grid)))
+    rng.shuffle(order)
+    keys = rng.sample(range(1000), len(grid[0]) if grid else 0)
+    pivots: dict = {}
+    fed = []
+    for size in chunks:
+        batch, order = order[:size], order[size:]
+        for i in batch:
+            before = rank_oracle.integer_rank([grid[f] for f in fed])
+            fed.append(i)
+            grew = reduce_row(pivots, {keys[j]: x for j, x in enumerate(grid[i]) if x})
+            assert grew == (rank_oracle.integer_rank([grid[f] for f in fed]) > before)
+        assert len(pivots) == rank_oracle.integer_rank([grid[f] for f in fed])
+        if not order:
+            break
+    assert len(pivots) == rank_oracle.integer_rank(grid)
+
+
 def test_rows_of_integral_fractions_pass_as_numerators():
     grid = [[Fraction(2, 1), Fraction(4, 1)], [1, 2], [Fraction(3), Fraction(1, 2)]]
     assert rational_rank(grid) == rank_oracle.rational_rank(grid) == 2
@@ -142,21 +168,67 @@ def oracle_rank(monkeypatch):
     return calls
 
 
+def halved(make, degree):
+    """The complex of ``make`` with d_degree scaled by 1/2: d o d = 0
+    still holds, the entries become Fractions, and no rank changes."""
+    def build():
+        cx = make()
+        diffs = list(cx.differentials)
+        d = diffs[degree - 1]
+        diffs[degree - 1] = LaurentMatrix(
+            d.nvars, d.rows, d.cols,
+            [[p.scale(Fraction(1, 2)) for p in row] for row in d.entries])
+        return TwistedComplex(cx.nvars, cx.ranks, tuple(diffs))
+    return build
+
+
+def proportional_columns():
+    # d_1 = [[1, 2t], [1/2, t]]: the column of cell (1, v) is twice that of
+    # cell (0, v + 1), which clearing each entry's denominator on its own
+    # would lose
+    t = LaurentPolynomial.monomial((1,))
+    one, half = LaurentPolynomial.one(1), LaurentPolynomial.constant(1, Fraction(1, 2))
+    return TwistedComplex(1, (2, 2), (LaurentMatrix(1, 2, 2, [[one, t.scale(2)],
+                                                               [half, t]]),))
+
+
+def kernel_workload_s2_cubed():
+    # the map onto Z of the benchmark's kernel workload, one block per factor
+    nu = (1, 1, 0, 1, 1, -1, 0, -1, 0, 1, 1, 1)
+    return univariate_model(direct_product([surface_group(2)] * 3),
+                            [(x,) for x in nu])
+
+
+def s2_times_s2_onto_z2():
+    # the pencil map: the first two generators of each factor onto Z^2
+    return univariate_model(direct_product([surface_group(2)] * 2),
+                            [(1, 0), (0, 1), (0, 0), (0, 0)] * 2)
+
+
+def genus_2_onto_z2():
+    return univariate_model(surface_group(2), [(1, 0), (0, 1), (0, 0), (0, 0)])
+
+
 WINDOW_CASES = [
     (bb_f2xf2, 6),
     (lambda: univariate_model(surface_group(1), [(1,), (0,)]), 6),
     (lambda: univariate_model(surface_group(2), [(1,), (0,), (0,), (0,)]), 6),
     (lambda: univariate_model(free_group(2), [(1,), (1,)]), 6),
-    (lambda: univariate_model(surface_group(2), [(1, 0), (0, 1), (0, 0), (0, 0)]), 4),
+    (genus_2_onto_z2, 4),
+    (kernel_workload_s2_cubed, 5),
+    (s2_times_s2_onto_z2, 3),
+    (halved(bb_f2xf2, 2), 6),
+    (halved(genus_2_onto_z2, 1), 4),
+    (proportional_columns, 4),
 ]
 
 
-def test_window_homology_under_the_oracle(monkeypatch):
-    shipped = [window_homology(make(), radius) for make, radius in WINDOW_CASES]
-    calls = oracle_rank(monkeypatch)
-    oracle = [window_homology(make(), radius) for make, radius in WINDOW_CASES]
-    assert calls
-    assert oracle == shipped
+def test_window_homology_under_the_oracle():
+    # the shipped windows grow one sparse echelon per degree across the
+    # radii; the oracle recomputes every radius from scratch on dense grids
+    for make, radius in WINDOW_CASES:
+        cx = make()
+        assert window_homology(cx, radius) == rank_oracle.window_homology(cx, radius)
 
 
 def test_reduced_homology_under_the_oracle(monkeypatch):
