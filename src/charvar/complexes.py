@@ -1,16 +1,17 @@
 """Finite free chain complexes over the Laurent ring and their homology.
 
-A TwistedComplex stores free ranks c_0..c_top and one matrix per degree
-pair (j, j-1); consecutive differentials compose to zero exactly over the
-ring, and this is checked at construction by one sparse pass over the whole
-complex on packed exponents (``lmatrix.ExponentBox``), which never builds a
-product matrix.  Evaluating at a character gives
+A TwistedComplex stores free ranks c_0..c_top and one sparse matrix per
+degree pair (j, j-1); consecutive differentials compose to zero exactly
+over the ring, and this is checked at construction by one sparse pass over
+the whole complex on packed exponents (``lmatrix.ExponentBox``), which
+never builds a product matrix.  Evaluating at a character gives
 twisted Betti numbers; for one variable the ring is a PID and the full
 module structure of the homology (free rank plus torsion) is computed by
 Smith normal form, which is exactly the rational homology of the kernel of
 the corresponding map onto Z.  A product's kernel homology is assembled
-from its factors' by ``GroupModel.kernel_homology``; its tensor complex
-serves generic ranks and windows, which grow one echelon per degree.
+from its factors' by ``GroupModel.kernel_homology``; its tensor complex,
+built from nonzero cells alone, serves generic ranks and windows, which
+grow one echelon per degree.
 """
 
 from __future__ import annotations
@@ -161,14 +162,15 @@ def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
     exponent vectors with zeros for the other factor's variables.  Signs
     follow d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.  A cell of a tensor
     differential receives at most one entry: a d_A entry when the degree
-    of the A-part drops, a d_B entry when it stays.  Trailing zero degrees
-    are trimmed."""
+    of the A-part drops, a d_B entry when it stays, so each differential is
+    built as sparse rows straight from the factors' sparse columns and no
+    zero cell is visited.  Trailing zero degrees are trimmed."""
     ma, mb = a.nvars, b.nvars
     m = ma + mb
     da = [_pad_entries(d, (), (0,) * mb, m) for d in a.differentials]
     db = [_pad_entries(d, (0,) * ma, (), m) for d in b.differentials]
     # the d_B entries with the sign (-1)^p, by the parity of p
-    db_signed = (db, [[[-e if e.terms else e for e in col] for col in d] for d in db])
+    db_signed = (db, [[{r: -e for r, e in col.items()} for col in d] for d in db])
 
     top = a.top + b.top
     ranks = []
@@ -182,25 +184,22 @@ def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
         offsets.append(off)
         ranks.append(total)
 
-    zero = LaurentPolynomial.zero(m)
     diffs = []
     for k in range(1, top + 1):
-        grid = [[zero] * ranks[k] for _ in range(ranks[k - 1])]
+        rows: list[dict] = [{} for _ in range(ranks[k - 1])]
         for p, col_off in offsets[k].items():
             q = k - p
             for i, j in iproduct(range(a.ranks[p]), range(b.ranks[q])):
                 col = col_off + i * b.ranks[q] + j
                 if p >= 1 and (p - 1) in offsets[k - 1]:
                     row_off = offsets[k - 1][p - 1]
-                    for i2, entry in enumerate(da[p - 1][i]):
-                        if entry.terms:
-                            grid[row_off + i2 * b.ranks[q] + j][col] = entry
+                    for i2, entry in da[p - 1][i].items():
+                        rows[row_off + i2 * b.ranks[q] + j][col] = entry
                 if q >= 1 and p in offsets[k - 1]:
                     row_off = offsets[k - 1][p] + i * b.ranks[q - 1]
-                    for j2, entry in enumerate(db_signed[p % 2][q - 1][j]):
-                        if entry.terms:
-                            grid[row_off + j2][col] = entry
-        diffs.append(LaurentMatrix(m, ranks[k - 1], ranks[k], grid))
+                    for j2, entry in db_signed[p % 2][q - 1][j].items():
+                        rows[row_off + j2][col] = entry
+        diffs.append(LaurentMatrix._from_rows(m, ranks[k - 1], ranks[k], rows))
 
     while ranks and ranks[-1] == 0:
         ranks.pop()
@@ -210,13 +209,12 @@ def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
 
 
 def _pad_entries(d: LaurentMatrix, left: tuple, right: tuple,
-                 nvars: int) -> list[list[LaurentPolynomial]]:
-    """The columns of d, each entry lifted to ``nvars`` variables by the
-    exponent vectors left + e + right; the lift is injective on exponents,
-    so no terms merge.  Every zero entry is one shared zero."""
-    zero = LaurentPolynomial.zero(nvars)
-    return [[_make(nvars, {left + e + right: c for e, c in p.terms.items()}) if p.terms
-             else zero for p in col] for col in d.transpose().entries]
+                 nvars: int) -> list[dict[int, LaurentPolynomial]]:
+    """The sparse columns of d, {row: entry}, each entry lifted to ``nvars``
+    variables by the exponent vectors left + e + right; the lift is
+    injective on exponents, so no terms merge."""
+    return [{r: _make(nvars, {left + e + right: c for e, c in p.terms.items()})
+             for r, p in col.items()} for col in d.transpose().sparse_rows]
 
 
 SANDWICH_PRIME = 2 ** 31 - 1
@@ -377,8 +375,8 @@ def window_homology(complex_: TwistedComplex, radius: int,
     total = sum(complex_.ranks) * (radius + 1) ** m
     if total > ceiling:
         raise WindowTooLarge(total, ceiling)
-    raw = [[[(r, e, c) for r, p in enumerate(col) if p.terms for e, c in p.terms.items()]
-            for col in d.transpose().entries] for d in complex_.differentials]
+    raw = [[[(r, e, c) for r, p in col.items() for e, c in p.terms.items()]
+            for col in d.transpose().sparse_rows] for d in complex_.differentials]
     box = ExponentBox(m, {e for cols in raw for col in cols for _r, e, _c in col}
                       | {(0,) * m, (radius,) * m})
     width, zero, never = max(complex_.ranks), box.pack((0,) * m), radius + 1

@@ -281,20 +281,17 @@ def raag_chain_model(graph: Graph) -> TwistedComplex:
     m = graph.nverts
     ranks = tuple(len(group) for group in cliques)
     diffs = []
-    zero = LaurentPolynomial.zero(m)
     one = LaurentPolynomial.one(m)
+    weights = [LaurentPolynomial.variable(v, m) - one for v in range(m)]
+    # each face of a clique is one deleted vertex, so no cell gets two weights
+    signed = (weights, [-w for w in weights])
     for k in range(1, len(cliques)):
         index = {c: i for i, c in enumerate(cliques[k - 1])}
-        grid = [[zero] * ranks[k] for _ in range(ranks[k - 1])]
+        rows: list[dict] = [{} for _ in range(ranks[k - 1])]
         for col, clique in enumerate(cliques[k]):
             for i, v in enumerate(clique):
-                face = clique[:i] + clique[i + 1:]
-                weight = LaurentPolynomial.variable(v, m) - one
-                if i % 2:
-                    weight = -weight
-                row = index[face]
-                grid[row][col] = grid[row][col] + weight
-        diffs.append(LaurentMatrix(m, ranks[k - 1], ranks[k], grid))
+                rows[index[clique[:i] + clique[i + 1:]]][col] = signed[i % 2][v]
+        diffs.append(LaurentMatrix._from_rows(m, ranks[k - 1], ranks[k], rows))
     return TwistedComplex(m, ranks, tuple(diffs))
 
 

@@ -1,5 +1,9 @@
 """Matrices over the Laurent polynomial ring: rank, minors, Smith form.
 
+A ``LaurentMatrix`` stores only its nonzero cells, which is all that
+products, transposes, evaluation, ring maps and the d o d = 0 check read;
+generic rank, Smith form and minors build a dense grid from them.
+
 Rank at a rational character evaluates first and eliminates over Q
 (``intlinalg.rational_rank``, a sparse fraction-free row reduction).  Rank
 at the generic point eliminates over the fraction field with
@@ -30,26 +34,47 @@ DEFAULT_MINOR_CEILING = 20000
 
 
 class LaurentMatrix:
-    __slots__ = ("nvars", "rows", "cols", "entries")
+    """A rows x cols matrix over the Laurent ring in ``nvars`` variables,
+    never mutated once built, stored as sparse rows: ``sparse_rows[i]``
+    maps column j to entry (i, j) for exactly the nonzero entries of row i,
+    so no zero cell is stored.  The constructor checks a dense grid and
+    converts it once; ``_from_rows`` trusts the sparse rows it is given.
+    ``entries`` is a read-only dense view, built on its first read."""
+
+    __slots__ = ("nvars", "rows", "cols", "sparse_rows", "_entries")
 
     def __init__(self, nvars: int, rows: int, cols: int, entries):
-        self.nvars = nvars
-        self.rows = rows
-        self.cols = cols
-        ents = tuple(tuple(row) for row in entries)
-        if len(ents) != rows or any(len(r) != cols for r in ents):
+        grid = [tuple(row) for row in entries]
+        if len(grid) != rows or any(len(r) != cols for r in grid):
             raise ValueError("entry grid does not match the declared shape")
-        for row in ents:
+        for row in grid:
             for p in row:
                 if p.nvars != nvars:
                     raise VariableCountMismatch(
                         f"entry with {p.nvars} variables in a {nvars}-variable matrix")
-        self.entries = ents
+        self.nvars, self.rows, self.cols, self._entries = nvars, rows, cols, None
+        self.sparse_rows = tuple({j: p for j, p in enumerate(row) if p.terms} for row in grid)
+
+    @classmethod
+    def _from_rows(cls, nvars: int, rows: int, cols: int, sparse_rows) -> "LaurentMatrix":
+        """The matrix with these sparse rows, {column: nonzero entry}, unchecked."""
+        matrix = cls.__new__(cls)
+        matrix.nvars, matrix.rows, matrix.cols, matrix._entries = nvars, rows, cols, None
+        matrix.sparse_rows = tuple(sparse_rows)
+        return matrix
+
+    @property
+    def entries(self) -> tuple[tuple[LaurentPolynomial, ...], ...]:
+        if self._entries is None:
+            self._entries = tuple(map(tuple, _dense_rows(self)))
+        return self._entries
 
     def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(self.nvars, self.cols, self.rows,
-                             [[self.entries[i][j] for i in range(self.rows)]
-                              for j in range(self.cols)])
+        out: list[dict] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, p in row.items():
+                out[j][i] = p
+        return LaurentMatrix._from_rows(self.nvars, self.cols, self.rows, out)
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         """The exact product over the Laurent ring: the accumulation of
@@ -61,7 +86,6 @@ class LaurentMatrix:
             raise VariableCountMismatch(f"{self.nvars} vs {other.nvars} variables")
         nvars = self.nvars
         box, (left, right) = packed_rows(nvars, (self, other))
-        zero = LaurentPolynomial.zero(nvars)
         out = []
         for sums in packed_row_products(left, right, box.span):
             cells: dict[int, dict] = {}
@@ -69,28 +93,38 @@ class LaurentMatrix:
                 if c:
                     j, packed = divmod(key, box.span)
                     cells.setdefault(j, {})[box.unpack_sum(packed)] = c
-            row = [zero] * other.cols
-            for j, terms in cells.items():
-                row[j] = _make(nvars, terms)
-            out.append(row)
-        return LaurentMatrix(nvars, self.rows, other.cols, out)
-
-    def map_entries(self, fn, nvars: int | None = None) -> "LaurentMatrix":
-        return LaurentMatrix(self.nvars if nvars is None else nvars,
-                             self.rows, self.cols,
-                             [[fn(p) for p in row] for row in self.entries])
+            out.append({j: _make(nvars, terms) for j, terms in cells.items()})
+        return LaurentMatrix._from_rows(nvars, self.rows, other.cols, out)
 
     def substitute_exponents(self, matrix) -> "LaurentMatrix":
-        """Apply the ring map t^e -> s^(M e) to every entry; the zero
-        entries all become one shared zero."""
-        zero = LaurentPolynomial.zero(len(matrix))
-        return self.map_entries(
-            lambda p: p.substitute_exponents(matrix) if p.terms else zero,
-            nvars=len(matrix))
+        """Apply the ring map t^e -> s^(M e) to every entry.  Each distinct
+        exponent vector is mapped once; terms may merge or cancel, and an
+        entry that cancels to zero is dropped."""
+        nvars = len(matrix)
+        images: dict[tuple[int, ...], tuple[int, ...]] = {}
+        out: list[dict] = []
+        for row in self.sparse_rows:
+            out.append({})
+            for j, p in row.items():
+                terms: dict = {}
+                for e, c in p.terms.items():
+                    if e not in images:
+                        images[e] = tuple(sum(a * x for a, x in zip(m_row, e))
+                                          for m_row in matrix)
+                    terms[images[e]] = terms.get(images[e], 0) + c
+                if any(terms.values()):
+                    out[-1][j] = _make(nvars, {e: c for e, c in terms.items() if c})
+        return LaurentMatrix._from_rows(nvars, self.rows, self.cols, out)
 
     def evaluate(self, character: Character) -> list[list[int | Fraction]]:
         """The entries at a rational character, as ints and Fractions."""
-        return [[p.evaluate(character) for p in row] for row in self.entries]
+        out = []
+        for row in self.sparse_rows:
+            values = [0] * self.cols
+            for j, p in row.items():
+                values[j] = p.evaluate(character)
+            out.append(values)
+        return out
 
     def evaluate_mod(self, point, prime: int) -> list[list[int]] | None:
         """The entries reduced mod ``prime`` at a point of (F_p^*)^n, as
@@ -102,9 +136,9 @@ class LaurentMatrix:
         if any(x % prime == 0 for x in point):
             raise ValueError("point coordinates must be nonzero mod the prime")
         out = []
-        for row in self.entries:
-            values = []
-            for p in row:
+        for row in self.sparse_rows:
+            values = [0] * self.cols
+            for j, p in row.items():
                 total = 0
                 for exps, coeff in p.terms.items():
                     if coeff.__class__ is not int:
@@ -115,23 +149,31 @@ class LaurentMatrix:
                         if e:
                             coeff = coeff * pow(x, e, prime) % prime
                     total += coeff
-                values.append(total % prime)
+                values[j] = total % prime
             out.append(values)
         return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentMatrix)
                 and (self.nvars, self.rows, self.cols) == (other.nvars, other.rows, other.cols)
-                and self.entries == other.entries)
+                and self.sparse_rows == other.sparse_rows)
 
     def __hash__(self):
-        return hash((self.nvars, self.rows, self.cols, self.entries))
+        return hash((self.nvars, self.rows, self.cols,
+                     tuple(frozenset(row.items()) for row in self.sparse_rows)))
 
     def to_text_rows(self, names=None) -> list[list[str]]:
         return [[p.to_text(names) for p in row] for row in self.entries]
 
     def __repr__(self) -> str:
         return f"LaurentMatrix({self.rows}x{self.cols}, {self.nvars} vars)"
+
+
+def _dense_rows(matrix: LaurentMatrix) -> list[list[LaurentPolynomial]]:
+    """The dense grid of ``matrix`` as fresh lists, every zero cell one
+    shared zero."""
+    zero = LaurentPolynomial.zero(matrix.nvars)
+    return [[row.get(j, zero) for j in range(matrix.cols)] for row in matrix.sparse_rows]
 
 
 # -- exact sparse products on packed exponents ---------------------------------
@@ -181,19 +223,17 @@ class ExponentBox:
 
 def packed_rows(nvars: int, matrices):
     """One ``ExponentBox`` for all the exponents of ``matrices``, and each
-    matrix as sparse rows: row i is the list of (k, [(packed exponent,
-    coefficient), ...]) over the nonzero entries a_ik, in column order."""
-    sparse = [[[(k, p.terms) for k, p in enumerate(row) if p.terms]
-               for row in m.entries] for m in matrices]
+    matrix as packed sparse rows: row i is the list of (k, [(packed
+    exponent, coefficient), ...]) over the nonzero entries a_ik."""
     exponents: set = set()
-    for rows in sparse:
-        for row in rows:
-            for _k, terms in row:
-                exponents.update(terms)
+    for m in matrices:
+        for row in m.sparse_rows:
+            for p in row.values():
+                exponents.update(p.terms)
     box = ExponentBox(nvars, exponents)
     code = {e: box.pack(e) for e in exponents}
-    return box, [[[(k, [(code[e], c) for e, c in terms.items()]) for k, terms in row]
-                  for row in rows] for rows in sparse]
+    return box, [[[(k, [(code[e], c) for e, c in p.terms.items()]) for k, p in row.items()]
+                  for row in m.sparse_rows] for m in matrices]
 
 
 def packed_row_products(left, right, span: int):
@@ -234,7 +274,7 @@ def rank_at(matrix: LaurentMatrix, character: Character) -> int:
 
 
 def generic_rank(matrix: LaurentMatrix) -> int:
-    rows = [list(r) for r in matrix.entries]
+    rows = _dense_rows(matrix)
     nr, nc = matrix.rows, matrix.cols
     if nr == 0 or nc == 0:
         return 0
@@ -308,10 +348,11 @@ def minors(matrix: LaurentMatrix, k: int,
     count = comb(matrix.rows, k) * comb(matrix.cols, k)
     if count > ceiling:
         raise TooManyMinors(count, ceiling)
+    entries = matrix.entries
     out = []
     for row_idx in combinations(range(matrix.rows), k):
         for col_idx in combinations(range(matrix.cols), k):
-            sub = [[matrix.entries[i][j] for j in col_idx] for i in row_idx]
+            sub = [[entries[i][j] for j in col_idx] for i in row_idx]
             out.append(determinant(sub, matrix.nvars))
     return out
 
@@ -451,6 +492,6 @@ class SmithFormUnivariate:
 def smith_univariate(matrix: LaurentMatrix) -> SmithFormUnivariate:
     if matrix.nvars != 1:
         raise NotUnivariate(f"matrix has {matrix.nvars} variables")
-    d, *_ = _smith_form(matrix.entries, LAURENT_UNIVARIATE, transforms=False)
+    d, *_ = _smith_form(_dense_rows(matrix), LAURENT_UNIVARIATE, transforms=False)
     factors = tuple(d[i][i] for i in range(min(matrix.rows, matrix.cols)) if d[i][i])
     return SmithFormUnivariate(factors, matrix.cols - len(factors))

@@ -6,10 +6,11 @@ import pytest
 import charvar.complexes
 from charvar.complexes import (kernel_homology_univariate,
                                presentation_complex, tensor_complex,
-                               twisted_betti)
+                               twisted_betti, window_homology)
 from charvar.constructions import build_model, direct_product, free_group, surface_group
 from charvar.errors import InternalInconsistency, NotUnivariate
-from charvar.laurent import GENERIC, Character
+from charvar.laurent import GENERIC, Character, LaurentPolynomial
+from charvar.lmatrix import LaurentMatrix
 from charvar.presentations import (abelianize, induced_on_free_part,
                                    validate_epimorphism)
 from charvar.sampling import sample_character
@@ -172,3 +173,20 @@ def test_specialize_commutes_with_evaluation():
     pulled = pullback_character(nubar, rho, 4)
     for d_low, d_high in zip(pushed.differentials, cx.differentials):
         assert d_low.evaluate(rho) == d_high.evaluate(pulled)
+
+
+def test_the_product_routes_read_no_dense_grid(monkeypatch):
+    # building S_2^3, its kernel homology, the pushed complex and a window
+    # all run on sparse rows alone
+    reads = []
+    dense = LaurentMatrix.entries
+    monkeypatch.setattr(LaurentMatrix, "entries",
+                        property(lambda m: reads.append(m) or dense.fget(m)))
+    model = build_model(direct_product([surface_group(2)] * 3))
+    ones = [[1] * model.complex.nvars]
+    model.kernel_homology(ones)
+    window_homology(model.complex.specialize(ones), 3)
+    assert reads == []
+    # the counter sees a dense read when one is made
+    laurent_matrix(1, [[LaurentPolynomial.one(1)]]).entries
+    assert len(reads) == 1

@@ -2,14 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import QQ, Matrix, Poly, symbols
 from sympy.matrices.normalforms import invariant_factors
 
 from charvar.errors import TooManyMinors, VariableCountMismatch
 from charvar.laurent import GENERIC, Character, LaurentPolynomial
 from charvar.intlinalg import _smith_form
-from charvar.lmatrix import (LAURENT_UNIVARIATE, generic_rank, minors, rank_at,
-                             smith_univariate, univariate_divmod)
+from charvar.lmatrix import (LAURENT_UNIVARIATE, LaurentMatrix, generic_rank, minors,
+                             rank_at, smith_univariate, univariate_divmod)
 from conftest import (entrywise_product, laurent_matrix, monic_univariate,
                       zero_matrix)
 
@@ -247,3 +248,84 @@ def test_smith_univariate_matches_sympy():
                for f in s.invariant_factors]
         assert got == expected
         assert s.free_rank == m.cols - len(expected)
+
+
+# -- sparse rows against the dense grid, cell by cell -------------------------
+
+
+@st.composite
+def grids(draw):
+    """A random grid in 0-3 variables, mostly zero cells, with Fraction
+    coefficients and negative exponents: (nvars, rows, cols, grid)."""
+    nvars = draw(st.integers(0, 3))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    zero = LaurentPolynomial.zero(nvars)
+    polynomial = st.dictionaries(
+        st.tuples(*[st.integers(-3, 3)] * nvars),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        max_size=3).map(lambda terms: LaurentPolynomial(nvars, terms))
+    cell = st.one_of(st.just(zero), polynomial)
+    return nvars, rows, cols, [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+
+
+def _nonzero_cells(matrix):
+    return all(p.terms for row in matrix.sparse_rows for p in row.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids())
+def test_sparse_and_grid_forms_are_one_matrix(case):
+    nvars, rows, cols, grid = case
+    m = LaurentMatrix(nvars, rows, cols, grid)
+    # the same cells, given sparse and in reverse column order
+    sparse = LaurentMatrix._from_rows(nvars, rows, cols, [
+        {j: p for j, p in reversed(list(enumerate(row))) if p.terms} for row in grid])
+    assert m == sparse and hash(m) == hash(sparse)
+    assert _nonzero_cells(m)
+    assert m.entries == tuple(map(tuple, grid))
+    assert m.transpose().entries == tuple(tuple(grid[i][j] for i in range(rows))
+                                          for j in range(cols))
+    assert m.transpose().transpose() == m
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids(), st.data())
+def test_evaluation_agrees_with_every_cell(case, data):
+    nvars, rows, cols, grid = case
+    m = LaurentMatrix(nvars, rows, cols, grid)
+    coords = data.draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3)
+                                .filter(bool), min_size=nvars, max_size=nvars))
+    rho = Character(coords)
+    assert m.evaluate(rho) == [[p.evaluate(rho) for p in row] for row in grid]
+    prime = data.draw(st.sampled_from((2, 3, 101)))
+    point = data.draw(st.lists(st.integers(-20, 20).filter(lambda x: x % prime),
+                               min_size=nvars, max_size=nvars))
+    got = m.evaluate_mod(point, prime)
+    if any(c.denominator % prime == 0 for row in grid for p in row
+           for c in map(Fraction, p.terms.values())):
+        assert got is None
+    else:
+        exact = [[Fraction(p.evaluate(Character(point))) for p in row] for row in grid]
+        assert got == [[x.numerator * pow(x.denominator, -1, prime) % prime for x in row]
+                       for row in exact]
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids(), st.data())
+def test_substitution_agrees_with_every_cell(case, data):
+    nvars, rows, cols, grid = case
+    m = LaurentMatrix(nvars, rows, cols, grid)
+    new_vars = data.draw(st.integers(0, 3))
+    matrix = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars),
+                                min_size=new_vars, max_size=new_vars))
+    pushed = m.substitute_exponents(matrix)
+    assert pushed.entries == tuple(tuple(p.substitute_exponents(matrix) for p in row)
+                                   for row in grid)
+    assert pushed.nvars == new_vars and _nonzero_cells(pushed)
+
+
+def test_a_cell_that_cancels_under_substitution_is_not_stored():
+    t1, t2 = LaurentPolynomial.variable(0, 2), LaurentPolynomial.variable(1, 2)
+    pushed = laurent_matrix(2, [[t1 - t2, t1]]).substitute_exponents([[1, 1]])
+    assert pushed.sparse_rows == ({1: x()},)
+    assert pushed.entries == ((LaurentPolynomial.zero(1), x()),)

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import charvar.complexes
-from charvar.complexes import (SANDWICH_PRIME, TwistedComplex, generic_ranks,
-                               twisted_betti)
+from charvar.complexes import SANDWICH_PRIME, generic_ranks, twisted_betti
 from charvar.constructions import (bestvina_brady, build_model, cycle_graph,
                                    direct_product, free_group, octahedron_graph,
                                    surface_group)
@@ -24,7 +23,7 @@ from charvar.laurent import GENERIC, Character, LaurentPolynomial
 from charvar.lmatrix import generic_rank
 from charvar.presentations import Presentation
 from charvar.words import Word
-from conftest import laurent_matrix
+from conftest import laurent_matrix, scaled
 
 CATALOG = {
     "surface-1": surface_group(1),
@@ -163,9 +162,7 @@ def test_a_denominator_divisible_by_p_falls_back(monkeypatch):
     # the torus complex with d_2 divided by p: d_1 d_2 is still zero, but
     # d_2 cannot be reduced mod p, so only d_2 goes to symbolic rank
     torus = build_model(surface_group(1)).complex
-    d1, d2 = torus.differentials
-    scaled = d2.map_entries(lambda q: q.scale(Fraction(1, SANDWICH_PRIME)))
-    cx = TwistedComplex(torus.nvars, torus.ranks, (d1, scaled))
+    cx = scaled(torus, (1, Fraction(1, SANDWICH_PRIME)))
     calls = count_symbolic_calls(monkeypatch)
     ranks, route = generic_ranks(cx)
     assert [at_point[1] for at_point in route["modular_ranks"]] == [None, None]
