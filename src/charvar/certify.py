@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from . import __version__
 # perfbench's tracer test reads twisted_betti from this module
 from .complexes import KernelHomologyReport, twisted_betti
-from .constructions import GroupModel, build_model
+from .constructions import build_model
 from .errors import NotUnivariate, TrivialNu, UnsupportedDegree, ZeroMap
-from .jumploci import FullnessVerdict, generic_rank_verdict, is_full_vr_product
+from .jumploci import generic_rank_verdict, is_full_vr_product
 from .laurent import pullback_character
 from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
                             validate_epimorphism)
@@ -56,9 +56,13 @@ CITATIONS = (
     },
     {
         "id": "product-locus-fullness",
-        "statement": "for a product of r groups whose degree-1 depth-1 loci "
-                     "fill their tori, the degree-r depth-1 locus of the "
-                     "product fills its torus (tensor of jumping classes)",
+        "statement": "by the Kunneth formula over a field K, the twisted "
+                     "Betti numbers of G_1 x ... x G_k at a character are "
+                     "the convolution of the factors' at its restrictions; "
+                     "over the field of rational functions this makes the "
+                     "generic b_r of the product the sum over i_1 + ... + "
+                     "i_k = r of the products of the factors' generic "
+                     "b_(i_j)",
         "supports": ["fullness"],
     },
     {
@@ -114,9 +118,10 @@ class Certificate:
 
 
 def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
-                   strategy: str = "auto", seed: int = 0) -> Certificate:
-    """Run the full pipeline: validate nu, establish fullness of the
-    degree-r locus by the requested strategy, and emit the certificate.
+                   seed: int = 0) -> Certificate:
+    """Run the full pipeline: validate nu, decide fullness of the degree-r
+    locus by the exact generic b_r (``is_full_vr_product`` on a product,
+    ``generic_rank_verdict`` otherwise), and emit the certificate.
 
     Returns a "not-established" certificate with no conclusions when
     fullness cannot be established.  Never claims the kernel IS of type
@@ -129,10 +134,8 @@ def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
     except ZeroMap as exc:
         raise TrivialNu("the map to Z^m is trivial") from exc
     model = build_model(presentation)
-    if strategy == "auto":
-        strategy = "kunneth-product" if model.factors else "generic-rank"
-
-    verdict = _establish_fullness(model, r, strategy, seed)
+    verdict = (is_full_vr_product(model, r, seed=seed) if model.factors
+               else generic_rank_verdict(model, r))
     group_name = presentation.tags.get("name", presentation.describe())
     if verdict.is_full:
         return Certificate(
@@ -151,26 +154,6 @@ def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
         citations=CITATIONS, seed=seed,
         failed_hypothesis=f"V^{r}_1 = T not established: "
                           f"{verdict.reason or verdict.status}")
-
-
-def _establish_fullness(model: GroupModel, r: int, strategy: str,
-                        seed: int) -> FullnessVerdict:
-    if strategy == "kunneth-product":
-        if not model.factors:
-            raise ValueError("kunneth-product strategy needs a presentation "
-                             "tagged as a direct product")
-        return is_full_vr_product(model, r, seed=seed)
-    if strategy != "generic-rank":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if r >= 2 and not model.aspherical:
-        raise UnsupportedDegree(
-            "degree >= 2 fullness needs an aspherical chain model; "
-            "only catalog groups carry that certainty")
-    if r > model.complex.top:
-        return FullnessVerdict(
-            False, "not_concluded", "generic-rank",
-            reason=f"chain model stops in degree {model.complex.top} < r={r}")
-    return generic_rank_verdict(model, r)
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jumploci", help="depth-t ideal and fullness verdict")
     group_flags(p)
     p.add_argument("--t", type=int, default=1, help="jump depth")
-    p.add_argument("--r", type=int, help="also decide degree-r fullness of a product")
+    p.add_argument("--r", type=int, help="also decide degree-r fullness "
+                                         "of a product, for any r >= 1")
     p.add_argument("--minor-ceiling", type=int,
                    help="default: $CHARVAR_MINOR_CEILING, else "
                         f"{DEFAULT_MINOR_CEILING}")
@@ -104,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="non-FP_r certificate for ker(nu)")
     group_flags(p, nu=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--strategy", default="auto",
-                   choices=["auto", "generic-rank", "kunneth-product"])
+    p.add_argument("--strategy", default="auto", choices=["auto", "generic-rank"],
+                   help="both take the one route, the exact generic b_r")
 
     p = sub.add_parser("probe", help="generic-vanishing sampling probe")
     group_flags(p, nu=True)
@@ -373,8 +374,7 @@ def cmd_jumploci(args):
 def cmd_certify(args):
     presentation, default_nu = resolve_group(args)
     nu = resolve_nu(presentation, args.nu or default_nu or "ones")
-    certificate = certify_non_fp(presentation, nu, args.r,
-                                 strategy=args.strategy, seed=args.seed)
+    certificate = certify_non_fp(presentation, nu, args.r, seed=args.seed)
     status = "ok" if certificate.status == "certified" else "hypothesis-failed"
     return status, certificate.to_json_dict()
 

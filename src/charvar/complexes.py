@@ -8,10 +8,11 @@ never builds a product matrix.  Evaluating at a character gives
 twisted Betti numbers; for one variable the ring is a PID and the full
 module structure of the homology (free rank plus torsion) is computed by
 Smith normal form, which is exactly the rational homology of the kernel of
-the corresponding map onto Z.  A product's kernel homology is assembled
-from its factors' by ``GroupModel.kernel_homology``; its tensor complex,
-built from nonzero cells alone, serves generic ranks and windows, which
-grow one echelon per degree.
+the corresponding map onto Z.  A product's twisted Betti numbers, generic
+ones included, and its kernel homology are assembled from its factors' by
+``GroupModel.betti`` and ``GroupModel.kernel_homology``; its tensor
+complex, built from nonzero cells alone, serves only windows, which grow
+one echelon per degree.
 """
 
 from __future__ import annotations
@@ -88,10 +89,13 @@ class TwistedComplex:
 
 @dataclass(frozen=True)
 class BettiProfile:
-    """Twisted Betti numbers of one complex at one character."""
+    """Twisted Betti numbers of one complex at one character, with the
+    route that decided the generic ranks at the generic point (None at a
+    rational character)."""
 
     betti: tuple[int, ...]
     character: Character
+    route: dict | None = None
 
     def alternating_sum(self) -> int:
         return sum((-1) ** j * b for j, b in enumerate(self.betti))
@@ -264,9 +268,10 @@ def generic_ranks(complex_: TwistedComplex,
     for point in sandwich_points(complex_.nvars):
         at_point: list[int | None] = [None] * top
         for j in involved:
-            grid = complex_.differentials[j - 1].evaluate_mod(point, SANDWICH_PRIME)
-            if grid is not None:
-                at_point[j - 1] = modular_rank(grid, SANDWICH_PRIME)
+            d = complex_.differentials[j - 1]
+            rows = d.evaluate_mod(point, SANDWICH_PRIME)
+            if rows is not None:
+                at_point[j - 1] = modular_rank(rows, d.cols, SANDWICH_PRIME)
                 lower[j] = max(lower[j], at_point[j - 1])
         tried.append(list(point))
         modular.append(at_point)
@@ -292,10 +297,11 @@ def twisted_betti(complex_: TwistedComplex, character: Character) -> BettiProfil
     the ranks come from ``generic_ranks`` (the modular sandwich, with
     symbolic elimination only for a rank it leaves open), and this gives
     the generic Betti numbers, attained off a proper closed subvariety of
-    the character torus."""
+    the character torus; the profile carries the route."""
     top = complex_.top
+    route = None
     if character.is_generic:
-        ranks, _ = generic_ranks(complex_)
+        ranks, route = generic_ranks(complex_)
     else:
         ranks = [0] * (top + 2)
         for j in range(1, top + 1):
@@ -306,7 +312,7 @@ def twisted_betti(complex_: TwistedComplex, character: Character) -> BettiProfil
     if any(b < 0 for b in betti):
         raise InternalInconsistency(
             f"Betti numbers {list(betti)} include a negative dimension")
-    return BettiProfile(betti, character)
+    return BettiProfile(betti, character, route)
 
 
 def kernel_homology_univariate(complex_: TwistedComplex) -> KernelHomologyReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product as iproduct
 
 from .complexes import (BettiProfile, KernelDegreeEntry, KernelHomologyReport,
@@ -19,7 +20,7 @@ from .complexes import (BettiProfile, KernelDegreeEntry, KernelHomologyReport,
                         presentation_complex, tensor_complex, twisted_betti)
 from .errors import GenusTooSmall, InternalInconsistency, PresentationSyntaxError
 from .intlinalg import integer_rank
-from .laurent import Character, LaurentPolynomial
+from .laurent import GENERIC, Character, LaurentPolynomial
 from .lmatrix import LaurentMatrix, univariate_divmod, univariate_gcd
 from .presentations import AbelianData, EpimorphismToZm, Presentation, abelianize
 from .words import Word, commutator
@@ -217,9 +218,9 @@ def direct_product(factors) -> Presentation:
     """Union of the factor presentations plus commutators between
     generators of distinct factors.  Homology computations never use this
     presentation's 2-complex: ``build_model`` keeps the factor models,
-    twisted Betti numbers and the kernel homology over Q[t, t^-1] come from
-    theirs by Kunneth, and the tensor product of their chain models serves
-    generic ranks and windows."""
+    twisted Betti numbers (generic ones included) and the kernel homology
+    over Q[t, t^-1] come from theirs by Kunneth, and the tensor product of
+    their chain models serves only windows."""
     factors = tuple(factors)
     if len(factors) < 2:
         raise ValueError("a direct product needs at least two factors")
@@ -317,10 +318,10 @@ class GroupModel:
     in the factor's own coordinates, so a character of the product
     restricts to each factor by slicing.
 
-    A product's twisted Betti numbers (``betti``) and its kernel homology
-    over Q[t, t^-1] (``kernel_homology``) come from its factors; its
-    tensor complex serves generic ranks and windows, and building it checks
-    d o d = 0 on the whole product (``TwistedComplex``).
+    A product's twisted Betti numbers (``betti``), generic ones included,
+    and its kernel homology over Q[t, t^-1] (``kernel_homology``) come from
+    its factors; its tensor complex serves only windows, and building it
+    checks d o d = 0 on the whole product (``TwistedComplex``).
     """
 
     presentation: Presentation
@@ -342,25 +343,40 @@ class GroupModel:
         is the convolution of the factors' profiles, exactly, cut to the
         degrees the tensor model keeps (it trims trailing zero ranks).
         """
+        if character.is_generic:
+            return self.generic_betti
+        return self._convolved(character)
+
+    @cached_property
+    def generic_betti(self) -> BettiProfile:
+        """The profile at the generic point, computed once per model, so
+        every verdict of a query reads the same factor ranks.  On a product
+        its route is {"name": "kunneth", "factors": [each factor's route]}."""
+        return self._convolved(GENERIC)
+
+    def _convolved(self, character: Character) -> BettiProfile:
         if not self.factors:
             return twisted_betti(self.complex, character)
         if not character.is_generic and len(character.coords) != self.complex.nvars:
             raise ValueError(f"character needs {self.complex.nvars} coordinates, "
                              f"got {len(character.coords)}")
         profile = [1]
+        routes = []
         start = 0
         for factor in self.factors:
             width = factor.complex.nvars
             part = character if character.is_generic else Character(
                 character.coords[start:start + width])
             start += width
-            betti = factor.betti(part).betti
-            convolved = [0] * (len(profile) + len(betti) - 1)
+            factor_profile = factor.betti(part)
+            routes.append(factor_profile.route)
+            convolved = [0] * (len(profile) + len(factor_profile.betti) - 1)
             for i, x in enumerate(profile):
-                for j, y in enumerate(betti):
+                for j, y in enumerate(factor_profile.betti):
                     convolved[i + j] += x * y
             profile = convolved
-        return BettiProfile(tuple(profile[:self.complex.top + 1]), character)
+        route = {"name": "kunneth", "factors": routes} if character.is_generic else None
+        return BettiProfile(tuple(profile[:self.complex.top + 1]), character, route)
 
     def kernel_homology(self, nubar) -> KernelHomologyReport:
         """The homology of the complex pushed through ``nubar`` (a map onto

@@ -99,17 +99,18 @@ def clear_denominators(values) -> list[int]:
     return [x.numerator * (denom // x.denominator) for x in values]
 
 
-def modular_rank(matrix, p: int) -> int:
-    """Rank over the prime field F_p of a matrix of integers.
+def modular_rank(rows, cols: int, p: int) -> int:
+    """Rank over the prime field F_p of a matrix of integers with ``cols``
+    columns, given as sparse rows {column: value}.
 
-    Gaussian elimination on sparse rows: each row is reduced by the pivot
-    rows found so far, leading column first, and becomes a new pivot row
-    if anything is left of it.
+    Gaussian elimination: each row is reduced by the pivot rows found so
+    far, leading column first, and becomes a new pivot row if anything is
+    left of it.
     """
     pivots: dict[int, dict[int, int]] = {}  # leading column -> monic row
-    full = min(len(matrix), len(matrix[0]) if matrix else 0)
-    for dense in matrix:
-        row = {j: x % p for j, x in enumerate(dense) if x % p}
+    full = min(len(rows), cols)
+    for given in rows:
+        row = {j: x % p for j, x in given.items() if x % p}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)

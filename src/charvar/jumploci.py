@@ -4,18 +4,18 @@ The depth-t locus in degree one is, away from the trivial character, the
 zero set of the (n - t)-minors of the Alexander matrix.  Fullness of a
 locus is decided by the exact generic Betti number, never by sampling
 alone: the locus is closed, so it fills the torus exactly when the generic
-Betti number already jumps, and sampling only corroborates the verdict.
-Generic ranks come from the modular sandwich of
-``complexes.generic_ranks``: ranks mod a prime at one point bound each
+Betti number already jumps, and the verdict holds in both directions.
+On a model without factors, generic ranks come from the modular sandwich
+of ``complexes.generic_ranks``: ranks mod a prime at one point bound each
 generic rank from below, d o d = 0 bounds it from above through the
 neighbouring ranks, and a rank the two bounds do not pin is computed by
-exact symbolic elimination.  The route is recorded in the witness.  The
-trivial character and the order-2 character are checked explicitly in
-every verdict.
-
-On a product, the generic rank is taken on the tensor model, while the
-Betti numbers at the special points and at the spot checks come from the
-factors by Kunneth over Q (``GroupModel.betti``).
+exact symbolic elimination.  On a product, the generic Betti numbers are
+the convolution of the factors' (Kunneth over the field of rational
+functions, ``GroupModel.betti``), each factor decided by its own sandwich,
+so no verdict ranks the product's tensor complex.  The route is recorded
+in the witness.  The trivial character and the order-2 character are
+checked explicitly in every verdict, their Betti numbers convolved from
+the factors' on a product.
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ import random
 from dataclasses import dataclass, field
 
 # perfbench's tracer test reads twisted_betti from this module
-from .complexes import TwistedComplex, generic_ranks, twisted_betti
+from .complexes import generic_ranks, twisted_betti
 from .constructions import GroupModel
 from .errors import InternalInconsistency, UnsupportedDegree
 from .fox import alexander_matrix
-from .laurent import Character, LaurentPolynomial
+from .laurent import GENERIC, Character, LaurentPolynomial
 from .lmatrix import DEFAULT_MINOR_CEILING, minors
 from .sampling import sample_character
 
-# seeded characters at which the product route spot-checks b_r
+# seeded characters at which a full product verdict spot-checks b_r
 SPOT_SAMPLES = 3
 
 
@@ -100,9 +100,9 @@ def v1_ideal(model: GroupModel, depth: int = 1,
 class FullnessVerdict:
     """Outcome of a fullness decision.
 
-    ``status`` distinguishes a definite negative ("not_full") from a
-    hypothesis the method cannot settle ("not_concluded"); the sufficiency
-    route through factors is one-directional.
+    "full" and "not_full" are definite, both read off the exact generic
+    Betti number; "not_concluded" is left only for a degree above the top
+    of the chain model, where the model says nothing.
     """
 
     is_full: bool
@@ -121,14 +121,17 @@ class FullnessVerdict:
         }
 
 
-def generic_betti_in_degree(complex_: TwistedComplex,
-                            degree: int) -> tuple[int, dict]:
+def generic_betti_in_degree(model: GroupModel, degree: int) -> tuple[int, dict]:
     """b_degree at the generic point, with the route record that decided
-    it.  Only the two adjacent ranks are asked of ``generic_ranks``, so a
-    rank the modular sandwich leaves open elsewhere in a large tensor
-    model never reaches symbolic elimination."""
-    if degree < 0 or degree > complex_.top:
-        raise UnsupportedDegree(f"degree {degree} outside the complex")
+    it.  On a product it is read from ``GroupModel.betti(GENERIC)``, the
+    convolution of the factors' generic profiles, and the route is the
+    "kunneth" record of the factors' routes.  Otherwise only the two
+    adjacent ranks are asked of ``generic_ranks``, so a rank the modular
+    sandwich leaves open elsewhere never reaches symbolic elimination."""
+    complex_ = model.complex
+    if model.factors:
+        profile = model.betti(GENERIC)
+        return profile.betti[degree], profile.route
     adjacent = [j for j in (degree, degree + 1) if 1 <= j <= complex_.top]
     ranks, route = generic_ranks(complex_, adjacent)
     return complex_.ranks[degree] - ranks[degree] - ranks[degree + 1], route
@@ -165,8 +168,19 @@ def generic_rank_verdict(model: GroupModel, r: int) -> FullnessVerdict:
     """Does the degree-r depth-one locus fill the whole torus?  Decided by
     the exact generic b_r (``generic_betti_in_degree``): every rank only
     drops on closed sets, so b_r is minimized at the generic point and the
-    generic value settles the question in both directions."""
-    generic_b, route = generic_betti_in_degree(model.complex, r)
+    generic value settles the question in both directions.  Degrees r >= 2
+    need an aspherical model, whose every degree is group homology."""
+    if r < 1:
+        raise ValueError("degree r must be >= 1")
+    if r >= 2 and not model.aspherical:
+        raise UnsupportedDegree(
+            "degree >= 2 fullness needs an aspherical chain model; "
+            "only catalog groups carry that certainty")
+    if r > model.complex.top:
+        return FullnessVerdict(
+            False, "not_concluded", "generic-rank",
+            reason=f"chain model stops in degree {model.complex.top} < r={r}")
+    generic_b, route = generic_betti_in_degree(model, r)
     specials = _special_point_checks(model, r)
     witness = {f"generic_b{r}": generic_b, "special_points": specials,
                "route": route}
@@ -186,24 +200,15 @@ def is_full_v1(model: GroupModel) -> FullnessVerdict:
 
 
 def is_full_vr_product(model: GroupModel, r: int, seed: int = 0) -> FullnessVerdict:
-    """Sufficiency route for a product model: if every factor's degree-one
-    locus is full, the degree-r locus of the product fills its torus (the
-    r-fold tensor of jumping classes survives).  A non-full factor leaves
-    the question open, not answered.  b_r is spot-checked at
-    ``SPOT_SAMPLES`` seeded characters and at the special points, each
-    profile convolved from the factors' by ``GroupModel.betti``."""
-    if r != len(model.factors):
-        raise ValueError(f"degree r={r} must equal the number of factors "
-                         f"({len(model.factors)})")
-    verdicts = [is_full_v1(f) for f in model.factors]
-    factor_witness = [v.to_json_dict() for v in verdicts]
-    for i, v in enumerate(verdicts):
-        if not v.is_full:
-            return FullnessVerdict(
-                False, "not_concluded", "kunneth-product",
-                witness={"factors": factor_witness},
-                reason=f"factor {i + 1} not full; the product criterion "
-                       f"is sufficient only")
+    """The generic-rank verdict in degree r on a product, for any r and any
+    factors.  A full verdict also records b_r at ``SPOT_SAMPLES`` seeded
+    characters, each profile convolved from the factors' by
+    ``GroupModel.betti``."""
+    verdict = generic_rank_verdict(model, r)
+    if not verdict.is_full:
+        return verdict
+    # the spot checks decide nothing, since the generic b_r already has;
+    # they stay because perfbench's pencil check reads them
     rng = random.Random(seed)
     samples = []
     for _ in range(SPOT_SAMPLES):
@@ -211,12 +216,7 @@ def is_full_vr_product(model: GroupModel, r: int, seed: int = 0) -> FullnessVerd
         betti = model.betti(rho).betti
         samples.append({"character": rho.describe(),
                         "betti": list(betti), "b_r": betti[r]})
-    specials = _special_point_checks(model, r)
-    _require_jumps(samples, "b_r", "every factor locus is full")
-    _require_jumps(specials, "b_degree", "every factor locus is full")
-    return FullnessVerdict(True, "full", "kunneth-product", witness={
-        "factors": factor_witness,
-        "spot_checks": samples,
-        "special_points": specials,
-        "seed": seed,
-    })
+    _require_jumps(samples, "b_r",
+                   f"generic b_{r} = {verdict.witness[f'generic_b{r}']}")
+    return FullnessVerdict(True, "full", "generic-rank", witness={
+        **verdict.witness, "spot_checks": samples, "seed": seed})

@@ -161,21 +161,6 @@ class LaurentPolynomial:
             total += value
         return _canonical(total)
 
-    def substitute_exponents(self, matrix) -> "LaurentPolynomial":
-        """Apply the ring map t^e -> s^(M e) for an integer matrix M
-        (new_vars x nvars).  Terms may merge or cancel."""
-        new_nvars = len(matrix)
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        for exps, coeff in self.terms.items():
-            new = tuple(sum(row[j] * exps[j] for j in range(self.nvars))
-                        for row in matrix)
-            s = out.get(new, 0) + coeff
-            if s:
-                out[new] = s
-            else:
-                out.pop(new, None)
-        return _make(new_nvars, out)
-
     def exact_divide(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial | None":
         """Quotient self/divisor when division is exact in the Laurent ring,
         else None.  Reduction by lex leading terms after stripping the

@@ -126,10 +126,11 @@ class LaurentMatrix:
             out.append(values)
         return out
 
-    def evaluate_mod(self, point, prime: int) -> list[list[int]] | None:
-        """The entries reduced mod ``prime`` at a point of (F_p^*)^n, as
-        ints in [0, prime), or None when the prime divides a coefficient's
-        denominator: reduction mod p is a ring map only on the others."""
+    def evaluate_mod(self, point, prime: int) -> list[dict[int, int]] | None:
+        """The rows reduced mod ``prime`` at a point of (F_p^*)^n, as sparse
+        rows {column: value} of their nonzero values in [1, prime), or None
+        when the prime divides a coefficient's denominator: reduction mod p
+        is a ring map only on the others."""
         if len(point) != self.nvars:
             raise VariableCountMismatch(
                 f"point has {len(point)} coordinates, matrix {self.nvars}")
@@ -137,7 +138,7 @@ class LaurentMatrix:
             raise ValueError("point coordinates must be nonzero mod the prime")
         out = []
         for row in self.sparse_rows:
-            values = [0] * self.cols
+            values = {}
             for j, p in row.items():
                 total = 0
                 for exps, coeff in p.terms.items():
@@ -149,7 +150,9 @@ class LaurentMatrix:
                         if e:
                             coeff = coeff * pow(x, e, prime) % prime
                     total += coeff
-                values[j] = total % prime
+                total %= prime
+                if total:
+                    values[j] = total
             out.append(values)
         return out
 

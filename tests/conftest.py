@@ -30,6 +30,17 @@ def zero_matrix(nvars: int, rows: int, cols: int) -> LaurentMatrix:
                                   for _ in range(rows)])
 
 
+def substitute_exponents(p: LaurentPolynomial, matrix) -> LaurentPolynomial:
+    """p under the ring map t^e -> s^(M e) for an integer matrix M (new
+    variables x p.nvars), term by term; terms may merge or cancel.  The
+    cellwise oracle for ``LaurentMatrix.substitute_exponents``."""
+    out: dict = {}
+    for exps, coeff in p.terms.items():
+        new = tuple(sum(a * e for a, e in zip(row, exps)) for row in matrix)
+        out[new] = out.get(new, 0) + coeff
+    return LaurentPolynomial(len(matrix), out)
+
+
 def entrywise_product(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     """a b by the plain triple sum over every index, zero entries included:
     the oracle for the packed sparse product and the d o d = 0 check."""

@@ -2,8 +2,9 @@
 
 The shipped ``charvar.complexes.tensor_complex`` lifts each factor's
 entries by padding exponent vectors and assigns each tensor cell its one
-entry.  This module keeps the textbook route: lift through the ring maps
-given by identity-embedding exponent matrices, then fill every cell by
+entry.  This module keeps the textbook route: lift every cell through the ring
+maps given by identity-embedding exponent matrices (the polynomial
+substitution of ``conftest``), then fill every cell by
 adding up the contributions of d_A (x) 1 and (-1)^p 1 (x) d_B, so the tests
 can compare the two cell by cell.
 """
@@ -13,6 +14,7 @@ from itertools import product as iproduct
 from charvar.complexes import TwistedComplex
 from charvar.laurent import LaurentPolynomial
 from charvar.lmatrix import LaurentMatrix
+from conftest import substitute_exponents
 
 
 def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
@@ -22,8 +24,8 @@ def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
              [[0] * ma for _ in range(mb)]
     lift_b = [[0] * mb for _ in range(ma)] + \
              [[1 if i == j else 0 for j in range(mb)] for i in range(mb)]
-    da = [d.substitute_exponents(lift_a) for d in a.differentials]
-    db = [d.substitute_exponents(lift_b) for d in b.differentials]
+    da = [_lifted(d, lift_a) for d in a.differentials]
+    db = [_lifted(d, lift_b) for d in b.differentials]
 
     top = a.top + b.top
     ranks = []
@@ -63,3 +65,10 @@ def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
         if diffs:
             diffs.pop()
     return TwistedComplex(m, tuple(ranks), tuple(diffs))
+
+
+def _lifted(d: LaurentMatrix, lift) -> LaurentMatrix:
+    """d pushed through the ring map of ``lift``, cell by cell."""
+    return LaurentMatrix(len(lift), d.rows, d.cols,
+                         [[substitute_exponents(p, lift) for p in row]
+                          for row in d.entries])

@@ -92,10 +92,13 @@ def test_criterion_04_product_fullness():
             return build_model(direct_product(factors))
         assert is_full_vr_product(product_model([surface_group(2)] * 3), 3).is_full
         assert is_full_vr_product(product_model([free_group(2)] * 3), 3).is_full
+        # the torus factor has generic profile zero, so by Kunneth the
+        # product's generic b_2 is 0: a definite negative
         mixed = is_full_vr_product(
             product_model([surface_group(2), surface_group(1)]), 2)
         assert not mixed.is_full
-        assert mixed.status == "not_concluded"
+        assert mixed.status == "not_full"
+        assert mixed.witness["generic_b2"] == 0
 
 
 def test_criterion_05_certificate_end_to_end():

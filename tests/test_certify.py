@@ -30,7 +30,8 @@ def test_certify_product_of_curves():
     assert cert.status == "certified"
     assert cert.conclusions == ("H_leq_r_infinite", "not_FP_r",
                                 "not_commensurable_FP_r")
-    assert cert.evidence["fullness"]["method"] == "kunneth-product"
+    assert cert.evidence["fullness"]["method"] == "generic-rank"
+    assert cert.evidence["fullness"]["witness"]["route"]["name"] == "kunneth"
     assert cert.degree == 3
 
 

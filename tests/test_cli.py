@@ -79,8 +79,8 @@ def test_certify_product_surface(capsys):
 
 
 def test_certify_product_surface_by_generic_rank(capsys):
-    # symbolic elimination on this 12-variable tensor model did not finish
-    # in five minutes; the modular sandwich pins every rank it needs
+    # the generic b_3 is convolved from the three factors' generic
+    # profiles, each pinned by its own modular sandwich
     code, payload = run_json(capsys, [
         "certify", "--preset", "product-surface", "--genus", "2,2,2",
         "--r", "3", "--strategy", "generic-rank"])
@@ -90,8 +90,10 @@ def test_certify_product_surface_by_generic_rank(capsys):
     assert fullness["method"] == "generic-rank"
     assert fullness["witness"]["generic_b3"] == 8
     route = fullness["witness"]["route"]
-    assert route["name"] == "modular-sandwich"
-    assert route["fallback_degrees"] == []
+    assert route["name"] == "kunneth" and len(route["factors"]) == 3
+    for factor in route["factors"]:
+        assert factor["name"] == "modular-sandwich"
+        assert factor["fallback_degrees"] == []
     assert "modular-rank-sandwich" in [c["id"] for c in payload["result"]["citations"]]
 
 

@@ -123,20 +123,28 @@ def product_model(factors):
 
 def test_is_full_vr_product_verdicts():
     full = is_full_vr_product(product_model([surface_group(2)] * 3), 3)
-    assert full.is_full and full.method == "kunneth-product"
+    assert full.is_full and full.method == "generic-rank"
+    assert full.witness["generic_b3"] == 8
+    assert full.witness["route"]["name"] == "kunneth"
     assert all(s["b_r"] >= 1 for s in full.witness["spot_checks"])
 
     f2_cubed = is_full_vr_product(product_model([free_group(2)] * 3), 3)
     assert f2_cubed.is_full
 
+    # a torus factor has generic profile zero, so the product's is zero
     mixed = is_full_vr_product(
         product_model([surface_group(2), surface_group(1)]), 2)
     assert not mixed.is_full
-    assert mixed.status == "not_concluded"
-    assert "factor 2" in mixed.reason
+    assert mixed.status == "not_full"
+    assert mixed.witness["generic_b2"] == 0
+
+    # r need not be the number of factors: S_2^3 has generic profile
+    # concentrated in degree 3
+    below = is_full_vr_product(product_model([surface_group(2)] * 3), 2)
+    assert below.status == "not_full" and below.witness["generic_b2"] == 0
 
     with pytest.raises(ValueError):
-        is_full_vr_product(product_model([surface_group(2)] * 3), 2)
+        is_full_vr_product(product_model([surface_group(2)] * 3), 0)
 
 
 def test_product_lower_bound_kunneth():

@@ -1,10 +1,11 @@
-"""A product's twisted Betti numbers and kernel homology come from its
-factors by Kunneth.
+"""A product's twisted Betti numbers, its fullness verdicts and its kernel
+homology come from its factors by Kunneth.
 
-``GroupModel.betti`` convolves the factors' profiles over a field, and
+``GroupModel.betti`` convolves the factors' profiles over a field, the
+generic one included, which decides every product fullness verdict, and
 ``GroupModel.kernel_homology`` applies the Kunneth formula over the PID
 Q[t, t^-1]; the tensor model stays as the oracle.  The CLI must reach
-either of them on a product only through its factor complexes.
+any of them on a product only through its factor complexes.
 """
 
 import json
@@ -15,10 +16,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from charvar.cli import main
-from charvar.complexes import kernel_homology_univariate, twisted_betti
+from charvar.complexes import (generic_ranks, kernel_homology_univariate,
+                               twisted_betti)
 from charvar.constructions import (build_model, complete_graph,
                                    direct_product, free_group, raag,
                                    surface_group)
+from charvar.errors import UnsupportedDegree
+from charvar.jumploci import is_full_vr_product
 from charvar.laurent import GENERIC, Character
 from charvar.parser import parse_presentation
 
@@ -87,6 +91,68 @@ def test_product_betti_numbers_come_from_factor_complexes(monkeypatch, argv):
                                     ("lmatrix", "generic_rank")], argv)
     ranked = [args[0] for args in calls["complexes.twisted_betti"]]
     assert ranked and all(cx == factor for cx in ranked)
+    assert calls["lmatrix.generic_rank"] == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(range(len(FACTORS))), min_size=2, max_size=3))
+def test_product_verdict_matches_the_tensor_model(choice):
+    model = build_model(direct_product([FACTORS[i] for i in choice]))
+    cx = model.complex
+    # the oracle: generic ranks of the tensor model itself
+    ranks, _ = generic_ranks(cx)
+    # TORSION is not aspherical, so its products have degree 1 only
+    top = 1 if FACTORS.index(TORSION) in choice else cx.top
+    for r in range(1, top + 1):
+        expected = cx.ranks[r] - ranks[r] - ranks[r + 1]
+        verdict = is_full_vr_product(model, r)
+        assert verdict.witness[f"generic_b{r}"] == expected, r
+        assert verdict.is_full == (expected >= 1), r
+        assert verdict.status == ("full" if expected else "not_full"), r
+    if top < cx.top:
+        with pytest.raises(UnsupportedDegree):
+            is_full_vr_product(model, 2)
+    else:
+        assert is_full_vr_product(model, top + 1).status == "not_concluded"
+
+
+@pytest.mark.parametrize("factors, r, status", [
+    ([surface_group(2), free_group(2), surface_group(1)], 3, "not_full"),
+    ([surface_group(2)] * 3, 2, "not_full"),
+    ([free_group(2)] * 3, 3, "full"),
+], ids=["S2xF2xS1-r3", "S2^3-r2", "F2^3-r3"])
+def test_product_verdicts_for_any_r_and_any_factors(factors, r, status):
+    verdict = is_full_vr_product(build_model(direct_product(factors)), r)
+    assert verdict.status == status
+    assert verdict.witness["route"]["name"] == "kunneth"
+
+
+def test_certify_with_a_torus_factor_fails_definitely(capsys):
+    # the torus factor has generic profile zero, so every generic Betti
+    # number of S_2^3 x S_1 is zero
+    code = main(["certify", "--preset", "product-surface", "--genus", "2,2,2,1",
+                 "--r", "4", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["status"] == "hypothesis-failed"
+    fullness = payload["result"]["evidence"]["fullness"]
+    assert fullness["status"] == "not_full"
+    assert fullness["witness"]["generic_b4"] == 0
+
+
+@pytest.mark.parametrize("argv, genus", [
+    (["certify", "--preset", "product-surface", "--genus", "2,2,2,2", "--r", "4",
+      "--strategy", "generic-rank"], (2, 2, 2, 2)),
+    (["jumploci", "--preset", "product-surface", "--genus", "2,3"], (2, 3)),
+    # two verdicts, in degrees 1 and 2, read one generic profile
+    (["jumploci", "--preset", "product-surface", "--genus", "2,2", "--r", "2"],
+     (2, 2)),
+], ids=["certify-S2^4", "jumploci-S2xS3", "jumploci-S2xS2-r2"])
+def test_product_verdicts_rank_factor_complexes_only(monkeypatch, argv, genus):
+    factors = [build_model(surface_group(g)).complex for g in genus]
+    calls = cli_calls(monkeypatch, [("complexes", "generic_ranks"),
+                                    ("lmatrix", "generic_rank")], argv)
+    # each factor once, in order, and never the tensor model
+    assert [args[0] for args in calls["complexes.generic_ranks"]] == factors
     assert calls["lmatrix.generic_rank"] == []
 
 

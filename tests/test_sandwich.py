@@ -39,6 +39,11 @@ CATALOG = {
 }
 
 
+def sparse(grid):
+    """The rows of a dense grid as {column: value} of their nonzero values."""
+    return [{j: x for j, x in enumerate(row) if x} for row in grid]
+
+
 def symbolic_ranks(cx):
     return (0, *(generic_rank(d) for d in cx.differentials), 0)
 
@@ -52,14 +57,14 @@ def test_modular_rank_matches_rational_rank():
         density = rng.random()
         m = [[rng.randint(-9, 9) if rng.random() < density else 0
               for _ in range(cols)] for _ in range(rows)]
-        assert modular_rank(m, SANDWICH_PRIME) == integer_rank(m)
+        assert modular_rank(sparse(m), cols, SANDWICH_PRIME) == integer_rank(m)
 
 
 def test_modular_rank_sees_the_prime():
-    assert modular_rank([[3]], 3) == 0
-    assert modular_rank([[1, 2], [2, 1]], 3) == 1  # determinant -3
-    assert modular_rank([[1, 2], [2, 1]], 5) == 2
-    assert modular_rank([], 7) == 0
+    assert modular_rank(sparse([[3]]), 1, 3) == 0
+    assert modular_rank(sparse([[1, 2], [2, 1]]), 2, 3) == 1  # determinant -3
+    assert modular_rank(sparse([[1, 2], [2, 1]]), 2, 5) == 2
+    assert modular_rank([], 0, 7) == 0
 
 
 def test_evaluate_mod_is_reduction_of_evaluate():
@@ -73,15 +78,15 @@ def test_evaluate_mod_is_reduction_of_evaluate():
         m = laurent_matrix(2, entries)
         point = (rng.randint(1, p - 1), rng.randint(1, p - 1))
         exact = m.evaluate(Character(point))
-        assert m.evaluate_mod(point, p) == [
-            [x.numerator * pow(x.denominator, -1, p) % p for x in row]
-            for row in exact]
+        assert m.evaluate_mod(point, p) == sparse(
+            [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
+             for row in exact])
 
 
 def test_evaluate_mod_refuses_a_denominator_divisible_by_p():
     m = laurent_matrix(1, [[LaurentPolynomial(1, {(1,): Fraction(1, 14)})]])
     assert m.evaluate_mod((3,), 7) is None
-    assert m.evaluate_mod((3,), 5) == [[3 * pow(14, -1, 5) % 5]]
+    assert m.evaluate_mod((3,), 5) == [{0: 3 * pow(14, -1, 5) % 5}]
     with pytest.raises(ValueError):
         m.evaluate_mod((7,), 7)
 
