@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .certify import certify_non_fp, generic_vanishing_probe, kernel_report_univariate
-from .complexes import DEFAULT_WINDOW_CEILING, window_homology
+from .complexes import DEFAULT_WINDOW_CEILING, check_window_size, window_homology
 from .constructions import (bestvina_brady, build_model, complete_graph,
                             cycle_graph, direct_product, edgeless_graph,
                             flag_complex, free_group, octahedron_graph,
@@ -403,8 +403,9 @@ def cmd_window(args):
     nu = resolve_nu(presentation, args.nu or default_nu or "ones")
     model = build_model(presentation)
     nubar = induced_on_free_part(nu, model.abelian)
-    pushed = model.complex.specialize(nubar)
-    report = window_homology(pushed, args.radius, ceiling=ceiling)
+    # refused before any complex is pushed or tensored
+    check_window_size(model.total_rank, len(nubar), args.radius, ceiling)
+    report = window_homology(model.pushed(nubar), args.radius, ceiling=ceiling)
     result = report.to_json_dict()
     result["group"] = presentation.tags.get("name", presentation.describe())
     return "ok", result

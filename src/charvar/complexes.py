@@ -10,9 +10,11 @@ module structure of the homology (free rank plus torsion) is computed by
 Smith normal form, which is exactly the rational homology of the kernel of
 the corresponding map onto Z.  A product's twisted Betti numbers, generic
 ones included, and its kernel homology are assembled from its factors' by
-``GroupModel.betti`` and ``GroupModel.kernel_homology``; its tensor
-complex, built from nonzero cells alone, serves only windows, which grow
-one echelon per degree.
+``GroupModel.betti`` and ``GroupModel.kernel_homology``.  Tensor products
+are built from nonzero cells alone: ``tensor_complex`` over the joint ring
+of the factors' variables, and ``tensor_in_ring`` over the ring both
+factors already share, which is how a product's window complex is made
+from its factors pushed to Z^m; windows grow one echelon per degree.
 """
 
 from __future__ import annotations
@@ -169,10 +171,28 @@ def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
     of the A-part drops, a d_B entry when it stays, so each differential is
     built as sparse rows straight from the factors' sparse columns and no
     zero cell is visited.  Trailing zero degrees are trimmed."""
+    return _tensor(a, b, padded=True)
+
+
+def tensor_in_ring(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
+    """The tensor product over the ring both factors live in, assembled as
+    by ``tensor_complex`` but with every entry kept as it is: no variable
+    is padded, so the result has the factors' variables, not their sum.
+    Over Z^m this is the tensor product of two factors pushed through their
+    blocks of a map onto Z^m, which is the product's complex pushed through
+    the whole map, since pushing is a ring map."""
+    if a.nvars != b.nvars:
+        raise ValueError(f"factors live in {a.nvars} and {b.nvars} variables")
+    return _tensor(a, b, padded=False)
+
+
+def _tensor(a: TwistedComplex, b: TwistedComplex, padded: bool) -> TwistedComplex:
+    """The one assembly behind ``tensor_complex`` (``padded``: the factors'
+    variables concatenate) and ``tensor_in_ring`` (they are shared)."""
     ma, mb = a.nvars, b.nvars
-    m = ma + mb
-    da = [_pad_entries(d, (), (0,) * mb, m) for d in a.differentials]
-    db = [_pad_entries(d, (0,) * ma, (), m) for d in b.differentials]
+    m, left, right = (ma + mb, (0,) * ma, (0,) * mb) if padded else (ma, (), ())
+    da = [_pad_entries(d, (), right, m) for d in a.differentials]
+    db = [_pad_entries(d, left, (), m) for d in b.differentials]
     # the d_B entries with the sign (-1)^p, by the parity of p
     db_signed = (db, [[{r: -e for r, e in col.items()} for col in d] for d in db])
 
@@ -216,9 +236,13 @@ def _pad_entries(d: LaurentMatrix, left: tuple, right: tuple,
                  nvars: int) -> list[dict[int, LaurentPolynomial]]:
     """The sparse columns of d, {row: entry}, each entry lifted to ``nvars``
     variables by the exponent vectors left + e + right; the lift is
-    injective on exponents, so no terms merge."""
+    injective on exponents, so no terms merge, and with nothing to pad the
+    entries are kept as they are."""
+    columns = d.transpose().sparse_rows
+    if not left and not right:
+        return list(columns)
     return [{r: _make(nvars, {left + e + right: c for e, c in p.terms.items()})
-             for r, p in col.items()} for col in d.transpose().sparse_rows]
+             for r, p in col.items()} for col in columns]
 
 
 SANDWICH_PRIME = 2 ** 31 - 1
@@ -350,6 +374,21 @@ class WindowReport:
                                for j, seq in enumerate(self.dimensions)}}
 
 
+def check_window_size(total_rank: int, nvars: int, radius: int, ceiling: int) -> None:
+    """Refuse a window before any of its work: windows up to ``radius`` of
+    the Z^nvars-cover of a complex whose chain ranks sum to ``total_rank``
+    have total_rank * (radius + 1)^nvars cells.  A product's sum is the
+    product of its factors' sums, so its window is checked before any
+    tensor complex is built."""
+    if nvars not in (1, 2):
+        raise ValueError("windows are supported for 1 or 2 variables")
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    total = total_rank * (radius + 1) ** nvars
+    if total > ceiling:
+        raise WindowTooLarge(total, ceiling)
+
+
 def window_homology(complex_: TwistedComplex, radius: int,
                     ceiling: int = DEFAULT_WINDOW_CEILING) -> WindowReport:
     """Homology of the subcomplexes spanned by the lattice translates in
@@ -364,6 +403,10 @@ def window_homology(complex_: TwistedComplex, radius: int,
     with nu = 1,0;0,1 has H_1 of dimension k^2), so such windows show
     growth only.
 
+    A product's window complex is ``GroupModel.pushed``: its factors, each
+    pushed through its block of the map, tensored over the window's own
+    ring, so no window reads the product's tensor model.
+
     The windows are nested and a kept cell's boundary does not depend on k,
     so each cell is visited once, for the least radius keeping it, and each
     degree grows one echelon (``intlinalg.reduce_row``) by the boundaries,
@@ -374,13 +417,7 @@ def window_homology(complex_: TwistedComplex, radius: int,
     no kept cell when v + e leaves the box.
     """
     m = complex_.nvars
-    if m not in (1, 2):
-        raise ValueError("windows are supported for 1 or 2 variables")
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    total = sum(complex_.ranks) * (radius + 1) ** m
-    if total > ceiling:
-        raise WindowTooLarge(total, ceiling)
+    check_window_size(sum(complex_.ranks), m, radius, ceiling)
     raw = [[[(r, e, c) for r, p in col.items() for e, c in p.terms.items()]
             for col in d.transpose().sparse_rows] for d in complex_.differentials]
     box = ExponentBox(m, {e for cols in raw for col in cols for _r, e, _c in col}

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, product as iproduct
+from math import prod
 
 from .complexes import (BettiProfile, KernelDegreeEntry, KernelHomologyReport,
                         TwistedComplex, kernel_homology_univariate,
-                        presentation_complex, tensor_complex, twisted_betti)
+                        presentation_complex, tensor_complex, tensor_in_ring,
+                        twisted_betti)
 from .errors import GenusTooSmall, InternalInconsistency, PresentationSyntaxError
 from .intlinalg import integer_rank
 from .laurent import GENERIC, Character, LaurentPolynomial
@@ -219,8 +221,8 @@ def direct_product(factors) -> Presentation:
     generators of distinct factors.  Homology computations never use this
     presentation's 2-complex: ``build_model`` keeps the factor models,
     twisted Betti numbers (generic ones included) and the kernel homology
-    over Q[t, t^-1] come from theirs by Kunneth, and the tensor product of
-    their chain models serves only windows."""
+    over Q[t, t^-1] come from theirs by Kunneth, and a window tensors their
+    chain models after pushing each to Z^m."""
     factors = tuple(factors)
     if len(factors) < 2:
         raise ValueError("a direct product needs at least two factors")
@@ -318,17 +320,59 @@ class GroupModel:
     in the factor's own coordinates, so a character of the product
     restricts to each factor by slicing.
 
-    A product's twisted Betti numbers (``betti``), generic ones included,
-    and its kernel homology over Q[t, t^-1] (``kernel_homology``) come from
-    its factors; its tensor complex serves only windows, and building it
-    checks d o d = 0 on the whole product (``TwistedComplex``).
+    ``built`` is the complex a model without factors is built with, and
+    None on a product.  A product's twisted Betti numbers (``betti``),
+    generic ones included, its kernel homology over Q[t, t^-1]
+    (``kernel_homology``) and its complex pushed to Z^m (``pushed``, which
+    windows read) come from its factors; its tensor complex is built only
+    when ``complex`` is first read.
     """
 
     presentation: Presentation
     abelian: AbelianData
-    complex: TwistedComplex
+    built: TwistedComplex | None
     aspherical: bool
     factors: tuple["GroupModel", ...] = ()
+
+    @cached_property
+    def complex(self) -> TwistedComplex:
+        """The chain complex: the one the model was built with, or on a
+        product the tensor product of the factors' complexes, folded left
+        to right on first read; building it checks d o d = 0 on every fold
+        (``TwistedComplex``)."""
+        if not self.factors:
+            return self.built
+        return reduce(tensor_complex, (f.complex for f in self.factors))
+
+    @property
+    def total_rank(self) -> int:
+        """The sum of the chain ranks; on a product the product of the
+        factors' sums, which the tensor complex's trimmed trailing zero
+        ranks leave unchanged, so it is read without building that
+        complex."""
+        if not self.factors:
+            return sum(self.complex.ranks)
+        return prod(f.total_rank for f in self.factors)
+
+    def pushed(self, nubar) -> TwistedComplex:
+        """The complex pushed through the ring map t^e -> s^(nubar e) of an
+        m x n integer matrix.  On a product, each factor is pushed through
+        its own column block and the results are tensored over the shared
+        m-variable ring (``tensor_in_ring``); pushing is a ring map, so
+        this is ``self.complex.specialize(nubar)`` without the product's
+        n-variable tensor complex, and every complex built on the way
+        checks d o d = 0."""
+        if not self.factors:
+            return self.complex.specialize(nubar)
+        return reduce(tensor_in_ring, (f.pushed(block) for f, block in self._blocks(nubar)))
+
+    def _blocks(self, nubar):
+        """Each factor with its own column block of ``nubar``."""
+        start = 0
+        for factor in self.factors:
+            width = factor.complex.nvars
+            yield factor, [row[start:start + width] for row in nubar]
+            start += width
 
     def betti(self, character: Character) -> BettiProfile:
         """Twisted Betti numbers at a rational character or at the generic
@@ -387,16 +431,13 @@ class GroupModel:
         for Lambda/(a) and Lambda/(b) both are Lambda/gcd(a, b), where
         Lambda = Lambda/(0) has no Tor."""
         if not self.factors:
-            return kernel_homology_univariate(self.complex.specialize(nubar))
+            return kernel_homology_univariate(self.pushed(nubar))
         zero = LaurentPolynomial.zero(1)
         # per degree, how many summands Lambda/(x) of each order x, with
         # x = 0 for Lambda itself
         summands = [Counter({zero: 1})]
-        start = 0
-        for factor in self.factors:
-            width = factor.complex.nvars
-            part = factor.kernel_homology([row[start:start + width] for row in nubar])
-            start += width
+        for factor, block in self._blocks(nubar):
+            part = factor.kernel_homology(block)
             folded = [Counter() for _ in range(len(summands) + len(part.entries))]
             for (p, a), e in iproduct(enumerate(summands), part.entries):
                 b = Counter(e.torsion_factors) + Counter({zero: e.free_rank})
@@ -441,27 +482,27 @@ def _invariant_factors(orders) -> tuple[LaurentPolynomial, ...]:
 
 
 def build_model(presentation: Presentation) -> GroupModel:
-    """The chain model: the tensor product of the factor models for a
-    catalog direct product, the clique cube complex for a right-angled Artin
-    group, and the presentation 2-complex otherwise.
+    """The chain model: the factor models for a catalog direct product, the
+    clique cube complex for a right-angled Artin group, and the
+    presentation 2-complex otherwise.
 
-    This is the only code that assembles a product.  Each factor model is
-    built once and kept in ``factors``.  The product's projection and
-    section are laid out block by block from the factors', which lines the
-    coordinates up with the variables of the tensor complex and agrees
-    with the Smith form of the product presentation up to a unimodular
-    change of coordinates.  Torsion invariants and free rank come from that
-    Smith form, and the factors' free ranks must add up to it.
+    This is the only code that assembles a product model.  Each factor
+    model is built once and kept in ``factors``; the product's tensor
+    complex is not built here but on the first read of
+    ``GroupModel.complex``.  The product's projection and section are laid
+    out block by block from the factors', which lines the coordinates up
+    with the factors' variables, in order, and agrees with the Smith form
+    of the product presentation up to a unimodular change of coordinates.
+    Torsion invariants and free rank come from that Smith form, and the
+    factors' free ranks must add up to it.
     """
     tags = presentation.tags
     abelian = abelianize(presentation)
     factors = ()
+    cx = None
     if "factors" in tags:
         factors = tuple(build_model(f) for f in tags["factors"])
         abelian = _blockwise(abelian, factors)
-        cx = factors[0].complex
-        for part in factors[1:]:
-            cx = tensor_complex(cx, part.complex)
     elif "graph" in tags:
         cx = raag_chain_model(tags["graph"])
     else:

@@ -176,8 +176,8 @@ def test_specialize_commutes_with_evaluation():
 
 
 def test_the_product_routes_read_no_dense_grid(monkeypatch):
-    # building S_2^3, its kernel homology, the pushed complex and a window
-    # all run on sparse rows alone
+    # building S_2^3, its kernel homology, the pushed complex by both
+    # routes and a window on each all run on sparse rows alone
     reads = []
     dense = LaurentMatrix.entries
     monkeypatch.setattr(LaurentMatrix, "entries",
@@ -186,6 +186,7 @@ def test_the_product_routes_read_no_dense_grid(monkeypatch):
     ones = [[1] * model.complex.nvars]
     model.kernel_homology(ones)
     window_homology(model.complex.specialize(ones), 3)
+    window_homology(model.pushed(ones), 3)
     assert reads == []
     # the counter sees a dense read when one is made
     laurent_matrix(1, [[LaurentPolynomial.one(1)]]).entries

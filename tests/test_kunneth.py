@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from charvar.cli import main
+from charvar.cli import main, resolve_nu
 from charvar.complexes import (generic_ranks, kernel_homology_univariate,
                                twisted_betti)
 from charvar.constructions import (build_model, complete_graph,
@@ -25,6 +25,7 @@ from charvar.errors import UnsupportedDegree
 from charvar.jumploci import is_full_vr_product
 from charvar.laurent import GENERIC, Character
 from charvar.parser import parse_presentation
+from charvar.presentations import induced_on_free_part
 
 from conftest import cli_calls
 
@@ -194,6 +195,30 @@ def test_kunneth_kernel_homology_matches_the_tensor_model(choice, seed):
     got = model.kernel_homology(nubar)
     expected = kernel_homology_univariate(model.complex.specialize(nubar))
     assert got.to_json_dict() == expected.to_json_dict()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(range(len(POOL))), min_size=2, max_size=3),
+       st.integers(1, 2), st.integers(0, 2 ** 32))
+def test_pushed_product_matches_the_pushed_tensor_model(choice, m, seed):
+    # tensoring the pushed factors in the shared ring against the old
+    # route, the tensor model pushed through the whole map
+    model = build_model(direct_product([POOL[i] for i in choice]))
+    rng = random.Random(seed)
+    nubar = [[x for f in model.factors for x in seeded_block(rng, f.complex.nvars)]
+             for _ in range(m)]
+    assert model.pushed(nubar) == model.complex.specialize(nubar)
+
+
+@pytest.mark.parametrize("spec", ["1;1;0;1;1;-1;0;-1;0;1;1;1", "pencil"],
+                         ids=["kernel-workload-nu", "pencil-nu"])
+def test_pushed_s2_cubed_matches_the_pushed_tensor_model(spec):
+    presentation = direct_product([surface_group(2)] * 3)
+    model = build_model(presentation)
+    nubar = induced_on_free_part(resolve_nu(presentation, spec), model.abelian)
+    pushed = model.pushed(nubar)
+    assert pushed.nvars == len(nubar) == (2 if spec == "pencil" else 1)
+    assert pushed == model.complex.specialize(nubar)
 
 
 @pytest.mark.parametrize("choice, nubar, torsion", [

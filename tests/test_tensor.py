@@ -1,6 +1,6 @@
 """The tensor product of chain models equals the textbook lift-and-add
 assembly of ``tensor_oracle``, and the d o d = 0 check of every assembled
-complex still catches a broken assembly."""
+complex still catches a broken assembly, padded or in a shared ring."""
 
 from fractions import Fraction
 
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import charvar.complexes
-import charvar.constructions
 from charvar.complexes import TwistedComplex, tensor_complex
 from charvar.constructions import (build_model, complete_graph, direct_product,
                                    free_group, raag, surface_group)
@@ -49,31 +48,72 @@ def test_tensor_complex_matches_the_oracle(choice):
         assert shipped == oracle
 
 
-def test_dropped_koszul_sign_is_caught(monkeypatch):
-    # without (-1)^p on the d_B term the cross terms d_A (x) d_B add up
-    # instead of cancelling; negation is neutered only inside the build
-    real = charvar.complexes.tensor_complex
+S1_SQUARED = direct_product([surface_group(1)] * 2)
 
-    def unsigned(a, b):
+
+def padded():
+    """The product's tensor model over the joint ring."""
+    return build_model(S1_SQUARED).complex
+
+
+def shared_ring():
+    """The factors pushed to Z by a map nonzero on every generator, then
+    tensored in that ring."""
+    return build_model(S1_SQUARED).pushed([[1, 1, 1, 1]])
+
+
+def unsigned_assembly(monkeypatch):
+    # without (-1)^p on the d_B term the cross terms d_A (x) d_B add up
+    # instead of cancelling; negation is neutered only inside the assembly
+    real = charvar.complexes._tensor
+
+    def unsigned(a, b, padded):
         with monkeypatch.context() as m:
             m.setattr(LaurentPolynomial, "__neg__", lambda p: p)
-            return real(a, b)
+            return real(a, b, padded)
 
-    monkeypatch.setattr(charvar.constructions, "tensor_complex", unsigned)
-    with pytest.raises(InternalInconsistency, match="is nonzero"):
-        build_model(direct_product([surface_group(1)] * 2))
+    monkeypatch.setattr(charvar.complexes, "_tensor", unsigned)
 
 
-def test_dropped_d_a_entry_is_caught(monkeypatch):
+def dropped_d_a_entry(monkeypatch):
     real = charvar.complexes._pad_entries
+    asked = []
 
     def drop_first(d, left, right, nvars):
         columns = real(d, left, right, nvars)
-        if right and d.rows == 1:
-            # the first entry of the first factor's d_1
+        if not asked:
+            # the first columns asked for are the first factor's d_1
             columns[0][0] = LaurentPolynomial.zero(nvars)
+        asked.append(d)
         return columns
 
     monkeypatch.setattr(charvar.complexes, "_pad_entries", drop_first)
+
+
+def test_dropped_koszul_sign_is_caught(monkeypatch):
+    unsigned_assembly(monkeypatch)
     with pytest.raises(InternalInconsistency, match="is nonzero"):
-        build_model(direct_product([surface_group(1)] * 2))
+        padded()
+
+
+def test_dropped_koszul_sign_is_caught_in_a_shared_ring(monkeypatch):
+    unsigned_assembly(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="is nonzero"):
+        shared_ring()
+
+
+def test_dropped_d_a_entry_is_caught(monkeypatch):
+    dropped_d_a_entry(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="is nonzero"):
+        padded()
+
+
+def test_dropped_d_a_entry_is_caught_in_a_shared_ring(monkeypatch):
+    dropped_d_a_entry(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="is nonzero"):
+        shared_ring()
+
+
+def test_unbroken_assemblies_build():
+    assert padded().nvars == 4
+    assert shared_ring().nvars == 1

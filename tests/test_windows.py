@@ -1,6 +1,11 @@
+import contextlib
+import io
+import json
+
 import pytest
 
-from charvar.complexes import kernel_homology_univariate, window_homology
+from charvar.cli import main
+from charvar.complexes import TwistedComplex, kernel_homology_univariate, window_homology
 from charvar.constructions import build_model, direct_product, free_group, surface_group
 from charvar.errors import WindowTooLarge
 from charvar.presentations import induced_on_free_part, validate_epimorphism
@@ -84,3 +89,40 @@ def test_window_two_variables():
 def test_window_memory_ceiling():
     with pytest.raises(WindowTooLarge):
         window_homology(bb_f2xf2(), 6, ceiling=10)
+
+
+def built_variable_counts(monkeypatch, argv):
+    """Run the CLI and return its exit code, its JSON result and the
+    variable count of every TwistedComplex it constructed, in order."""
+    counts = []
+    check = TwistedComplex.__post_init__
+
+    def recording(cx):
+        counts.append(cx.nvars)
+        check(cx)
+
+    monkeypatch.setattr(TwistedComplex, "__post_init__", recording)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--json"])
+    return code, json.loads(out.getvalue())["result"], counts
+
+
+def test_a_product_window_never_builds_the_tensor_model(monkeypatch):
+    code, _, counts = built_variable_counts(monkeypatch, [
+        "window", "--preset", "product-surface", "--genus", "2,2,2",
+        "--nu", "ones", "--radius", "3"])
+    assert code == 0
+    # the three factor models; everything else lives in the window's ring
+    assert sorted(n for n in counts if n > 1) == [4, 4, 4]
+    assert any(n == 1 for n in counts)
+
+
+def test_a_product_window_is_refused_before_any_push(monkeypatch):
+    # 6^6 cells of S_2^6 at each of the 2 translates
+    code, result, counts = built_variable_counts(monkeypatch, [
+        "window", "--preset", "product-surface", "--genus", "2,2,2,2,2,2",
+        "--nu", "ones", "--radius", "1", "--window-ceiling", "1000"])
+    assert code == 1 and result["error"]["code"] == "window-too-large"
+    assert result["error"]["message"] == "window needs 93312 cells, ceiling is 1000"
+    assert counts == [4] * 6
