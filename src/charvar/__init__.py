@@ -29,7 +29,7 @@ from .constructions import (BestvinaBradyData, Graph, GroupModel, PencilData,
                             flag_complex, free_group, octahedron_graph,
                             parse_graph_text, pencil_numerology,
                             punctured_surface_group, raag, raag_chain_model,
-                            raag_complex, reduced_homology, surface_group)
+                            reduced_homology, surface_group)
 from .jumploci import (FullnessVerdict, V1Ideal, generic_rank_verdict,
                        is_full_v1, is_full_vr_product, v1_ideal)
 from .certify import (Certificate, KernelReport, ProbeReport, certify_non_fp,

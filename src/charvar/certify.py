@@ -197,16 +197,16 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
         raise ValueError("need at least one trial")
     nu = validate_epimorphism(presentation, nu.images)
     model = build_model(presentation)
-    if r > model.complex.top:
+    if r > model.top:
         raise UnsupportedDegree(f"degree r={r} outside the chain model "
-                                f"(top {model.complex.top})")
+                                f"(top {model.top})")
     nubar = induced_on_free_part(nu, model.abelian)
     rng = random.Random(seed)
     samples = []
     vanishing = 0
     for trial in range(trials):
         rho = sample_character(rng, nu.target_rank, box_for_trial(trial))
-        pulled = pullback_character(nubar, rho, model.complex.nvars)
+        pulled = pullback_character(nubar, rho, model.nvars)
         betti = model.betti(pulled).betti[:r + 1]
         is_zero = all(b == 0 for b in betti)
         vanishing += is_zero
@@ -253,5 +253,5 @@ def kernel_report_univariate(presentation: Presentation, nu: EpimorphismToZm,
              "group homology in degrees <= 1; degree 2 is homology of the "
              "presentation 2-complex")
     return KernelReport(homology=homology,
-                        top_degree=min(top_degree, model.complex.top),
+                        top_degree=min(top_degree, model.top),
                         degree2_scope=scope)

@@ -24,8 +24,7 @@ from .constructions import (bestvina_brady, build_model, complete_graph,
                             cycle_graph, direct_product, edgeless_graph,
                             flag_complex, free_group, octahedron_graph,
                             parse_graph_text, pencil_numerology, raag,
-                            raag_chain_model, raag_complex, reduced_homology,
-                            surface_group)
+                            reduced_homology, surface_group)
 from .covers import finite_cover_oracle
 from .errors import CharvarError, TooManyMinors
 from .fox import alexander_matrix
@@ -307,14 +306,14 @@ def _scope_note(model) -> str:
 def cmd_betti(args):
     presentation, _ = resolve_group(args)
     model = build_model(presentation)
-    rho = parse_character(args.char, model.complex.nvars)
+    rho = parse_character(args.char, model.nvars)
     profile = model.betti(rho)
     result = {
         "group": presentation.tags.get("name", presentation.describe()),
         "character": rho.describe(),
         "betti": list(profile.betti),
         "euler": profile.alternating_sum(),
-        "ranks": list(model.complex.ranks),
+        "ranks": list(model.ranks),
         "scope": _scope_note(model),
     }
     if model.abelian.torsion_invariants:
@@ -404,7 +403,7 @@ def cmd_window(args):
     model = build_model(presentation)
     nubar = induced_on_free_part(nu, model.abelian)
     # refused before any complex is pushed or tensored
-    check_window_size(model.total_rank, len(nubar), args.radius, ceiling)
+    check_window_size(sum(model.ranks), len(nubar), args.radius, ceiling)
     report = window_homology(model.pushed(nubar), args.radius, ceiling=ceiling)
     result = report.to_json_dict()
     result["group"] = presentation.tags.get("name", presentation.describe())
@@ -423,12 +422,12 @@ def cmd_oracle(args):
 def cmd_raag(args):
     graph = resolve_graph(args)
     presentation = raag(graph)
-    model = raag_chain_model(graph)
     return "ok", {
         "generators": list(presentation.generators),
         "relators": [r.to_text(presentation.generators)
                      for r in presentation.relators],
-        "cube_complex_ranks": list(model.ranks),
+        # the clique cube complex has one cell per clique
+        "cube_complex_ranks": [len(g) for g in graph.cliques()],
         "connected": graph.is_connected(),
     }
 
@@ -436,7 +435,6 @@ def cmd_raag(args):
 def cmd_bb(args):
     graph = resolve_graph(args)
     data = bestvina_brady(graph)
-    cx = raag_complex(graph)
     return "ok", {
         "generators": list(data.presentation.generators),
         "relators": [r.to_text(data.presentation.generators)
@@ -444,7 +442,7 @@ def cmd_bb(args):
         "nu": {"target_rank": 1,
                "images": [list(v) for v in data.nu.images]},
         "connected": data.connected,
-        "complex_ranks": list(cx.ranks),
+        "complex_ranks": [len(g) for g in graph.cliques()],
     }
 
 

@@ -8,13 +8,13 @@ never builds a product matrix.  Evaluating at a character gives
 twisted Betti numbers; for one variable the ring is a PID and the full
 module structure of the homology (free rank plus torsion) is computed by
 Smith normal form, which is exactly the rational homology of the kernel of
-the corresponding map onto Z.  A product's twisted Betti numbers, generic
-ones included, and its kernel homology are assembled from its factors' by
-``GroupModel.betti`` and ``GroupModel.kernel_homology``.  Tensor products
-are built from nonzero cells alone: ``tensor_complex`` over the joint ring
-of the factors' variables, and ``tensor_in_ring`` over the ring both
-factors already share, which is how a product's window complex is made
-from its factors pushed to Z^m; windows grow one echelon per degree.
+the corresponding map onto Z.  A product's shape, twisted Betti numbers
+and kernel homology come from its factors' (``GroupModel.ranks``, ``betti``
+and ``kernel_homology``).  Tensor products are built from nonzero cells
+alone: ``tensor_in_ring`` over the ring both factors already share, which
+is how a product's window complex is made from its factors pushed to Z^m,
+and ``tensor_complex`` over the joint ring, which only the spot checks of a
+full product verdict read.  Windows grow one echelon per degree.
 """
 
 from __future__ import annotations
@@ -81,13 +81,6 @@ class TwistedComplex:
             len(matrix), self.ranks,
             tuple(d.substitute_exponents(matrix) for d in self.differentials))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "variables": self.nvars,
-            "ranks": list(self.ranks),
-            "differentials": [d.to_text_rows() for d in self.differentials],
-        }
-
 
 @dataclass(frozen=True)
 class BettiProfile:
@@ -121,9 +114,6 @@ class KernelHomologyReport:
     this is the homology of the kernel subgroup, degree by degree."""
 
     entries: tuple[KernelDegreeEntry, ...]
-
-    def degree(self, j: int) -> KernelDegreeEntry:
-        return self.entries[j]
 
     def to_json_dict(self) -> dict:
         return {
@@ -377,9 +367,10 @@ class WindowReport:
 def check_window_size(total_rank: int, nvars: int, radius: int, ceiling: int) -> None:
     """Refuse a window before any of its work: windows up to ``radius`` of
     the Z^nvars-cover of a complex whose chain ranks sum to ``total_rank``
-    have total_rank * (radius + 1)^nvars cells.  A product's sum is the
-    product of its factors' sums, so its window is checked before any
-    tensor complex is built."""
+    have total_rank * (radius + 1)^nvars cells.  A product's chain ranks
+    come from its factors (``GroupModel.ranks``), not from its tensor model,
+    which only the spot checks of a full verdict read, so its window is
+    checked before any complex is pushed or tensored."""
     if nvars not in (1, 2):
         raise ValueError("windows are supported for 1 or 2 variables")
     if radius < 1:

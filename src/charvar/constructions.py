@@ -14,14 +14,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations, product as iproduct
-from math import prod
 
 from .complexes import (BettiProfile, KernelDegreeEntry, KernelHomologyReport,
                         TwistedComplex, kernel_homology_univariate,
                         presentation_complex, tensor_complex, tensor_in_ring,
                         twisted_betti)
 from .errors import GenusTooSmall, InternalInconsistency, PresentationSyntaxError
-from .intlinalg import integer_rank
+from .intlinalg import reduce_row
 from .laurent import GENERIC, Character, LaurentPolynomial
 from .lmatrix import LaurentMatrix, univariate_divmod, univariate_gcd
 from .presentations import AbelianData, EpimorphismToZm, Presentation, abelianize
@@ -153,8 +152,9 @@ def flag_complex(graph: Graph) -> SimplicialComplex:
 
 
 def reduced_homology(complex_: SimplicialComplex) -> tuple[int, ...]:
-    """Reduced rational Betti numbers by boundary-matrix ranks, with the
-    empty simplex providing the augmentation."""
+    """Reduced rational Betti numbers by boundary ranks, with the empty
+    simplex providing the augmentation; each simplex's boundary is one
+    sparse row reduced by ``intlinalg.reduce_row``."""
     by_dim = complex_.simplices()
     if not by_dim:
         return ()
@@ -163,13 +163,10 @@ def reduced_homology(complex_: SimplicialComplex) -> tuple[int, ...]:
     # augmentation: every vertex maps to the empty simplex
     ranks[0] = 1 if by_dim[0] else 0
     for d in range(1, len(by_dim)):
-        rows, cols = len(by_dim[d - 1]), len(by_dim[d])
-        grid = [[0] * cols for _ in range(rows)]
-        for j, simplex in enumerate(by_dim[d]):
-            for i in range(len(simplex)):
-                face = simplex[:i] + simplex[i + 1:]
-                grid[index[d - 1][face]][j] = -1 if i % 2 else 1
-        ranks[d] = integer_rank(grid)
+        pivots: dict[int, dict[int, int]] = {}
+        ranks[d] = sum(reduce_row(pivots, {
+            index[d - 1][simplex[:i] + simplex[i + 1:]]: -1 if i % 2 else 1
+            for i in range(len(simplex))}) for simplex in by_dim[d])
     return tuple(len(by_dim[d]) - ranks[d] - ranks[d + 1]
                  for d in range(len(by_dim)))
 
@@ -219,10 +216,11 @@ def free_group(rank: int) -> Presentation:
 def direct_product(factors) -> Presentation:
     """Union of the factor presentations plus commutators between
     generators of distinct factors.  Homology computations never use this
-    presentation's 2-complex: ``build_model`` keeps the factor models,
-    twisted Betti numbers (generic ones included) and the kernel homology
-    over Q[t, t^-1] come from theirs by Kunneth, and a window tensors their
-    chain models after pushing each to Z^m."""
+    presentation's 2-complex: ``build_model`` keeps the factor models, the
+    product's shape, twisted Betti numbers and kernel homology over
+    Q[t, t^-1] come from theirs, and a window tensors their chain models
+    after pushing each to Z^m.  Only the spot checks of a full verdict read
+    the product's tensor model."""
     factors = tuple(factors)
     if len(factors) < 2:
         raise ValueError("a direct product needs at least two factors")
@@ -298,13 +296,6 @@ def raag_chain_model(graph: Graph) -> TwistedComplex:
     return TwistedComplex(m, ranks, tuple(diffs))
 
 
-def raag_complex(graph: Graph) -> TwistedComplex:
-    """The chain model pushed through the all-ones map to Z: rank in
-    degree k equals the number of k-cliques, entries live in one variable."""
-    ones = [[1] * graph.nverts]
-    return raag_chain_model(graph).specialize(ones)
-
-
 # -- chain models ---------------------------------------------------------------
 
 
@@ -321,11 +312,12 @@ class GroupModel:
     restricts to each factor by slicing.
 
     ``built`` is the complex a model without factors is built with, and
-    None on a product.  A product's twisted Betti numbers (``betti``),
-    generic ones included, its kernel homology over Q[t, t^-1]
-    (``kernel_homology``) and its complex pushed to Z^m (``pushed``, which
-    windows read) come from its factors; its tensor complex is built only
-    when ``complex`` is first read.
+    None on a product.  A product's shape (``nvars``, ``ranks``, ``top``),
+    its twisted Betti numbers (``betti``), its kernel homology over
+    Q[t, t^-1] (``kernel_homology``) and its complex pushed to Z^m
+    (``pushed``) come from its factors; its tensor complex is built only
+    when ``complex`` is first read, which only the spot checks of
+    ``jumploci.is_full_vr_product`` do.
     """
 
     presentation: Presentation
@@ -345,14 +337,26 @@ class GroupModel:
         return reduce(tensor_complex, (f.complex for f in self.factors))
 
     @property
-    def total_rank(self) -> int:
-        """The sum of the chain ranks; on a product the product of the
-        factors' sums, which the tensor complex's trimmed trailing zero
-        ranks leave unchanged, so it is read without building that
-        complex."""
+    def nvars(self) -> int:
+        """Character coordinates; a product concatenates its factors'."""
         if not self.factors:
-            return sum(self.complex.ranks)
-        return prod(f.total_rank for f in self.factors)
+            return self.built.nvars
+        return sum(f.nvars for f in self.factors)
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """Chain ranks; on a product the convolution of the factors', with
+        trailing zeros trimmed as by ``tensor_complex`` (F_0 has (1, 0, 0))."""
+        if not self.factors:
+            return self.built.ranks
+        ranks = reduce(_convolve, (f.ranks for f in self.factors))
+        while ranks[-1] == 0:
+            ranks.pop()
+        return tuple(ranks)
+
+    @property
+    def top(self) -> int:
+        return len(self.ranks) - 1
 
     def pushed(self, nubar) -> TwistedComplex:
         """The complex pushed through the ring map t^e -> s^(nubar e) of an
@@ -370,7 +374,7 @@ class GroupModel:
         """Each factor with its own column block of ``nubar``."""
         start = 0
         for factor in self.factors:
-            width = factor.complex.nvars
+            width = factor.nvars
             yield factor, [row[start:start + width] for row in nubar]
             start += width
 
@@ -401,26 +405,22 @@ class GroupModel:
     def _convolved(self, character: Character) -> BettiProfile:
         if not self.factors:
             return twisted_betti(self.complex, character)
-        if not character.is_generic and len(character.coords) != self.complex.nvars:
-            raise ValueError(f"character needs {self.complex.nvars} coordinates, "
+        if not character.is_generic and len(character.coords) != self.nvars:
+            raise ValueError(f"character needs {self.nvars} coordinates, "
                              f"got {len(character.coords)}")
         profile = [1]
         routes = []
         start = 0
         for factor in self.factors:
-            width = factor.complex.nvars
+            width = factor.nvars
             part = character if character.is_generic else Character(
                 character.coords[start:start + width])
             start += width
             factor_profile = factor.betti(part)
             routes.append(factor_profile.route)
-            convolved = [0] * (len(profile) + len(factor_profile.betti) - 1)
-            for i, x in enumerate(profile):
-                for j, y in enumerate(factor_profile.betti):
-                    convolved[i + j] += x * y
-            profile = convolved
+            profile = _convolve(profile, factor_profile.betti)
         route = {"name": "kunneth", "factors": routes} if character.is_generic else None
-        return BettiProfile(tuple(profile[:self.complex.top + 1]), character, route)
+        return BettiProfile(tuple(profile[:self.top + 1]), character, route)
 
     def kernel_homology(self, nubar) -> KernelHomologyReport:
         """The homology of the complex pushed through ``nubar`` (a map onto
@@ -448,12 +448,22 @@ class GroupModel:
                         folded[p + e.degree + 1][g] += kx * ky
             summands = folded
         entries = []
-        for n, cyclic in enumerate(summands[:self.complex.top + 1]):
+        for n, cyclic in enumerate(summands[:self.top + 1]):
             free_rank = cyclic.pop(zero, 0)
             chain = _invariant_factors(cyclic.elements())
             entries.append(KernelDegreeEntry(
                 n, free_rank, chain, sum(f.degree_span(0) for f in chain)))
         return KernelHomologyReport(tuple(entries))
+
+
+def _convolve(a, b) -> list[int]:
+    """The product of two coefficient lists: chain ranks of a tensor
+    product, and by Kunneth over a field its Betti numbers."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _invariant_factors(orders) -> tuple[LaurentPolynomial, ...]:
@@ -487,14 +497,15 @@ def build_model(presentation: Presentation) -> GroupModel:
     presentation 2-complex otherwise.
 
     This is the only code that assembles a product model.  Each factor
-    model is built once and kept in ``factors``; the product's tensor
-    complex is not built here but on the first read of
-    ``GroupModel.complex``.  The product's projection and section are laid
-    out block by block from the factors', which lines the coordinates up
-    with the factors' variables, in order, and agrees with the Smith form
-    of the product presentation up to a unimodular change of coordinates.
-    Torsion invariants and free rank come from that Smith form, and the
-    factors' free ranks must add up to it.
+    model is built once and kept in ``factors``, and the product's shape
+    comes from theirs; its tensor complex is built only on the first read
+    of ``GroupModel.complex``, by the spot checks of a full verdict.  The
+    product's projection and section are laid out block by block from the
+    factors', which lines the coordinates up with the factors' variables,
+    in order, and agrees with the Smith form of the product presentation up
+    to a unimodular change of coordinates.  Torsion invariants and free
+    rank come from that Smith form, and the factors' free ranks must add up
+    to it.
     """
     tags = presentation.tags
     abelian = abelianize(presentation)

@@ -12,10 +12,11 @@ neighbouring ranks, and a rank the two bounds do not pin is computed by
 exact symbolic elimination.  On a product, the generic Betti numbers are
 the convolution of the factors' (Kunneth over the field of rational
 functions, ``GroupModel.betti``), each factor decided by its own sandwich,
-so no verdict ranks the product's tensor complex.  The route is recorded
-in the witness.  The trivial character and the order-2 character are
-checked explicitly in every verdict, their Betti numbers convolved from
-the factors' on a product.
+and its shape comes from the factors too, so no verdict reads the
+product's tensor complex; only the spot checks of a full verdict build it.
+The route is recorded in the witness.  The trivial character and the
+order-2 character are checked explicitly in every verdict, their Betti
+numbers convolved from the factors' on a product.
 """
 
 from __future__ import annotations
@@ -128,10 +129,10 @@ def generic_betti_in_degree(model: GroupModel, degree: int) -> tuple[int, dict]:
     "kunneth" record of the factors' routes.  Otherwise only the two
     adjacent ranks are asked of ``generic_ranks``, so a rank the modular
     sandwich leaves open elsewhere never reaches symbolic elimination."""
-    complex_ = model.complex
     if model.factors:
         profile = model.betti(GENERIC)
         return profile.betti[degree], profile.route
+    complex_ = model.complex
     adjacent = [j for j in (degree, degree + 1) if 1 <= j <= complex_.top]
     ranks, route = generic_ranks(complex_, adjacent)
     return complex_.ranks[degree] - ranks[degree] - ranks[degree + 1], route
@@ -140,7 +141,7 @@ def generic_betti_in_degree(model: GroupModel, degree: int) -> tuple[int, dict]:
 def _special_point_checks(model: GroupModel, degree: int) -> list[dict]:
     """Betti numbers in the target degree at the trivial character and the
     order-2 character with every coordinate -1."""
-    nvars = model.complex.nvars
+    nvars = model.nvars
     points = [("trivial", Character.trivial(nvars))]
     if nvars:
         points.append(("order2-all-minus", Character((-1,) * nvars)))
@@ -176,10 +177,10 @@ def generic_rank_verdict(model: GroupModel, r: int) -> FullnessVerdict:
         raise UnsupportedDegree(
             "degree >= 2 fullness needs an aspherical chain model; "
             "only catalog groups carry that certainty")
-    if r > model.complex.top:
+    if r > model.top:
         return FullnessVerdict(
             False, "not_concluded", "generic-rank",
-            reason=f"chain model stops in degree {model.complex.top} < r={r}")
+            reason=f"chain model stops in degree {model.top} < r={r}")
     generic_b, route = generic_betti_in_degree(model, r)
     specials = _special_point_checks(model, r)
     witness = {f"generic_b{r}": generic_b, "special_points": specials,

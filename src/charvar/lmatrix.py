@@ -471,22 +471,16 @@ class SmithFormUnivariate:
     """Invariant factors of a matrix over Q[t, t^-1].
 
     The matrix is read as a module presentation: ``cols`` generators subject
-    to ``rows`` relations, so the cokernel is Lambda^free_rank plus one
+    to ``rows`` relations, so the cokernel is Lambda^(cols - rank) plus one
     torsion summand Lambda/(f) per invariant factor f.  Invariant factors
     are monic with nonzero constant term and form a divisibility chain.
     """
 
     invariant_factors: tuple[LaurentPolynomial, ...]
-    free_rank: int
 
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
-
-    @property
-    def torsion_dimension(self) -> int:
-        """Q-dimension of the torsion part: sum of factor degree spans."""
-        return sum(f.degree_span(0) for f in self.invariant_factors)
 
     def nontrivial_factors(self) -> tuple[LaurentPolynomial, ...]:
         return tuple(f for f in self.invariant_factors if not f.is_unit())
@@ -497,4 +491,4 @@ def smith_univariate(matrix: LaurentMatrix) -> SmithFormUnivariate:
         raise NotUnivariate(f"matrix has {matrix.nvars} variables")
     d, *_ = _smith_form(_dense_rows(matrix), LAURENT_UNIVARIATE, transforms=False)
     factors = tuple(d[i][i] for i in range(min(matrix.rows, matrix.cols)) if d[i][i])
-    return SmithFormUnivariate(factors, matrix.cols - len(factors))
+    return SmithFormUnivariate(factors)

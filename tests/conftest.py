@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import charvar.cli
 from charvar.complexes import TwistedComplex
+from charvar.constructions import build_model, raag
 from charvar.laurent import LaurentPolynomial
 from charvar.lmatrix import LaurentMatrix
 from charvar.words import Word
@@ -59,6 +60,12 @@ def scaled(cx: TwistedComplex, factors) -> TwistedComplex:
         for d, s in zip(cx.differentials, scale)))
 
 
+def all_ones_complex(graph) -> TwistedComplex:
+    """The clique cube complex of the graph's Artin group pushed through
+    the map sending every generator to 1 in Z."""
+    return build_model(raag(graph)).pushed([[1] * graph.nverts])
+
+
 def monic_univariate(p: LaurentPolynomial) -> LaurentPolynomial:
     """For one variable: the monic polynomial with nonzero constant term
     that generates the same ideal as p."""
@@ -70,10 +77,10 @@ def monic_univariate(p: LaurentPolynomial) -> LaurentPolynomial:
     return shifted.scale(Fraction(1, lead))
 
 
-def cli_calls(monkeypatch, functions, argv):
-    """Run the CLI with every module binding of each (module, name) in
-    ``functions`` wrapped by a recorder, and return the positional
-    arguments of every call, per function."""
+def record_calls(monkeypatch, functions):
+    """Wrap every module binding of each (module, name) in ``functions`` by
+    a recorder, and return the positional arguments of every later call,
+    per function."""
     calls = {}
     modules = [m for name, m in sorted(sys.modules.items())
                if name == "charvar" or name.startswith("charvar.")]
@@ -90,6 +97,12 @@ def cli_calls(monkeypatch, functions, argv):
             for name, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, name, recorder)
+    return calls
+
+
+def cli_calls(monkeypatch, functions, argv):
+    """The calls of ``record_calls`` made by one CLI run that succeeds."""
+    calls = record_calls(monkeypatch, functions)
     with contextlib.redirect_stdout(io.StringIO()):
         assert charvar.cli.main(argv + ["--json"]) == 0
     return calls

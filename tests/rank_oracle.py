@@ -10,6 +10,10 @@ two ranks on any matrix.
 one sparse echelon per degree across the radii: here every radius is
 computed from scratch, its kept cells found by set membership and each
 restricted differential ranked as a dense grid.
+
+``reduced_homology`` is the reference for the shipped flag-complex
+homology, which reduces each simplex's boundary as a sparse row: here each
+boundary matrix is filled in as a dense grid and ranked by Bareiss.
 """
 
 from fractions import Fraction
@@ -102,3 +106,23 @@ def _window_rank(columns, cols, rows):
         for r, e, coeff in columns[i]:
             grid[row_index[(r, tuple(map(add, v, e)))]][cidx] += coeff
     return rational_rank(grid)
+
+
+def reduced_homology(complex_) -> tuple[int, ...]:
+    """Reduced rational Betti numbers from dense boundary matrices, with
+    the empty simplex providing the augmentation."""
+    by_dim = complex_.simplices()
+    if not by_dim:
+        return ()
+    index = [{s: i for i, s in enumerate(group)} for group in by_dim]
+    ranks = [0] * (len(by_dim) + 1)
+    ranks[0] = 1 if by_dim[0] else 0
+    for d in range(1, len(by_dim)):
+        grid = [[0] * len(by_dim[d]) for _ in by_dim[d - 1]]
+        for j, simplex in enumerate(by_dim[d]):
+            for i in range(len(simplex)):
+                face = simplex[:i] + simplex[i + 1:]
+                grid[index[d - 1][face]][j] = -1 if i % 2 else 1
+        ranks[d] = integer_rank(grid)
+    return tuple(len(by_dim[d]) - ranks[d] - ranks[d + 1]
+                 for d in range(len(by_dim)))

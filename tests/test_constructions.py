@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import random
 
 import pytest
 
 import charvar.constructions
+from charvar.cli import main
 from charvar.complexes import kernel_homology_univariate, twisted_betti
 from charvar.constructions import (bestvina_brady, build_model,
                                    complete_graph, cycle_graph,
@@ -11,7 +14,7 @@ from charvar.constructions import (bestvina_brady, build_model,
                                    flag_complex, free_group, octahedron_graph,
                                    parse_graph_text, pencil_numerology,
                                    punctured_surface_group, raag,
-                                   raag_chain_model, raag_complex,
+                                   raag_chain_model,
                                    reduced_homology, surface_group)
 from charvar.errors import GenusTooSmall, InternalInconsistency
 from charvar.intlinalg import mat_mul
@@ -22,7 +25,7 @@ from charvar.presentations import (abelianize, induced_on_free_part,
 from charvar.sampling import sample_character
 from charvar.words import Word, commutator
 
-from conftest import cli_calls
+from conftest import all_ones_complex, cli_calls, record_calls
 
 
 def euler_characteristic(p):
@@ -147,6 +150,9 @@ def test_product_free_rank_mismatch_is_internal_inconsistency(monkeypatch):
         build_model(direct_product([surface_group(1)] * 2))
 
 
+S2_CUBED = ["--preset", "product-surface", "--genus", "2,2,2"]
+
+
 def test_one_model_per_query(monkeypatch):
     functions = [("constructions", "build_model"), ("presentations", "abelianize"),
                  ("complexes", "tensor_complex")]
@@ -159,9 +165,27 @@ def test_one_model_per_query(monkeypatch):
     assert len(calls["complexes.tensor_complex"]) == 1
     monkeypatch.undo()
     calls = cli_calls(monkeypatch, functions, [
-        "certify", "--preset", "product-surface", "--genus", "2,2,2", "--r", "3"])
+        "certify", *S2_CUBED, "--r", "3"])
     assert len(calls["constructions.build_model"]) == 4
+    # a full verdict's spot checks are the one reader of the tensor model
     assert len(calls["complexes.tensor_complex"]) == 2
+    # elsewhere a product's variables, ranks and top degree come from its
+    # factors, so no other query on S_2^3 builds the tensor model
+    for argv in (["probe", *S2_CUBED, "--r", "3", "--trials", "4"],
+                 ["kernel", *S2_CUBED, "--nu", "ones", "--top-degree", "6"],
+                 ["betti", *S2_CUBED, "--char", "generic"],
+                 ["betti", *S2_CUBED, "--char", "2,1/3,-1,5,3,-2,1/2,7,-3,2,5/4,-1"],
+                 ["jumploci", *S2_CUBED]):
+        monkeypatch.undo()
+        calls = cli_calls(monkeypatch, functions, argv)
+        assert calls["complexes.tensor_complex"] == [], argv
+    # generic b_2 of S_2^3 is 0, so this certificate is not established
+    # (exit 2) and has no spot checks
+    monkeypatch.undo()
+    calls = record_calls(monkeypatch, functions)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["certify", *S2_CUBED, "--r", "2", "--json"]) == 2
+    assert calls["complexes.tensor_complex"] == []
 
 
 def test_raag_presentations():
@@ -184,15 +208,15 @@ def test_bestvina_brady():
 
 def test_bb_c4_kernel_infinite_in_degree_two():
     data = bestvina_brady(cycle_graph(4))
-    report = kernel_homology_univariate(raag_complex(cycle_graph(4)))
-    assert report.degree(2).infinite_dimensional
+    report = kernel_homology_univariate(all_ones_complex(cycle_graph(4)))
+    assert report.entries[2].infinite_dimensional
     assert data.presentation.tags["aspherical"]
 
 
 def test_bb_complete_graphs_are_finite_kernels():
     # Z^n kernels are FP: no degree may show positive free rank
     for n in (2, 3, 4):
-        report = kernel_homology_univariate(raag_complex(complete_graph(n)))
+        report = kernel_homology_univariate(all_ones_complex(complete_graph(n)))
         assert [e.degree for e in report.entries if e.infinite_dimensional] == []
 
 
@@ -205,17 +229,17 @@ def test_flag_complex_examples():
 
 
 def test_raag_complex_shapes():
-    assert raag_complex(cycle_graph(4)).ranks == (1, 4, 4)
-    single = raag_complex(edgeless_graph(1))
+    assert all_ones_complex(cycle_graph(4)).ranks == (1, 4, 4)
+    single = all_ones_complex(edgeless_graph(1))
     assert single.ranks == (1, 1)
     assert single.differentials[0].to_text_rows() == [["t1 - 1"]]
-    assert raag_complex(complete_graph(3)).ranks == (1, 3, 3, 1)
+    assert all_ones_complex(complete_graph(3)).ranks == (1, 3, 3, 1)
 
 
 def test_raag_model_agrees_with_tensor_route():
     # C_4's group is F_2 x F_2: homology must agree degree by degree as
     # module invariants (free rank and sorted torsion factors)
-    cube = kernel_homology_univariate(raag_complex(cycle_graph(4)))
+    cube = kernel_homology_univariate(all_ones_complex(cycle_graph(4)))
     p = direct_product([free_group(2), free_group(2)])
     model = build_model(p)
     nu = validate_epimorphism(p, [(1,)] * 4)
@@ -229,7 +253,7 @@ def test_raag_model_agrees_with_tensor_route():
 
 
 def test_raag_k3_kernel_is_Z2():
-    report = kernel_homology_univariate(raag_complex(complete_graph(3)))
+    report = kernel_homology_univariate(all_ones_complex(complete_graph(3)))
     dims = [None if e.free_rank else e.torsion_dimension for e in report.entries]
     assert dims == [1, 2, 1, 0]
 
@@ -237,9 +261,9 @@ def test_raag_k3_kernel_is_Z2():
 def test_octahedron_is_triple_product_shape():
     graph = octahedron_graph()
     assert raag_chain_model(graph).ranks == (1, 6, 12, 8)
-    report = kernel_homology_univariate(raag_complex(graph))
-    assert report.degree(3).infinite_dimensional
-    assert not report.degree(2).infinite_dimensional
+    report = kernel_homology_univariate(all_ones_complex(graph))
+    assert report.entries[3].infinite_dimensional
+    assert not report.entries[2].infinite_dimensional
 
 
 def test_pencil_numerology_examples():

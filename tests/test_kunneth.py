@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from charvar.cli import main, resolve_nu
 from charvar.complexes import (generic_ranks, kernel_homology_univariate,
@@ -60,6 +60,22 @@ def test_convolved_profile_matches_the_tensor_model(choice, seed):
         got = model.betti(rho)
         assert got.character == rho
         assert got.betti == twisted_betti(model.complex, rho).betti, rho
+
+
+# a product factor: its model is itself a product model, whose F_0 factor
+# leaves trailing zero ranks to trim
+NESTED = direct_product([free_group(0), surface_group(1)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(FACTORS + [NESTED]), min_size=2, max_size=3))
+@example([free_group(0), TORSION])
+@example([NESTED, free_group(0), TORSION])
+def test_the_shape_comes_from_the_factors(factors):
+    model = build_model(direct_product(factors))
+    # the oracle: the tensor model itself
+    cx = model.complex
+    assert (model.ranks, model.nvars, model.top) == (cx.ranks, cx.nvars, cx.top)
 
 
 def test_trailing_zero_degrees_are_cut():

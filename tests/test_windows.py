@@ -28,7 +28,7 @@ def test_window_growth_matches_free_rank():
     seq = report.dimensions[2]
     assert all(x < y for x, y in zip(seq, seq[1:]))
     diffs = [y - x for x, y in zip(seq, seq[1:])]
-    free_rank = kernel_homology_univariate(cx).degree(2).free_rank
+    free_rank = kernel_homology_univariate(cx).entries[2].free_rank
     assert free_rank == 1
     assert diffs[-1] == free_rank
     assert diffs[-2] == free_rank
@@ -71,7 +71,7 @@ def test_window_unbounded_iff_positive_free_rank():
         for j in range(cx.top + 1):
             seq = report.dimensions[j]
             growing = seq[-1] > seq[-3]
-            assert growing == (kernel.degree(j).free_rank > 0)
+            assert growing == (kernel.entries[j].free_rank > 0)
 
 
 def test_window_two_variables():
