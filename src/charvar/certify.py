@@ -22,7 +22,7 @@ from . import __version__
 from .complexes import KernelHomologyReport, twisted_betti
 from .constructions import build_model
 from .errors import NotUnivariate, TrivialNu, UnsupportedDegree, ZeroMap
-from .jumploci import generic_rank_verdict, is_full_vr_product
+from .jumploci import is_full_vr_product
 from .laurent import pullback_character
 from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
                             validate_epimorphism)
@@ -120,8 +120,8 @@ class Certificate:
 def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
                    seed: int = 0) -> Certificate:
     """Run the full pipeline: validate nu, decide fullness of the degree-r
-    locus by the exact generic b_r (``is_full_vr_product`` on a product,
-    ``generic_rank_verdict`` otherwise), and emit the certificate.
+    locus by the exact generic b_r (``is_full_vr_product``), and emit the
+    certificate.
 
     Returns a "not-established" certificate with no conclusions when
     fullness cannot be established.  Never claims the kernel IS of type
@@ -134,8 +134,7 @@ def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
     except ZeroMap as exc:
         raise TrivialNu("the map to Z^m is trivial") from exc
     model = build_model(presentation)
-    verdict = (is_full_vr_product(model, r, seed=seed) if model.factors
-               else generic_rank_verdict(model, r))
+    verdict = is_full_vr_product(model, r, seed=seed)
     group_name = presentation.tags.get("name", presentation.describe())
     if verdict.is_full:
         return Certificate(

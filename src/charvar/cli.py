@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .certify import certify_non_fp, generic_vanishing_probe, kernel_report_univariate
@@ -52,7 +53,10 @@ def main(argv=None) -> int:
     return 2 if status == "hypothesis-failed" else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process: ``parse_args`` fills a new
+    namespace on every call, so no query sees another's arguments."""
     parser = argparse.ArgumentParser(
         prog="charvar",
         description="characteristic varieties, twisted homology, and "
@@ -95,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jumploci", help="depth-t ideal and fullness verdict")
     group_flags(p)
     p.add_argument("--t", type=int, default=1, help="jump depth")
-    p.add_argument("--r", type=int, help="also decide degree-r fullness "
-                                         "of a product, for any r >= 1")
+    p.add_argument("--r", type=int, help="also decide degree-r fullness, "
+                                         "for any r >= 1; r >= 2 needs a "
+                                         "catalog (aspherical) group")
     p.add_argument("--minor-ceiling", type=int,
                    help="default: $CHARVAR_MINOR_CEILING, else "
                         f"{DEFAULT_MINOR_CEILING}")
@@ -363,8 +368,6 @@ def cmd_jumploci(args):
             "max_generic_depth_degree1": b1,
         }
     if args.r is not None:
-        if not model.factors:
-            raise ValueError("--r fullness needs a product preset")
         result["fullness_vr"] = is_full_vr_product(
             model, args.r, seed=args.seed).to_json_dict()
     return "ok", result

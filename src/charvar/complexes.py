@@ -10,11 +10,10 @@ module structure of the homology (free rank plus torsion) is computed by
 Smith normal form, which is exactly the rational homology of the kernel of
 the corresponding map onto Z.  A product's shape, twisted Betti numbers
 and kernel homology come from its factors' (``GroupModel.ranks``, ``betti``
-and ``kernel_homology``).  Tensor products are built from nonzero cells
-alone: ``tensor_in_ring`` over the ring both factors already share, which
-is how a product's window complex is made from its factors pushed to Z^m,
-and ``tensor_complex`` over the joint ring, which only the spot checks of a
-full product verdict read.  Windows grow one echelon per degree.
+and ``kernel_homology``).  ``tensor_complex`` builds a tensor product from
+nonzero cells alone, over the ring both factors share; a product's complex
+is its factors pushed into one ring and tensored (``GroupModel.pushed``).
+Windows grow one echelon per degree.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from itertools import product as iproduct
 from .errors import InternalInconsistency, NotUnivariate, WindowTooLarge
 from .fox import alexander_matrix, quotient_images
 from .intlinalg import clear_denominators, modular_rank, reduce_row
-from .laurent import GENERIC, Character, LaurentPolynomial, _make
+from .laurent import GENERIC, Character, LaurentPolynomial
 from .lmatrix import (ExponentBox, LaurentMatrix, packed_row_products, packed_rows,
                       rank_at, smith_univariate)
 from .presentations import Presentation
@@ -153,36 +152,19 @@ def presentation_complex(presentation: Presentation, q) -> TwistedComplex:
 
 
 def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
-    """Chain-level tensor product over the joint ring; variables of the two
-    factors concatenate, so an entry of a factor lifts by padding its
-    exponent vectors with zeros for the other factor's variables.  Signs
-    follow d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.  A cell of a tensor
-    differential receives at most one entry: a d_A entry when the degree
-    of the A-part drops, a d_B entry when it stays, so each differential is
-    built as sparse rows straight from the factors' sparse columns and no
-    zero cell is visited.  Trailing zero degrees are trimmed."""
-    return _tensor(a, b, padded=True)
-
-
-def tensor_in_ring(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
-    """The tensor product over the ring both factors live in, assembled as
-    by ``tensor_complex`` but with every entry kept as it is: no variable
-    is padded, so the result has the factors' variables, not their sum.
-    Over Z^m this is the tensor product of two factors pushed through their
-    blocks of a map onto Z^m, which is the product's complex pushed through
-    the whole map, since pushing is a ring map."""
+    """Chain-level tensor product over the ring both factors live in.
+    Signs follow d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.  A cell of a
+    tensor differential receives at most one entry: a d_A entry when the
+    degree of the A-part drops, a d_B entry when it stays, so each
+    differential is built as sparse rows straight from the factors' sparse
+    columns and no zero cell is visited.  Trailing zero degrees are
+    trimmed.  Factors in different rings are first pushed into a shared
+    one (``TwistedComplex.specialize``), as ``GroupModel.pushed`` does."""
     if a.nvars != b.nvars:
         raise ValueError(f"factors live in {a.nvars} and {b.nvars} variables")
-    return _tensor(a, b, padded=False)
-
-
-def _tensor(a: TwistedComplex, b: TwistedComplex, padded: bool) -> TwistedComplex:
-    """The one assembly behind ``tensor_complex`` (``padded``: the factors'
-    variables concatenate) and ``tensor_in_ring`` (they are shared)."""
-    ma, mb = a.nvars, b.nvars
-    m, left, right = (ma + mb, (0,) * ma, (0,) * mb) if padded else (ma, (), ())
-    da = [_pad_entries(d, (), right, m) for d in a.differentials]
-    db = [_pad_entries(d, left, (), m) for d in b.differentials]
+    m = a.nvars
+    da = [d.transpose().sparse_rows for d in a.differentials]
+    db = [d.transpose().sparse_rows for d in b.differentials]
     # the d_B entries with the sign (-1)^p, by the parity of p
     db_signed = (db, [[{r: -e for r, e in col.items()} for col in d] for d in db])
 
@@ -220,19 +202,6 @@ def _tensor(a: TwistedComplex, b: TwistedComplex, padded: bool) -> TwistedComple
         if diffs:
             diffs.pop()
     return TwistedComplex(m, tuple(ranks), tuple(diffs))
-
-
-def _pad_entries(d: LaurentMatrix, left: tuple, right: tuple,
-                 nvars: int) -> list[dict[int, LaurentPolynomial]]:
-    """The sparse columns of d, {row: entry}, each entry lifted to ``nvars``
-    variables by the exponent vectors left + e + right; the lift is
-    injective on exponents, so no terms merge, and with nothing to pad the
-    entries are kept as they are."""
-    columns = d.transpose().sparse_rows
-    if not left and not right:
-        return list(columns)
-    return [{r: _make(nvars, {left + e + right: c for e, c in p.terms.items()})
-             for r, p in col.items()} for col in columns]
 
 
 SANDWICH_PRIME = 2 ** 31 - 1
@@ -396,7 +365,7 @@ def window_homology(complex_: TwistedComplex, radius: int,
 
     A product's window complex is ``GroupModel.pushed``: its factors, each
     pushed through its block of the map, tensored over the window's own
-    ring, so no window reads the product's tensor model.
+    ring, so no window builds the product's complex in its own variables.
 
     The windows are nested and a kept cell's boundary does not depend on k,
     so each cell is visited once, for the least radius keeping it, and each

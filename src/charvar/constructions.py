@@ -17,8 +17,7 @@ from itertools import combinations, product as iproduct
 
 from .complexes import (BettiProfile, KernelDegreeEntry, KernelHomologyReport,
                         TwistedComplex, kernel_homology_univariate,
-                        presentation_complex, tensor_complex, tensor_in_ring,
-                        twisted_betti)
+                        presentation_complex, tensor_complex, twisted_betti)
 from .errors import GenusTooSmall, InternalInconsistency, PresentationSyntaxError
 from .intlinalg import reduce_row
 from .laurent import GENERIC, Character, LaurentPolynomial
@@ -218,9 +217,8 @@ def direct_product(factors) -> Presentation:
     generators of distinct factors.  Homology computations never use this
     presentation's 2-complex: ``build_model`` keeps the factor models, the
     product's shape, twisted Betti numbers and kernel homology over
-    Q[t, t^-1] come from theirs, and a window tensors their chain models
-    after pushing each to Z^m.  Only the spot checks of a full verdict read
-    the product's tensor model."""
+    Q[t, t^-1] come from theirs, and its complex is their chain models
+    pushed into one ring and tensored (``GroupModel.pushed``)."""
     factors = tuple(factors)
     if len(factors) < 2:
         raise ValueError("a direct product needs at least two factors")
@@ -313,11 +311,11 @@ class GroupModel:
 
     ``built`` is the complex a model without factors is built with, and
     None on a product.  A product's shape (``nvars``, ``ranks``, ``top``),
-    its twisted Betti numbers (``betti``), its kernel homology over
-    Q[t, t^-1] (``kernel_homology``) and its complex pushed to Z^m
-    (``pushed``) come from its factors; its tensor complex is built only
-    when ``complex`` is first read, which only the spot checks of
-    ``jumploci.is_full_vr_product`` do.
+    its twisted Betti numbers (``betti``) and its kernel homology over
+    Q[t, t^-1] (``kernel_homology``) come from its factors.  Its complex
+    is assembled only by ``pushed``, from the factors pushed into one ring:
+    a window pushes to Z^m, and ``complex``, which only the spot checks of
+    ``jumploci.is_full_vr_product`` read, pushes through the identity.
     """
 
     presentation: Presentation
@@ -329,12 +327,12 @@ class GroupModel:
     @cached_property
     def complex(self) -> TwistedComplex:
         """The chain complex: the one the model was built with, or on a
-        product the tensor product of the factors' complexes, folded left
-        to right on first read; building it checks d o d = 0 on every fold
-        (``TwistedComplex``)."""
+        product its factors' complexes pushed through the identity and
+        tensored (``pushed``), built on first read."""
         if not self.factors:
             return self.built
-        return reduce(tensor_complex, (f.complex for f in self.factors))
+        n = self.nvars
+        return self.pushed([[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def nvars(self) -> int:
@@ -346,7 +344,8 @@ class GroupModel:
     @cached_property
     def ranks(self) -> tuple[int, ...]:
         """Chain ranks; on a product the convolution of the factors', with
-        trailing zeros trimmed as by ``tensor_complex`` (F_0 has (1, 0, 0))."""
+        trailing zeros trimmed as ``tensor_complex`` trims them (F_0 has
+        (1, 0, 0))."""
         if not self.factors:
             return self.built.ranks
         ranks = reduce(_convolve, (f.ranks for f in self.factors))
@@ -360,15 +359,15 @@ class GroupModel:
 
     def pushed(self, nubar) -> TwistedComplex:
         """The complex pushed through the ring map t^e -> s^(nubar e) of an
-        m x n integer matrix.  On a product, each factor is pushed through
-        its own column block and the results are tensored over the shared
-        m-variable ring (``tensor_in_ring``); pushing is a ring map, so
-        this is ``self.complex.specialize(nubar)`` without the product's
-        n-variable tensor complex, and every complex built on the way
-        checks d o d = 0."""
+        m x n integer matrix; the only code that assembles a product's
+        complex.  On a product, each factor is pushed through its own
+        column block and the results are tensored over the shared
+        m-variable ring, folded left to right; pushing is a ring map, so
+        this is the product's complex pushed through ``nubar``, and every
+        complex built on the way checks d o d = 0 (``TwistedComplex``)."""
         if not self.factors:
-            return self.complex.specialize(nubar)
-        return reduce(tensor_in_ring, (f.pushed(block) for f, block in self._blocks(nubar)))
+            return self.built.specialize(nubar)
+        return reduce(tensor_complex, (f.pushed(block) for f, block in self._blocks(nubar)))
 
     def _blocks(self, nubar):
         """Each factor with its own column block of ``nubar``."""
@@ -410,12 +409,8 @@ class GroupModel:
                              f"got {len(character.coords)}")
         profile = [1]
         routes = []
-        start = 0
-        for factor in self.factors:
-            width = factor.nvars
-            part = character if character.is_generic else Character(
-                character.coords[start:start + width])
-            start += width
+        for factor, (coords,) in self._blocks([character.coords or ()]):
+            part = character if character.is_generic else Character(coords)
             factor_profile = factor.betti(part)
             routes.append(factor_profile.route)
             profile = _convolve(profile, factor_profile.betti)
@@ -498,8 +493,8 @@ def build_model(presentation: Presentation) -> GroupModel:
 
     This is the only code that assembles a product model.  Each factor
     model is built once and kept in ``factors``, and the product's shape
-    comes from theirs; its tensor complex is built only on the first read
-    of ``GroupModel.complex``, by the spot checks of a full verdict.  The
+    comes from theirs; no complex of the product is built here
+    (``GroupModel.pushed`` assembles one on demand).  The
     product's projection and section are laid out block by block from the
     factors', which lines the coordinates up with the factors' variables,
     in order, and agrees with the Smith form of the product presentation up

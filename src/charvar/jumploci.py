@@ -201,12 +201,13 @@ def is_full_v1(model: GroupModel) -> FullnessVerdict:
 
 
 def is_full_vr_product(model: GroupModel, r: int, seed: int = 0) -> FullnessVerdict:
-    """The generic-rank verdict in degree r on a product, for any r and any
-    factors.  A full verdict also records b_r at ``SPOT_SAMPLES`` seeded
-    characters, each profile convolved from the factors' by
-    ``GroupModel.betti``."""
+    """The generic-rank verdict in degree r, for any r and any model: the
+    one entry of ``certify`` and ``jumploci --r``.  On a product a full
+    verdict also records b_r at ``SPOT_SAMPLES`` seeded characters, each
+    profile convolved from the factors' by ``GroupModel.betti``; any other
+    model gets the plain ``generic_rank_verdict``."""
     verdict = generic_rank_verdict(model, r)
-    if not verdict.is_full:
+    if not verdict.is_full or not model.factors:
         return verdict
     # the spot checks decide nothing, since the generic b_r already has;
     # they stay because perfbench's pencil check reads them

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import charvar.cli
-from charvar.complexes import TwistedComplex
+from charvar.complexes import TwistedComplex, tensor_complex
 from charvar.constructions import build_model, raag
 from charvar.laurent import LaurentPolynomial
 from charvar.lmatrix import LaurentMatrix
@@ -58,6 +58,16 @@ def scaled(cx: TwistedComplex, factors) -> TwistedComplex:
     return TwistedComplex(cx.nvars, cx.ranks, tuple(
         LaurentMatrix(d.nvars, d.rows, d.cols, [[p * s for p in row] for row in d.entries])
         for d, s in zip(cx.differentials, scale)))
+
+
+def joint_tensor(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
+    """The tensor product over the joint ring, a's variables then b's: each
+    factor is pushed by ``specialize`` through its block of the identity,
+    and the two are assembled by ``tensor_complex`` in that ring."""
+    n = a.nvars + b.nvars
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return tensor_complex(a.specialize([row[:a.nvars] for row in identity]),
+                          b.specialize([row[a.nvars:] for row in identity]))
 
 
 def all_ones_complex(graph) -> TwistedComplex:

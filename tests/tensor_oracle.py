@@ -1,12 +1,13 @@
 """Reference tensor product of twisted chain complexes.
 
-The shipped ``charvar.complexes.tensor_complex`` lifts each factor's
-entries by padding exponent vectors and assigns each tensor cell its one
-entry.  This module keeps the textbook route: lift every cell through the ring
-maps given by identity-embedding exponent matrices (the polynomial
-substitution of ``conftest``), then fill every cell by
-adding up the contributions of d_A (x) 1 and (-1)^p 1 (x) d_B, so the tests
-can compare the two cell by cell.
+The shipped route pushes each factor into the joint ring with
+``TwistedComplex.specialize`` through its block of the identity, and the one
+``charvar.complexes.tensor_complex`` assigns each tensor cell its one entry
+from the factors' sparse columns.  This module keeps the textbook route: lift
+every cell through the same identity blocks by the polynomial substitution of
+``conftest``, then fill a dense grid, every cell the sum of the contributions
+of d_A (x) 1 and (-1)^p 1 (x) d_B, so the tests can compare the two cell by
+cell.
 """
 
 from itertools import product as iproduct

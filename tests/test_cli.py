@@ -11,7 +11,7 @@ import pytest
 
 import charvar
 import charvar.complexes
-from charvar.cli import main
+from charvar.cli import build_parser, main
 from charvar.laurent import LaurentPolynomial
 from charvar.lmatrix import LaurentMatrix
 
@@ -66,6 +66,29 @@ def test_jumploci_product_fullness(capsys):
                                       "--genus", "2,2,2", "--r", "3"])
     assert code == 0
     assert payload["result"]["fullness_vr"]["is_full"] is True
+
+
+def test_jumploci_r_decides_a_non_product_as_certify_does(capsys):
+    surface = ["--preset", "surface", "--genus", "2", "--r", "2"]
+    code, payload = run_json(capsys, ["jumploci", *surface])
+    assert code == 0
+    verdict = payload["result"]["fullness_vr"]
+    assert verdict["status"] == "not_full"
+    assert verdict["witness"]["generic_b2"] == 0
+    code, payload = run_json(capsys, ["certify", *surface])
+    assert code == 2
+    assert payload["result"]["evidence"]["fullness"] == verdict
+
+
+def test_jumploci_r_on_a_user_presentation_needs_degree_one(capsys, tmp_path):
+    path = tmp_path / "torus.txt"
+    path.write_text("gens a,b; rel [a,b];", encoding="utf-8")
+    code, payload = run_json(capsys, ["jumploci", "--input", str(path), "--r", "1"])
+    assert code == 0
+    assert payload["result"]["fullness_vr"]["status"] == "not_full"
+    code, payload = run_json(capsys, ["jumploci", "--input", str(path), "--r", "2"])
+    assert code == 1
+    assert payload["result"]["error"]["code"] == "unsupported-degree"
 
 
 def test_certify_product_surface(capsys):
@@ -186,7 +209,7 @@ def test_soundness_checks_survive_python_O():
     script = textwrap.dedent("""
         import sys
         import charvar.complexes
-        from charvar.cli import main
+        from charvar.cli import build_parser, main
         if __debug__:
             sys.exit("not running under python -O")
         # overstate every rank at a rational character, so the special
@@ -356,3 +379,21 @@ def test_certify_presets(capsys, preset, nu):
                                       "--nu", nu, "--r", "3"])
     assert code == 0
     assert len(payload["result"]["conclusions"]) == 3
+
+
+def test_one_parser_serves_every_query(capsys):
+    # the second probe leaves --nu and --seed at their defaults, so a value
+    # carried over from an earlier query would change its output
+    product = ["--preset", "product-surface", "--genus", "2,2"]
+    queries = [["probe", *product, "--r", "2", "--trials", "4", "--nu", "first",
+                "--seed", "3"],
+               ["certify", *product, "--r", "2"],
+               ["probe", *product, "--r", "2", "--trials", "4"]]
+    reused = [run_json(capsys, argv) for argv in queries]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in queries:
+        build_parser.cache_clear()
+        fresh.append(run_json(capsys, argv))
+    assert reused == fresh
+    assert reused[0][1]["result"] != reused[2][1]["result"]

@@ -6,9 +6,9 @@ are ints; only division over Q[t^±1] produces Fractions."""
 import random
 from fractions import Fraction
 
-from conftest import random_word
+from conftest import joint_tensor, random_word
 
-from charvar.complexes import presentation_complex, tensor_complex
+from charvar.complexes import presentation_complex
 from charvar.constructions import Graph, raag_chain_model
 from charvar.fox import alexander_matrix
 from charvar.laurent import LaurentPolynomial
@@ -63,7 +63,7 @@ def test_integral_constructions_have_int_coefficients():
         assert all_ints(matrix_coefficients(alexander_matrix(p, abelian)))
         cx = presentation_complex(p, abelian)
         assert all_ints(complex_coefficients(cx))
-        product = tensor_complex(cx, presentation_complex(q, abelianize(q)))
+        product = joint_tensor(cx, presentation_complex(q, abelianize(q)))
         assert all_ints(complex_coefficients(product))
         nu = [[rng.randint(-2, 2) for _ in range(product.nvars)]]
         assert all_ints(complex_coefficients(product.specialize(nu)))

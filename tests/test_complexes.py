@@ -5,8 +5,8 @@ import pytest
 
 import charvar.complexes
 from charvar.complexes import (kernel_homology_univariate,
-                               presentation_complex, tensor_complex,
-                               twisted_betti, window_homology)
+                               presentation_complex, twisted_betti,
+                               window_homology)
 from charvar.constructions import build_model, direct_product, free_group, surface_group
 from charvar.errors import InternalInconsistency, NotUnivariate
 from charvar.laurent import GENERIC, Character, LaurentPolynomial
@@ -14,7 +14,7 @@ from charvar.lmatrix import LaurentMatrix
 from charvar.presentations import (abelianize, induced_on_free_part,
                                    validate_epimorphism)
 from charvar.sampling import sample_character
-from conftest import laurent_matrix
+from conftest import joint_tensor, laurent_matrix
 
 
 def model_complex(p):
@@ -54,16 +54,16 @@ def test_complex_serialization():
 
 def test_tensor_ranks():
     f2 = model_complex(free_group(2))
-    assert tensor_complex(f2, f2).ranks == (1, 4, 4)
+    assert joint_tensor(f2, f2).ranks == (1, 4, 4)
     g2 = model_complex(surface_group(2))
-    assert tensor_complex(g2, g2).ranks == (1, 8, 18, 8, 1)
+    assert joint_tensor(g2, g2).ranks == (1, 8, 18, 8, 1)
 
 
 def test_tensor_unit():
     from charvar.complexes import TwistedComplex
     point = TwistedComplex(0, (1,), ())
     g2 = model_complex(surface_group(2))
-    prod = tensor_complex(g2, point)
+    prod = joint_tensor(g2, point)
     assert prod.ranks == g2.ranks
     assert prod.differentials[0].to_text_rows() == \
         g2.differentials[0].to_text_rows()
@@ -108,7 +108,7 @@ def test_kunneth_convolution_exact():
     rng = random.Random(77)
     fa = model_complex(surface_group(2))
     fb = model_complex(free_group(2))
-    prod = tensor_complex(fa, fb)
+    prod = joint_tensor(fa, fb)
     for _ in range(10):
         rho = sample_character(rng, prod.nvars, box=5)
         pa = twisted_betti(fa, Character(rho.coords[:4])).betti

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from charvar.complexes import tensor_complex, twisted_betti
+from charvar.complexes import twisted_betti
 from charvar.constructions import (build_model, direct_product, free_group,
                                    punctured_surface_group, surface_group)
 from charvar.jumploci import is_full_v1, is_full_vr_product, v1_ideal
 from charvar.laurent import Character
 from charvar.sampling import sample_character
+from conftest import joint_tensor
 
 
 def b1_jumps(p, rho, model=None):
@@ -151,7 +152,7 @@ def test_product_lower_bound_kunneth():
     rng = random.Random(61)
     factors = [surface_group(2), free_group(2)]
     models = [build_model(f) for f in factors]
-    prod = tensor_complex(models[0].complex, models[1].complex)
+    prod = joint_tensor(models[0].complex, models[1].complex)
     for _ in range(10):
         rho = sample_character(rng, prod.nvars, box=5)
         b1a = twisted_betti(models[0].complex, Character(rho.coords[:4])).betti[1]

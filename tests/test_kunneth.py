@@ -217,8 +217,9 @@ def test_kunneth_kernel_homology_matches_the_tensor_model(choice, seed):
 @given(st.lists(st.sampled_from(range(len(POOL))), min_size=2, max_size=3),
        st.integers(1, 2), st.integers(0, 2 ** 32))
 def test_pushed_product_matches_the_pushed_tensor_model(choice, m, seed):
-    # tensoring the pushed factors in the shared ring against the old
-    # route, the tensor model pushed through the whole map
+    # the factors pushed through their blocks and tensored in the shared
+    # ring, against the tensor model (pushed through the identity) pushed
+    # through the whole map
     model = build_model(direct_product([POOL[i] for i in choice]))
     rng = random.Random(seed)
     nubar = [[x for f in model.factors for x in seeded_block(rng, f.complex.nvars)]

@@ -1,22 +1,25 @@
 """The tensor product of chain models equals the textbook lift-and-add
 assembly of ``tensor_oracle``, and the d o d = 0 check of every assembled
-complex still catches a broken assembly, padded or in a shared ring."""
+complex still catches a broken assembly, at both places a product's complex
+is assembled: its tensor model and its factors pushed to Z."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import charvar.complexes
+import charvar.constructions
 from charvar.complexes import TwistedComplex, tensor_complex
 from charvar.constructions import (build_model, complete_graph, direct_product,
                                    free_group, raag, surface_group)
 from charvar.errors import InternalInconsistency
 from charvar.laurent import LaurentPolynomial
+from charvar.lmatrix import LaurentMatrix
 from charvar.parser import parse_presentation
 
 import tensor_oracle
-from conftest import scaled
+from conftest import joint_tensor, scaled
 
 
 # a torsion presentation whose Fox entries carry negative exponents, with
@@ -43,77 +46,74 @@ def test_parsed_factor_has_fractions_and_negative_exponents():
 def test_tensor_complex_matches_the_oracle(choice):
     shipped = oracle = FACTORS[choice[0]]
     for i in choice[1:]:
-        shipped = tensor_complex(shipped, FACTORS[i])
+        shipped = joint_tensor(shipped, FACTORS[i])
         oracle = tensor_oracle.tensor_complex(oracle, FACTORS[i])
         assert shipped == oracle
 
 
+def test_factors_in_different_rings_are_refused():
+    with pytest.raises(ValueError, match="factors live in 4 and 2 variables"):
+        tensor_complex(FACTORS[1], FACTORS[0])
+
+
 S1_SQUARED = direct_product([surface_group(1)] * 2)
 
+# the two places a product's complex is assembled, with its variable count:
+# the tensor model over the joint ring, and the factors pushed to Z by a
+# map nonzero on every generator, then tensored in that ring
+CALL_SITES = {
+    "tensor-model": (lambda: build_model(S1_SQUARED).complex, 4),
+    "pushed": (lambda: build_model(S1_SQUARED).pushed([[1, 1, 1, 1]]), 1),
+}
 
-def padded():
-    """The product's tensor model over the joint ring."""
-    return build_model(S1_SQUARED).complex
 
-
-def shared_ring():
-    """The factors pushed to Z by a map nonzero on every generator, then
-    tensored in that ring."""
-    return build_model(S1_SQUARED).pushed([[1, 1, 1, 1]])
+def break_assembly(monkeypatch, broken):
+    """Route every product assembly through ``broken``, which takes the
+    shipped ``tensor_complex`` and the two factors; ``constructions`` binds
+    ``tensor_complex`` by import, so that binding is the one replaced."""
+    monkeypatch.setattr(charvar.constructions, "tensor_complex",
+                        lambda a, b: broken(tensor_complex, a, b))
 
 
 def unsigned_assembly(monkeypatch):
     # without (-1)^p on the d_B term the cross terms d_A (x) d_B add up
     # instead of cancelling; negation is neutered only inside the assembly
-    real = charvar.complexes._tensor
-
-    def unsigned(a, b, padded):
+    def unsigned(real, a, b):
         with monkeypatch.context() as m:
             m.setattr(LaurentPolynomial, "__neg__", lambda p: p)
-            return real(a, b, padded)
+            return real(a, b)
 
-    monkeypatch.setattr(charvar.complexes, "_tensor", unsigned)
+    break_assembly(monkeypatch, unsigned)
 
 
 def dropped_d_a_entry(monkeypatch):
-    real = charvar.complexes._pad_entries
-    asked = []
+    # the assembly reads the first factor's d_1 without its first entry; the
+    # stand-in factor skips the d o d = 0 check a TwistedComplex would make
+    def drop_first(real, a, b):
+        d = a.differentials[0]
+        rows = [dict(row) for row in d.sparse_rows]
+        del rows[0][min(rows[0])]
+        d_1 = LaurentMatrix._from_rows(d.nvars, d.rows, d.cols, rows)
+        return real(SimpleNamespace(nvars=a.nvars, ranks=a.ranks, top=a.top,
+                                    differentials=(d_1, *a.differentials[1:])), b)
 
-    def drop_first(d, left, right, nvars):
-        columns = real(d, left, right, nvars)
-        if not asked:
-            # the first columns asked for are the first factor's d_1
-            columns[0][0] = LaurentPolynomial.zero(nvars)
-        asked.append(d)
-        return columns
-
-    monkeypatch.setattr(charvar.complexes, "_pad_entries", drop_first)
+    break_assembly(monkeypatch, drop_first)
 
 
-def test_dropped_koszul_sign_is_caught(monkeypatch):
+@pytest.mark.parametrize("site", CALL_SITES)
+def test_dropped_koszul_sign_is_caught(monkeypatch, site):
     unsigned_assembly(monkeypatch)
     with pytest.raises(InternalInconsistency, match="is nonzero"):
-        padded()
+        CALL_SITES[site][0]()
 
 
-def test_dropped_koszul_sign_is_caught_in_a_shared_ring(monkeypatch):
-    unsigned_assembly(monkeypatch)
-    with pytest.raises(InternalInconsistency, match="is nonzero"):
-        shared_ring()
-
-
-def test_dropped_d_a_entry_is_caught(monkeypatch):
+@pytest.mark.parametrize("site", CALL_SITES)
+def test_dropped_d_a_entry_is_caught(monkeypatch, site):
     dropped_d_a_entry(monkeypatch)
     with pytest.raises(InternalInconsistency, match="is nonzero"):
-        padded()
-
-
-def test_dropped_d_a_entry_is_caught_in_a_shared_ring(monkeypatch):
-    dropped_d_a_entry(monkeypatch)
-    with pytest.raises(InternalInconsistency, match="is nonzero"):
-        shared_ring()
+        CALL_SITES[site][0]()
 
 
 def test_unbroken_assemblies_build():
-    assert padded().nvars == 4
-    assert shared_ring().nvars == 1
+    for assemble, nvars in CALL_SITES.values():
+        assert assemble().nvars == nvars
