@@ -136,3 +136,37 @@ def test_product_abelianization_is_blockwise():
     assert data.torsion_free_rank == 4
     assert data.projection == ((1, 0, 0, 0), (0, 1, 0, 0),
                                (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _dense_presentation(seed, relators=4, gens="abcdef"):
+    """Relators with a random exponent on every generator, in [-4, 4]."""
+    rng = random.Random(seed)
+    rels = "".join(
+        f" rel {' '.join(f'{g}^{rng.randint(-4, 4)}' for g in gens)};"
+        for _ in range(relators))
+    return parse_presentation(f"gens {','.join(gens)};{rels}")
+
+
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("presentation,projection,section", [
+    (direct_product([surface_group(2)] * 3), _identity(12), _identity(12)),
+    (parse_presentation("gens a,b,c; rel a^3 b^-3 c^6; rel [b,c];"),
+     ((1, 1, 0), (-2, 0, 1)), ((0, 0), (1, 0), (0, 1))),
+    (parse_presentation("gens x,y; rel x y x y^-1 x^-1 y^-1;"),
+     ((1, 1),), ((0,), (1,))),
+    (parse_presentation("gens a,t; rel t^-1 a t a^-2;"),
+     ((0, 1),), ((0,), (1,))),
+    (_dense_presentation(3),
+     ((-2613, 1570, 2933, -3495, 669, 513),
+      (51827, -31140, -58174, 69321, -13269, -10175)),
+     ((0, 0), (188, 1265), (-131, -781), (0, 0), (321, 1272), (-245, -1065))),
+], ids=["s2^3", "torsion", "trefoil", "bs12", "dense4x6"])
+def test_abelianize_coordinates_are_pinned(presentation, projection, section):
+    # U and U^-1 of the integer Smith form fix these, so they move only
+    # with its row operations
+    data = abelianize(presentation)
+    assert data.projection == projection
+    assert data.section == section
