@@ -100,7 +100,11 @@ class KernelDegreeEntry:
     degree: int
     free_rank: int
     torsion_factors: tuple[LaurentPolynomial, ...]
-    torsion_dimension: int
+
+    @property
+    def torsion_dimension(self) -> int:
+        """The Q-dimension of the torsion part, sum of the factors' spans."""
+        return sum(f.degree_span(0) for f in self.torsion_factors)
 
     @property
     def infinite_dimensional(self) -> bool:
@@ -310,12 +314,10 @@ def kernel_homology_univariate(complex_: TwistedComplex) -> KernelHomologyReport
     for j in range(complex_.top + 1):
         r_j = smiths[j - 1].rank if j >= 1 else 0
         r_next = smiths[j].rank if j < complex_.top else 0
-        torsion = smiths[j].nontrivial_factors() if j < complex_.top else ()
         entries.append(KernelDegreeEntry(
             degree=j,
             free_rank=complex_.ranks[j] - r_j - r_next,
-            torsion_factors=torsion,
-            torsion_dimension=sum(f.degree_span(0) for f in torsion),
+            torsion_factors=smiths[j].torsion_factors if j < complex_.top else (),
         ))
     return KernelHomologyReport(tuple(entries))
 

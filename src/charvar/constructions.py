@@ -21,7 +21,7 @@ from .complexes import (BettiProfile, KernelDegreeEntry, KernelHomologyReport,
 from .errors import GenusTooSmall, InternalInconsistency, PresentationSyntaxError
 from .intlinalg import reduce_row
 from .laurent import GENERIC, Character, LaurentPolynomial
-from .lmatrix import LaurentMatrix, univariate_divmod, univariate_gcd
+from .lmatrix import LaurentMatrix, _invariant_factors, univariate_gcd
 from .presentations import AbelianData, EpimorphismToZm, Presentation, abelianize
 from .words import Word, commutator
 
@@ -445,9 +445,8 @@ class GroupModel:
         entries = []
         for n, cyclic in enumerate(summands[:self.top + 1]):
             free_rank = cyclic.pop(zero, 0)
-            chain = _invariant_factors(cyclic.elements())
             entries.append(KernelDegreeEntry(
-                n, free_rank, chain, sum(f.degree_span(0) for f in chain)))
+                n, free_rank, _invariant_factors(cyclic.elements())))
         return KernelHomologyReport(tuple(entries))
 
 
@@ -459,31 +458,6 @@ def _convolve(a, b) -> list[int]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
-
-
-def _invariant_factors(orders) -> tuple[LaurentPolynomial, ...]:
-    """The invariant factors of the sum of the Lambda/(x), x in ``orders``
-    monic with nonzero constant term: an ascending divisibility chain
-    without units.  Each x enters from the top by the swaps Lambda/(d) (+)
-    Lambda/(x) = Lambda/(lcm) (+) Lambda/(gcd), carrying the gcd down until
-    it is a unit or equals the entry it meets."""
-    chain = []
-    for x in orders:
-        j = len(chain)
-        while j and not x.is_unit():
-            d = chain[j - 1]
-            if x == d:
-                break
-            g = univariate_gcd(d, x)
-            if g == x:  # every copy of d stays
-                while j and chain[j - 1] == d:
-                    j -= 1
-                continue
-            chain[j - 1] = univariate_divmod(d * x, g)[0]
-            x, j = g, j - 1
-        if not x.is_unit():
-            chain.insert(j, x)
-    return tuple(chain)
 
 
 def build_model(presentation: Presentation) -> GroupModel:

@@ -4,10 +4,10 @@ fraction-free row reduction (``reduce_row``, one step that the windows of
 
 Matrices are plain lists of lists.  One Smith elimination serves every
 Euclidean domain this package uses, described by an ``EuclideanRing``: the
-integers here, and Q[t, t^-1] in ``lmatrix``.  It records the four
-transformation matrices U, V, U^-1, V^-1 only when asked; the integer
-Smith normal form asks, so U*A*V = D and A = Uinv*D*Vinv hold exactly
-over Z.
+integers here, and Q[t, t^-1] in ``lmatrix``.  It records no column
+transform, and the row transforms U and U^-1 only for the integer Smith
+normal form, whose U fixes the H_1 coordinates.  Over Q[t, t^-1] it stops
+at a diagonal, and ``lmatrix._invariant_factors`` assembles the chain.
 """
 
 from __future__ import annotations
@@ -151,43 +151,42 @@ INTEGERS = EuclideanRing(0, 1, divmod, abs,
 
 
 def smith_normal_form(matrix):
-    """Integer Smith normal form with full transform bookkeeping.
+    """Integer Smith normal form with its row transforms.
 
-    Returns (D, U, V, Uinv, Vinv) with U*A*V = D, A = Uinv*D*Vinv, D diagonal
-    with nonnegative entries forming a divisibility chain.
+    Returns (D, U, Uinv): D is U*A after column operations, diagonal with
+    nonnegative entries forming a divisibility chain, and Uinv = U^-1.
     """
     return _smith_form(matrix, INTEGERS, transforms=True)
 
 
 def _smith_form(matrix, ring: EuclideanRing, transforms: bool):
     """Diagonalize over a Euclidean domain by elementary row and column
-    operations.  Returns (D, U, V, Uinv, Vinv); the last four are None
-    unless ``transforms``, and then U*A*V = D and A = Uinv*D*Vinv.  The
-    nonzero diagonal entries of D are canonical (see ``normalise``) and
-    each divides the next.
+    operations; column operations act on the working grid alone.  Returns
+    (D, U, Uinv), the nonzero diagonal entries of D canonical (see
+    ``normalise``).  With ``transforms``, U*A is D up to column operations,
+    Uinv = U^-1, and each diagonal entry divides the next; without, U and
+    Uinv are None and elimination stops at a diagonal, whose chain
+    ``lmatrix._invariant_factors`` assembles over Q[t, t^-1].
 
     Step order: the smallest nonzero entry of the remaining block becomes
     the pivot (row-major ties), rows then columns are cleared by Euclidean
-    steps, and an entry the pivot does not divide has its row added to the
-    pivot row before a new pivot search.  The integer U fixes the H_1
-    coordinates that every printed character is written in, so this order
-    must not change.
+    steps, and with ``transforms`` an entry the pivot does not divide has
+    its row added to the pivot row before a new pivot search.  The integer
+    U fixes the H_1 coordinates that every printed character is written
+    in, so this order must not change.
     """
     m = [list(row) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if m else 0
     zero, one = ring.zero, ring.one
 
-    def identity(n):
-        return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-    u = uinv = v = vinv = None
+    u = uinv = None
     if transforms:
-        u, uinv, v, vinv = identity(rows), identity(rows), identity(cols), identity(cols)
+        u = [[one if i == j else zero for j in range(rows)] for i in range(rows)]
+        uinv = [list(r) for r in u]
     # row operations act on the rows of m and u, and inversely on the
-    # columns of uinv; column operations likewise on v and vinv
+    # columns of uinv
     row_grids = (m, u) if transforms else (m,)
-    col_grids = (m, v) if transforms else (m,)
 
     def row_add(dst, src, k):
         # row_dst += k * row_src
@@ -206,19 +205,13 @@ def _smith_form(matrix, ring: EuclideanRing, transforms: bool):
 
     def col_add(dst, src, k):
         # col_dst += k * col_src
-        for grid in col_grids:
-            for r in grid:
-                if r[src]:
-                    r[dst] = r[dst] + k * r[src]
-        if transforms:
-            vinv[src] = [a - k * b if b else a for a, b in zip(vinv[src], vinv[dst])]
+        for r in m:
+            if r[src]:
+                r[dst] = r[dst] + k * r[src]
 
     def col_swap(i, j):
-        for grid in col_grids:
-            for r in grid:
-                r[i], r[j] = r[j], r[i]
-        if transforms:
-            vinv[i], vinv[j] = vinv[j], vinv[i]
+        for r in m:
+            r[i], r[j] = r[j], r[i]
 
     def normalise_pivot(s):
         # multiply row s by the unit that makes the pivot canonical
@@ -272,12 +265,13 @@ def _smith_form(matrix, ring: EuclideanRing, transforms: bool):
                         col_swap(s, j)
                         normalise_pivot(s)
                         dirty = True
-        # force divisibility of the remaining block by the pivot
-        offender = next((i for i in range(s + 1, rows) for j in range(s + 1, cols)
-                         if m[i][j] and ring.divmod(m[i][j], m[s][s])[1]), None)
-        if offender is not None:
-            row_add(s, offender, one)
-            continue
+        if transforms:
+            # force divisibility of the remaining block by the pivot
+            offender = next((i for i in range(s + 1, rows) for j in range(s + 1, cols)
+                             if m[i][j] and ring.divmod(m[i][j], m[s][s])[1]), None)
+            if offender is not None:
+                row_add(s, offender, one)
+                continue
         s += 1
 
-    return m, u, v, uinv, vinv
+    return m, u, uinv

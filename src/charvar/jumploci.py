@@ -30,7 +30,7 @@ from .constructions import GroupModel
 from .errors import InternalInconsistency, UnsupportedDegree
 from .fox import alexander_matrix
 from .laurent import GENERIC, Character, LaurentPolynomial
-from .lmatrix import DEFAULT_MINOR_CEILING, minors
+from .lmatrix import DEFAULT_MINOR_CEILING, check_minor_count, minors
 from .sampling import sample_character
 
 # seeded characters at which a full product verdict spot-checks b_r
@@ -72,20 +72,21 @@ def v1_ideal(model: GroupModel, depth: int = 1,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    alex = alexander_matrix(model.presentation, model.abelian)
     n = model.presentation.ngens
+    rows = len(model.presentation.relators)
     k = n - depth
     trivial_b1 = model.abelian.torsion_free_rank
     if k <= 0:
-        return V1Ideal((LaurentPolynomial.one(alex.nvars),), k,
+        return V1Ideal((LaurentPolynomial.one(trivial_b1),), k,
                        zero_ideal=False, unit_ideal=True,
                        trivial_character_b1=trivial_b1, by_shape=True)
-    if k > min(alex.rows, alex.cols):
+    if k > min(rows, n):
         return V1Ideal((), k, zero_ideal=True, unit_ideal=False,
                        trivial_character_b1=trivial_b1, by_shape=True)
+    check_minor_count(rows, n, k, ceiling)
     gens = []
     seen = set()
-    for g in minors(alex, k, ceiling):
+    for g in minors(alexander_matrix(model.presentation, model.abelian), k, ceiling):
         if g.is_zero():
             continue
         normal = g.unit_normal()

@@ -15,8 +15,10 @@ preserves exact divisibility up to units).
 F_p, which gives the ranks mod p of the modular sandwich.
 
 The univariate ring Q[t, t^-1] is a Euclidean domain; ``smith_univariate``
-runs the Smith elimination of ``intlinalg`` over it and keeps only the
-invariant factors, never the transformation matrices.
+runs the Smith elimination of ``intlinalg`` over it, records no transform,
+and stops at a diagonal.  ``_invariant_factors`` turns that diagonal into
+the divisibility chain, and is the one assembly of every chain over this
+ring: the Kunneth fold of ``GroupModel.kernel_homology`` uses it too.
 """
 
 from __future__ import annotations
@@ -337,6 +339,15 @@ def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
+def check_minor_count(rows: int, cols: int, k: int, ceiling: int) -> None:
+    """Refuse the k x k minors of a rows x cols matrix before any of their
+    work, the matrix's own assembly included: there are
+    C(rows, k) * C(cols, k) of them."""
+    count = comb(rows, k) * comb(cols, k)
+    if count > ceiling:
+        raise TooManyMinors(count, ceiling)
+
+
 def minors(matrix: LaurentMatrix, k: int,
            ceiling: int = DEFAULT_MINOR_CEILING) -> list[LaurentPolynomial]:
     """All k x k minors as exact determinants.  k = 0 gives [1] (the empty
@@ -348,9 +359,7 @@ def minors(matrix: LaurentMatrix, k: int,
         return [LaurentPolynomial.one(matrix.nvars)]
     if k > min(matrix.rows, matrix.cols):
         raise ValueError(f"no {k}x{k} minors in a {matrix.rows}x{matrix.cols} matrix")
-    count = comb(matrix.rows, k) * comb(matrix.cols, k)
-    if count > ceiling:
-        raise TooManyMinors(count, ceiling)
+    check_minor_count(matrix.rows, matrix.cols, k, ceiling)
     entries = matrix.entries
     out = []
     for row_idx in combinations(range(matrix.rows), k):
@@ -455,6 +464,31 @@ def univariate_gcd(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynom
     return f if units is None else f * units[0]
 
 
+def _invariant_factors(orders) -> tuple[LaurentPolynomial, ...]:
+    """The invariant factors of the sum of the Lambda/(x), x in ``orders``
+    monic with nonzero constant term: an ascending divisibility chain
+    without units.  Each x enters from the top by the swaps Lambda/(d) (+)
+    Lambda/(x) = Lambda/(lcm) (+) Lambda/(gcd), carrying the gcd down until
+    it is a unit or equals the entry it meets."""
+    chain = []
+    for x in orders:
+        j = len(chain)
+        while j and not x.is_unit():
+            d = chain[j - 1]
+            if x == d:
+                break
+            g = univariate_gcd(d, x)
+            if g == x:  # every copy of d stays
+                while j and chain[j - 1] == d:
+                    j -= 1
+                continue
+            chain[j - 1] = univariate_divmod(d * x, g)[0]
+            x, j = g, j - 1
+        if not x.is_unit():
+            chain.insert(j, x)
+    return tuple(chain)
+
+
 # univariate_divmod is looked up at call time, so a wrapper installed on the
 # module attribute sees every division the Smith form makes
 LAURENT_UNIVARIATE = EuclideanRing(
@@ -468,27 +502,24 @@ LAURENT_UNIVARIATE = EuclideanRing(
 
 @dataclass(frozen=True)
 class SmithFormUnivariate:
-    """Invariant factors of a matrix over Q[t, t^-1].
+    """The rank and the non-unit invariant factors of a matrix over
+    Q[t, t^-1].
 
     The matrix is read as a module presentation: ``cols`` generators subject
     to ``rows`` relations, so the cokernel is Lambda^(cols - rank) plus one
-    torsion summand Lambda/(f) per invariant factor f.  Invariant factors
-    are monic with nonzero constant term and form a divisibility chain.
+    torsion summand Lambda/(f) per f in ``torsion_factors``.  These are
+    monic with nonzero constant term and form a divisibility chain, which
+    ``_invariant_factors`` assembles from the diagonal the elimination
+    stops at.
     """
 
-    invariant_factors: tuple[LaurentPolynomial, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
-    def nontrivial_factors(self) -> tuple[LaurentPolynomial, ...]:
-        return tuple(f for f in self.invariant_factors if not f.is_unit())
+    rank: int
+    torsion_factors: tuple[LaurentPolynomial, ...]
 
 
 def smith_univariate(matrix: LaurentMatrix) -> SmithFormUnivariate:
     if matrix.nvars != 1:
         raise NotUnivariate(f"matrix has {matrix.nvars} variables")
-    d, *_ = _smith_form(_dense_rows(matrix), LAURENT_UNIVARIATE, transforms=False)
-    factors = tuple(d[i][i] for i in range(min(matrix.rows, matrix.cols)) if d[i][i])
-    return SmithFormUnivariate(factors)
+    d, _, _ = _smith_form(_dense_rows(matrix), LAURENT_UNIVARIATE, transforms=False)
+    diagonal = [d[i][i] for i in range(min(matrix.rows, matrix.cols)) if d[i][i]]
+    return SmithFormUnivariate(len(diagonal), _invariant_factors(diagonal))

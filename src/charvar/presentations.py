@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .errors import NotSurjective, RelatorNotKilled, ZeroMap
 from .intlinalg import mat_mul, smith_normal_form
@@ -81,7 +82,7 @@ def abelianize(presentation: Presentation) -> AbelianData:
     exponents = presentation.exponent_matrix()
     # columns of A are the relator exponent vectors; n x 0 without relators
     a = [[row[i] for row in exponents] for i in range(n)]
-    d, u, _v, uinv, _vinv = smith_normal_form(a)
+    d, u, uinv = smith_normal_form(a)
     diag = [d[i][i] for i in range(min(n, len(exponents)))]
     k = sum(1 for x in diag if x)
     torsion = tuple(x for x in diag if x > 1)
@@ -117,7 +118,7 @@ def validate_epimorphism(presentation: Presentation, images) -> EpimorphismToZm:
             raise RelatorNotKilled(idx)
     # image lattice: columns are the generator images
     lattice = [[images[i][l] for i in range(presentation.ngens)] for l in range(m)]
-    d, u, _v, _uinv, _vinv = smith_normal_form(lattice)
+    d, u, _ = smith_normal_form(lattice)
     diag = [d[i][i] for i in range(min(m, presentation.ngens))]
     if len(diag) < m or 0 in diag:
         raise NotSurjective(f"images span a rank-{sum(1 for x in diag if x)} "
@@ -126,15 +127,8 @@ def validate_epimorphism(presentation: Presentation, images) -> EpimorphismToZm:
         recoord = [[Fraction(u[i][j], diag[i]) for j in range(m)] for i in range(m)]
         raise NotSurjective(
             "images span a finite-index proper sublattice of Z^"
-            f"{m} (index {_prod(diag)})", recoordinatize=recoord)
+            f"{m} (index {prod(diag)})", recoordinatize=recoord)
     return nu
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def induced_on_free_part(nu: EpimorphismToZm, abelian: AbelianData):

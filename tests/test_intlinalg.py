@@ -28,10 +28,9 @@ def test_smith_form_reconstruction():
         rows = rng.randint(0, 4)
         cols = rng.randint(0, 4)
         a = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        d, u, v, uinv, vinv = smith_normal_form(a)
-        assert mat_mul(mat_mul(u, a), v) == d
-        assert mat_mul(mat_mul(uinv, d), vinv) == a
+        d, u, uinv = smith_normal_form(a)
         diag = [d[i][i] for i in range(min(rows, cols))]
+        assert_row_transform(a, u, uinv, diag)
         # divisibility chain and zero off-diagonal
         for i in range(len(diag) - 1):
             if diag[i + 1]:
@@ -41,6 +40,24 @@ def test_smith_form_reconstruction():
                 if i != j:
                     assert d[i][j] == 0
         assert sum(1 for x in diag if x) == integer_rank(a)
+
+
+def assert_row_transform(a, u, uinv, diag):
+    """U is unimodular and U*A = D*W for the diagonal D and an integer W
+    whose first rank rows extend to a basis of Z^cols: what a Smith form's
+    row transform gives, whatever its column transform was."""
+    rows = len(a)
+    assert mat_mul(u, uinv) == [[int(i == j) for j in range(rows)] for i in range(rows)]
+    ua = mat_mul(u, a) if rows else []
+    rank = sum(1 for x in diag if x)
+    assert all(x == 0 for row in ua[rank:] for x in row)
+    quotients = []
+    for i in range(rank):
+        assert all(x % diag[i] == 0 for x in ua[i])
+        quotients.append([x // diag[i] for x in ua[i]])
+    if rank:
+        w = sympy_smith(Matrix(quotients), domain=ZZ)
+        assert all(abs(int(w[i, i])) == 1 for i in range(rank))
 
 
 def test_smith_known_values():

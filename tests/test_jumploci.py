@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from charvar import jumploci
 from charvar.complexes import twisted_betti
 from charvar.constructions import (build_model, direct_product, free_group,
                                    punctured_surface_group, surface_group)
+from charvar.errors import TooManyMinors
 from charvar.jumploci import is_full_v1, is_full_vr_product, v1_ideal
 from charvar.laurent import Character
 from charvar.sampling import sample_character
@@ -32,6 +34,18 @@ def test_in_variety_genus2_everywhere():
         rho = sample_character(rng, 4, box=9)
         assert b1_jumps(p, rho, model)
     assert b1_jumps(p, Character.trivial(4), model)
+
+
+def test_v1_ideal_refuses_too_many_minors_before_the_alexander_matrix(monkeypatch):
+    model = build_model(direct_product([surface_group(2), surface_group(3)]))
+
+    def unreachable(*args):
+        raise AssertionError("the Alexander matrix was built")
+
+    monkeypatch.setattr(jumploci, "alexander_matrix", unreachable)
+    with pytest.raises(TooManyMinors) as err:
+        v1_ideal(model, 1)
+    assert str(err.value) == "31245500 minors exceeds ceiling 20000"
 
 
 def test_v1_ideal_torus():

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from charvar import lmatrix
 from charvar.cli import main, resolve_nu
 from charvar.complexes import (generic_ranks, kernel_homology_univariate,
                                twisted_betti)
@@ -272,6 +273,26 @@ def test_product_kernel_homology_smith_reduces_factor_matrices_only(monkeypatch)
     assert len(pushed) == 3 and all(cx.ranks == factor.ranks for cx in pushed)
     shapes = {(m.rows, m.cols) for (m,) in calls["lmatrix.smith_univariate"]}
     assert shapes == {(1, 4), (4, 1)}
+
+
+def test_smith_on_the_s2_cubed_tensor_model_divides_little(monkeypatch):
+    # the Smith form over Q[t, t^-1] stops at a diagonal and leaves the
+    # divisibility chain to _invariant_factors; forcing the chain by
+    # re-dividing the remaining block after every pivot made 16,724
+    # divisions on this complex
+    presentation = direct_product([surface_group(2)] * 3)
+    model = build_model(presentation)
+    nubar = induced_on_free_part(
+        resolve_nu(presentation, "1;1;0;1;1;-1;0;-1;0;1;1;1"), model.abelian)
+    pushed = model.complex.specialize(nubar)
+    calls = []
+    divmod_ = lmatrix.univariate_divmod
+    monkeypatch.setattr(lmatrix, "univariate_divmod",
+                        lambda f, g: calls.append(1) or divmod_(f, g))
+    report = kernel_homology_univariate(pushed)
+    assert len(calls) < 2000
+    monkeypatch.undo()
+    assert report == model.kernel_homology(nubar)
 
 
 def test_kernel_of_s2_to_the_fourth(capsys):

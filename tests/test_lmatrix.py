@@ -153,15 +153,15 @@ def test_univariate_divmod():
 def test_smith_univariate_single_entry():
     m = laurent_matrix(1, [[x() - one1()]])
     s = smith_univariate(m)
-    assert [f.to_text() for f in s.invariant_factors] == ["t1 - 1"]
+    assert [f.to_text() for f in s.torsion_factors] == ["t1 - 1"]
     assert m.cols - s.rank == 0
-    assert sum(f.degree_span(0) for f in s.invariant_factors) == 1
+    assert sum(f.degree_span(0) for f in s.torsion_factors) == 1
 
 
 def test_smith_univariate_zero_matrix():
     m = zero_matrix(1, 1, 2)
     s = smith_univariate(m)
-    assert s.invariant_factors == ()
+    assert s.torsion_factors == ()
     assert m.cols - s.rank == 2
 
 
@@ -169,8 +169,8 @@ def test_smith_univariate_gcd_row():
     # gcd(t - 1, t^2 - 1) = t - 1 by one Euclidean step
     m = laurent_matrix(1, [[x() - one1(), x(2) - one1()]])
     s = smith_univariate(m)
-    assert [f.to_text() for f in s.invariant_factors] == ["t1 - 1"]
-    assert sum(f.degree_span(0) for f in s.invariant_factors) == 1
+    assert [f.to_text() for f in s.torsion_factors] == ["t1 - 1"]
+    assert sum(f.degree_span(0) for f in s.torsion_factors) == 1
     assert m.cols - s.rank == 1
 
 
@@ -179,15 +179,24 @@ def test_smith_transforms_reconstruct_input():
     for _ in range(60):
         m = _random_matrix(rng, nvars=1, max_dim=4)
         s = smith_univariate(m)
-        d, u, v, uinv, vinv = (laurent_matrix(1, g) for g in
-                               _smith_form(m.entries, LAURENT_UNIVARIATE,
-                                           transforms=True))
-        assert (u @ m) @ v == d
-        assert (uinv @ d) @ vinv == m
-        assert tuple(d.entries[i][i] for i in range(min(m.rows, m.cols))
-                     if d.entries[i][i]) == s.invariant_factors
+        d, u, uinv = (laurent_matrix(1, g) for g in
+                      _smith_form(m.entries, LAURENT_UNIVARIATE, transforms=True))
+        zero = LaurentPolynomial.zero(1)
+        assert u @ uinv == laurent_matrix(1, [[one1() if i == j else zero
+                                              for j in range(m.rows)]
+                                             for i in range(m.rows)])
+        diagonal = [d.entries[i][i] for i in range(min(m.rows, m.cols))
+                    if d.entries[i][i]]
+        # row i of U*A is d_i times a row below the rank, and zero from it on
+        ua = (u @ m).entries
+        for i, row in enumerate(ua):
+            assert all(not f or i < len(diagonal)
+                       and univariate_divmod(f, diagonal[i])[1].is_zero()
+                       for f in row)
+        assert len(diagonal) == s.rank
+        assert tuple(f for f in diagonal if not f.is_unit()) == s.torsion_factors
         # divisibility chain
-        fs = s.invariant_factors
+        fs = diagonal
         for i in range(len(fs) - 1):
             q, r = univariate_divmod(fs[i + 1], fs[i])
             assert r.is_zero()
@@ -208,7 +217,7 @@ def test_smith_product_of_factors_matches_minor_gcd():
         if k == 0:
             continue
         product = LaurentPolynomial.one(1)
-        for f in s.invariant_factors:
+        for f in s.torsion_factors:
             product = product * f
         gcd = LaurentPolynomial.zero(1)
         for d in minors(m, k):
@@ -234,19 +243,21 @@ def test_smith_univariate_matches_sympy():
             (c.numerator * t ** (e + 2) / c.denominator
              for (e,), c in m.entries[i][j].terms.items()), 0))
         expected = []
-        for f in invariant_factors(grid, domain=QQ[t]):
-            if f == 0:
-                continue
+        nonzero = [f for f in invariant_factors(grid, domain=QQ[t]) if f != 0]
+        for f in nonzero:
             # over Q[t, t^-1] powers of t are units: strip them, make monic
             coeffs = Poly(f, t).all_coeffs()[::-1]
             low = next(k for k, c in enumerate(coeffs) if c)
             coeffs = coeffs[low:]
+            if len(coeffs) == 1:  # a unit: no torsion
+                continue
             expected.append([Fraction(int(c.p), int(c.q)) / Fraction(
                 int(coeffs[-1].p), int(coeffs[-1].q)) for c in coeffs])
         s = smith_univariate(m)
         got = [[f.terms.get((k,), Fraction(0)) for k in range(f.degree_span(0) + 1)]
-               for f in s.invariant_factors]
+               for f in s.torsion_factors]
         assert got == expected
+        assert s.rank == len(nonzero)
 
 
 # -- sparse rows against the dense grid, cell by cell -------------------------
