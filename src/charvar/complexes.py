@@ -2,24 +2,30 @@
 
 A TwistedComplex stores free ranks c_0..c_top and one sparse matrix per
 degree pair (j, j-1); consecutive differentials compose to zero exactly
-over the ring, and this is checked at construction by one sparse pass over
-the whole complex on packed exponents (``lmatrix.ExponentBox``), which
-never builds a product matrix.  Evaluating at a character gives
-twisted Betti numbers; for one variable the ring is a PID and the full
-module structure of the homology (free rank plus torsion) is computed by
-Smith normal form, which is exactly the rational homology of the kernel of
-the corresponding map onto Z.  A product's shape, twisted Betti numbers
-and kernel homology come from its factors' (``GroupModel.ranks``, ``betti``
-and ``kernel_homology``).  ``tensor_complex`` builds a tensor product from
-nonzero cells alone, over the ring both factors share; a product's complex
-is its factors pushed into one ring and tensored (``GroupModel.pushed``).
+over the ring, and this is proven at construction, in one of two ways.
+A complex built by ``tensor_complex`` is proven by its Koszul structure:
+every nonzero cell is an entry of a factor map, with one sign per block,
+and the signs anticommute around every square of blocks, so with both
+factors proven the composite vanishes block by block; this costs at most
+one comparison per nonzero cell.  Every other complex is proven by one
+sparse pass over its whole composites on packed exponents
+(``lmatrix.ExponentBox``), which never builds a product matrix.
+Evaluating at a character gives twisted Betti numbers; for one variable
+the ring is a PID and the full module structure of the homology (free
+rank plus torsion) is computed by Smith normal form, which is exactly
+the rational homology of the kernel of the corresponding map onto Z.  A
+product's shape, twisted Betti numbers and kernel homology come from its
+factors' (``GroupModel.ranks``, ``betti`` and ``kernel_homology``).
+``tensor_complex`` builds a tensor product from nonzero cells alone,
+over the ring both factors share; a product's complex is its factors
+pushed into one ring and tensored (``GroupModel.pushed``).
 Windows grow one echelon per degree.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import product as iproduct
 
 from .errors import InternalInconsistency, NotUnivariate, WindowTooLarge
@@ -39,22 +45,47 @@ class TwistedComplex:
     degree j to degree j-1 and has shape ranks[j-1] x ranks[j].
 
     Construction proves d_j o d_(j+1) = 0 for every j, exactly, or raises
-    ``InternalInconsistency``.  One ``ExponentBox`` covers every exponent
-    of every differential, with lo_i <= e_i <= hi_i; variable i has width
-    w_i = 2 (hi_i - lo_i) + 1, so the packed sum of two exponent vectors
-    has every digit in [0, w_i) and determines the sum.  Each differential
-    becomes sparse rows of packed terms once, and for each row i of d_j
-    every term product of a_ik b_kl is summed under the key l * span +
-    packed sum.  Two term products share a key exactly when they have the
-    same column l and the same monomial, so the sums are the coefficients
-    of the cells of row i of d_j o d_(j+1), every one of them: the check is
-    a proof, not a sample."""
+    ``InternalInconsistency``, by one of two proofs.
+
+    The full-composite pass, for a complex built without ``factors``: one
+    ``ExponentBox`` covers every exponent of every differential, with
+    lo_i <= e_i <= hi_i; variable i has width w_i = 2 (hi_i - lo_i) + 1, so
+    the packed sum of two exponent vectors has every digit in [0, w_i) and
+    determines the sum.  Each differential becomes sparse rows of packed
+    terms once, and for each row i of d_j every term product of a_ik b_kl
+    is summed under the key l * span + packed sum.  Two term products
+    share a key exactly when they have the same column l and the same
+    monomial, so the sums are the coefficients of the cells of row i of
+    d_j o d_(j+1), every one of them: the check is a proof, not a sample.
+
+    The Koszul-structure proof, for a complex built with ``factors`` (A, B)
+    that claims to be their tensor product (``tensor_complex``).  Degree k
+    is the sum of the blocks A_p (x) B_q, p + q = k, in increasing p, the
+    basis e_i (x) f_j of a block at i * rank B_q + j; the offsets are
+    recomputed here from the factors' ranks.  The proof reads every
+    nonzero entry of every d_A and d_B at each cell of its block (p, q) ->
+    (p - 1, q) or (p, q) -> (p, q - 1), which must equal it (``==``) or
+    sum with it to zero, one sign per block, and counts these cells
+    against the nonzero cells of each differential, so no other cell is
+    nonzero.  Then each block is s d_A (x) 1 or s' 1 (x) d_B, and D o D
+    has three kinds of components: s s' (d_A o d_A) (x) 1 and s s'
+    1 (x) (d_B o d_B), which vanish as the factors are proven, and from
+    (p, q) to (p - 1, q - 1) the sum of the two paths around a square,
+    (s_1 s_2 + s_3 s_4) d_A (x) d_B, which vanishes exactly when the two
+    signs anticommute or one of the two factor maps is zero, that is, one
+    of the square's four blocks has no nonzero cell.  A ``TwistedComplex``
+    factor was proven when it was built; any other factor is first built
+    into one, which proves it by the full-composite pass.  No polynomial
+    is multiplied, and the proof costs at most one comparison per nonzero
+    cell: a cell that is the very object just compared is not compared
+    again."""
 
     nvars: int
     ranks: tuple[int, ...]
     differentials: tuple[LaurentMatrix, ...]
+    factors: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, factors):
         if len(self.differentials) != max(len(self.ranks) - 1, 0):
             raise ValueError("need one differential per consecutive degree pair")
         for j, d in enumerate(self.differentials, start=1):
@@ -63,11 +94,71 @@ class TwistedComplex:
             if (d.rows, d.cols) != (self.ranks[j - 1], self.ranks[j]):
                 raise ValueError(f"differential {j} has shape {d.rows}x{d.cols}, "
                                  f"expected {self.ranks[j - 1]}x{self.ranks[j]}")
+        if factors is not None:
+            self._prove_tensor(*(f if isinstance(f, TwistedComplex) else TwistedComplex(
+                f.nvars, tuple(f.ranks), tuple(f.differentials)) for f in factors))
+            return
         box, rows = packed_rows(self.nvars, self.differentials)
         for j in range(1, len(rows)):
             for sums in packed_row_products(rows[j - 1], rows[j], box.span):
                 if any(sums.values()):
                     raise InternalInconsistency(f"d_{j} o d_{j + 1} is nonzero")
+
+    def _prove_tensor(self, a: "TwistedComplex", b: "TwistedComplex") -> None:
+        """The Koszul-structure proof of d o d = 0 over proven factors; a
+        cell of d_k off the structure is reported as d_(k-1) o d_k."""
+        def nonzero(k):
+            j = max(k - 1, 1)
+            return InternalInconsistency(f"d_{j} o d_{j + 1} is nonzero")
+
+        offsets, ranks = [], []
+        for k in range(a.top + b.top + 1):
+            offsets.append({})
+            ranks.append(0)
+            for p in range(max(0, k - b.top), min(a.top, k) + 1):
+                offsets[k][p] = ranks[k]
+                ranks[k] += a.ranks[p] * b.ranks[k - p]
+        n = len(self.ranks)
+        if ranks[:n] != list(self.ranks) or any(ranks[n:]):
+            raise InternalInconsistency(
+                f"ranks {list(self.ranks)} are not the tensor ranks {ranks}")
+        zero = LaurentPolynomial.zero(self.nvars)
+        signs: dict[tuple, int] = {}
+        for k, d in enumerate(self.differentials, start=1):
+            rows, seen = d.sparse_rows, 0
+            for p, col_off in offsets[k].items():
+                q = k - p
+                # (key, factor map, row offset, stride, (row step, col step), count):
+                # the cell of entry (r, c) at step t is row_off + r * stride
+                # + t * row step, col_off + c * stride + t * col step
+                blocks = []
+                if p:
+                    blocks.append((("A", p, q), a.differentials[p - 1], offsets[k - 1][p - 1],
+                                   b.ranks[q], (1, 1), b.ranks[q]))
+                if q:
+                    blocks.append((("B", p, q), b.differentials[q - 1], offsets[k - 1][p],
+                                   1, (b.ranks[q - 1], b.ranks[q]), a.ranks[p]))
+                for key, factor_map, row_off, stride, (dr, dc), count in blocks:
+                    for r, row in enumerate(factor_map.sparse_rows):
+                        seen += count * len(row)
+                        for c, entry in row.items():
+                            i, j, known = row_off + r * stride, col_off + c * stride, None
+                            for t in range(count):
+                                cell = rows[i + t * dr].get(j + t * dc, zero)
+                                if cell is known:  # the same object, so the same sign
+                                    continue
+                                known = cell
+                                sign = (1 if cell is entry or cell == entry
+                                        else -1 if not (cell + entry).terms else 0)
+                                if signs.setdefault(key, sign) != sign or not sign:
+                                    raise nonzero(k)
+            if seen != sum(map(len, rows)):
+                raise nonzero(k)
+        for _, p, q in signs:
+            square = [signs.get(key) for key in
+                      (("A", p, q), ("B", p - 1, q), ("B", p, q), ("A", p, q - 1))]
+            if None not in square and square[0] * square[1] + square[2] * square[3]:
+                raise nonzero(p + q)
 
     @property
     def top(self) -> int:
@@ -163,7 +254,9 @@ def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
     differential is built as sparse rows straight from the factors' sparse
     columns and no zero cell is visited.  Trailing zero degrees are
     trimmed.  Factors in different rings are first pushed into a shared
-    one (``TwistedComplex.specialize``), as ``GroupModel.pushed`` does."""
+    one (``TwistedComplex.specialize``), as ``GroupModel.pushed`` does.
+    The result carries its two factors into its construction, which
+    proves d o d = 0 by the Koszul structure (``TwistedComplex``)."""
     if a.nvars != b.nvars:
         raise ValueError(f"factors live in {a.nvars} and {b.nvars} variables")
     m = a.nvars
@@ -205,7 +298,7 @@ def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
         ranks.pop()
         if diffs:
             diffs.pop()
-    return TwistedComplex(m, tuple(ranks), tuple(diffs))
+    return TwistedComplex(m, tuple(ranks), tuple(diffs), (a, b))
 
 
 SANDWICH_PRIME = 2 ** 31 - 1

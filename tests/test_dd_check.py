@@ -2,7 +2,7 @@
 sum of ``conftest.entrywise_product``: it raises exactly when a composite
 is nonzero and names the first such degree pair, it catches every
 single-cell change to a real complex, and building a product never forms
-a matrix product."""
+a matrix product nor a full composite of a fold."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import charvar.complexes
 from charvar.complexes import TwistedComplex
 from charvar.constructions import (build_model, cycle_graph, direct_product,
                                    free_group, raag_chain_model, surface_group)
@@ -241,3 +242,28 @@ def test_building_a_product_forms_no_matrix_product(monkeypatch):
     one @ one
     assert len(calls) == 1
 
+
+
+def test_s2_cubed_folds_reach_no_full_composite_pass(monkeypatch):
+    # each fold of a product is proven by its Koszul structure, at one
+    # comparison per nonzero cell; the full-composite pass on the 216-cell
+    # fold alone made 10,944 term products
+    building, reached = [], []
+    prove = TwistedComplex.__post_init__
+    products = charvar.complexes.packed_row_products
+
+    def tracked(cx, factors):
+        building.append(cx)
+        prove(cx, factors)
+        building.pop()
+
+    def recorded(left, right, span):
+        reached.append(sum(building[-1].ranks))
+        return products(left, right, span)
+
+    monkeypatch.setattr(TwistedComplex, "__post_init__", tracked)
+    monkeypatch.setattr(charvar.complexes, "packed_row_products", recorded)
+    cx = build_model(direct_product([surface_group(2)] * 3)).complex
+    assert sum(cx.ranks) == 216
+    # the factors' own proofs still run, on 6 cells each
+    assert reached and max(reached) == 6

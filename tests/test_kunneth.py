@@ -17,7 +17,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from charvar import lmatrix
 from charvar.cli import main, resolve_nu
-from charvar.complexes import (generic_ranks, kernel_homology_univariate,
+from charvar.complexes import (TwistedComplex, generic_ranks,
+                               kernel_homology_univariate, tensor_complex,
                                twisted_betti)
 from charvar.constructions import (build_model, complete_graph,
                                    direct_product, free_group, raag,
@@ -28,7 +29,7 @@ from charvar.laurent import GENERIC, Character
 from charvar.parser import parse_presentation
 from charvar.presentations import induced_on_free_part
 
-from conftest import cli_calls
+from conftest import cli_calls, scaled
 
 TORSION = parse_presentation("gens a,b,c; rel a^3 b^-3 c^6; rel [b,c];")
 
@@ -226,6 +227,30 @@ def test_pushed_product_matches_the_pushed_tensor_model(choice, m, seed):
     nubar = [[x for f in model.factors for x in seeded_block(rng, f.complex.nvars)]
              for _ in range(m)]
     assert model.pushed(nubar) == model.complex.specialize(nubar)
+
+
+# each presentation with the complex a fold reads: the pool's and NESTED's
+# models, and TORSION's complex rescaled to Fraction coefficients
+FOLD_POOL = [(g, build_model(g).complex) for g in POOL + [NESTED]] + [
+    (TORSION, scaled(build_model(TORSION).complex, (Fraction(3, 2), Fraction(-1, 3))))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(range(len(FOLD_POOL))), min_size=2, max_size=3),
+       st.integers(1, 2), st.integers(0, 2 ** 32))
+@example([len(FOLD_POOL) - 1, len(POOL), len(FOLD_POOL) - 1], 2, 0)
+def test_every_fold_passes_the_full_composite_pass_too(choice, m, seed):
+    # each fold is proven by its Koszul structure over its proven factors;
+    # rebuilt by the plain constructor it goes through the full-composite
+    # pass, which must accept it too, and its ranks are the product's
+    rng = random.Random(seed)
+    pushed = [cx.specialize([seeded_block(rng, cx.nvars) for _ in range(m)])
+              for cx in (FOLD_POOL[i][1] for i in choice)]
+    folded = pushed[0]
+    for factor in pushed[1:]:
+        folded = tensor_complex(folded, factor)
+        assert TwistedComplex(folded.nvars, folded.ranks, folded.differentials) == folded
+    assert folded.ranks == build_model(direct_product([FOLD_POOL[i][0] for i in choice])).ranks
 
 
 @pytest.mark.parametrize("spec", ["1;1;0;1;1;-1;0;-1;0;1;1;1", "pencil"],

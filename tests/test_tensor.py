@@ -1,7 +1,8 @@
 """The tensor product of chain models equals the textbook lift-and-add
-assembly of ``tensor_oracle``, and the d o d = 0 check of every assembled
-complex still catches a broken assembly, at both places a product's complex
-is assembled: its tensor model and its factors pushed to Z."""
+assembly of ``tensor_oracle``, and the d o d = 0 proof of every assembled
+complex, read against its factors' Koszul structure, still catches a broken
+assembly, at both places a product's complex is assembled: its tensor model
+and its factors pushed to Z."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -117,3 +118,51 @@ def test_dropped_d_a_entry_is_caught(monkeypatch, site):
 def test_unbroken_assemblies_build():
     for assemble, nvars in CALL_SITES.values():
         assert assemble().nvars == nvars
+
+
+def changed_cells(monkeypatch, change):
+    """Let ``change`` edit the sparse rows of the assembled differentials
+    of every fold, given the fold's factors, before the fold is proven."""
+    prove = TwistedComplex.__post_init__
+
+    def changed(cx, factors):
+        if factors is not None:
+            rows = [[dict(row) for row in d.sparse_rows] for d in cx.differentials]
+            change(rows, *factors)
+            object.__setattr__(cx, "differentials", tuple(
+                LaurentMatrix._from_rows(d.nvars, d.rows, d.cols, r)
+                for d, r in zip(cx.differentials, rows)))
+        prove(cx, factors)
+
+    monkeypatch.setattr(TwistedComplex, "__post_init__", changed)
+
+
+# S_1 x S_1 has chain ranks (1, 2, 1) x (1, 2, 1); degree 1 is A_0 (x) B_1
+# in columns 0, 1 then A_1 (x) B_0 in columns 2, 3, so cell (0, 0) of d_1 is
+# the d_B entry (0, 0) with the sign (-1)^0, in a block with one more
+# nonzero cell, (0, 1)
+def flip_a_d_b_cell(rows, a, b):
+    assert rows[0][0][0] == b.differentials[0].sparse_rows[0][0] and rows[0][0][1].terms
+    rows[0][0][0] = -rows[0][0][0]
+
+
+def drop_a_d_b_cell(rows, a, b):
+    assert rows[0][0][0] == b.differentials[0].sparse_rows[0][0]
+    del rows[0][0][0]
+
+
+# row 3 of d_2 is e_1 (x) f_0 in A_1 (x) B_0 and column 1 is e_0 (x) f_0 in
+# A_1 (x) B_1: a d_A cell would need the row in A_0 (x) B_1, a d_B cell the
+# same e_1, so the cell lies outside every block
+def add_a_stray_cell(rows, a, b):
+    assert 1 not in rows[1][3]
+    rows[1][3][1] = LaurentPolynomial.one(a.nvars)
+
+
+@pytest.mark.parametrize("change", [flip_a_d_b_cell, drop_a_d_b_cell, add_a_stray_cell],
+                         ids=["flipped-d_b-sign", "dropped-d_b-cell", "stray-cell"])
+@pytest.mark.parametrize("site", CALL_SITES)
+def test_one_changed_cell_is_caught(monkeypatch, site, change):
+    changed_cells(monkeypatch, change)
+    with pytest.raises(InternalInconsistency, match="is nonzero"):
+        CALL_SITES[site][0]()

@@ -97,9 +97,9 @@ def built_variable_counts(monkeypatch, argv):
     counts = []
     check = TwistedComplex.__post_init__
 
-    def recording(cx):
+    def recording(cx, factors):
         counts.append(cx.nvars)
-        check(cx)
+        check(cx, factors)
 
     monkeypatch.setattr(TwistedComplex, "__post_init__", recording)
     out = io.StringIO()
