@@ -111,13 +111,7 @@ class TwistedComplex:
             j = max(k - 1, 1)
             return InternalInconsistency(f"d_{j} o d_{j + 1} is nonzero")
 
-        offsets, ranks = [], []
-        for k in range(a.top + b.top + 1):
-            offsets.append({})
-            ranks.append(0)
-            for p in range(max(0, k - b.top), min(a.top, k) + 1):
-                offsets[k][p] = ranks[k]
-                ranks[k] += a.ranks[p] * b.ranks[k - p]
+        offsets, ranks = _tensor_blocks(a, b)
         n = len(self.ranks)
         if ranks[:n] != list(self.ranks) or any(ranks[n:]):
             raise InternalInconsistency(
@@ -246,6 +240,19 @@ def presentation_complex(presentation: Presentation, q) -> TwistedComplex:
     return TwistedComplex(m, (1, n, len(presentation.relators)), (d1, d2))
 
 
+def _tensor_blocks(a, b) -> tuple[list[dict[int, int]], list[int]]:
+    """The block table of A (x) B: per degree k, the offset of each block
+    A_p (x) B_(k-p) in increasing p, and the rank."""
+    offsets, ranks = [], []
+    for k in range(a.top + b.top + 1):
+        offsets.append({})
+        ranks.append(0)
+        for p in range(max(0, k - b.top), min(a.top, k) + 1):
+            offsets[k][p] = ranks[k]
+            ranks[k] += a.ranks[p] * b.ranks[k - p]
+    return offsets, ranks
+
+
 def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
     """Chain-level tensor product over the ring both factors live in.
     Signs follow d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.  A cell of a
@@ -265,20 +272,9 @@ def tensor_complex(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
     # the d_B entries with the sign (-1)^p, by the parity of p
     db_signed = (db, [[{r: -e for r, e in col.items()} for col in d] for d in db])
 
-    top = a.top + b.top
-    ranks = []
-    offsets: list[dict[int, int]] = []
-    for k in range(top + 1):
-        off: dict[int, int] = {}
-        total = 0
-        for p in range(max(0, k - b.top), min(a.top, k) + 1):
-            off[p] = total
-            total += a.ranks[p] * b.ranks[k - p]
-        offsets.append(off)
-        ranks.append(total)
-
+    offsets, ranks = _tensor_blocks(a, b)
     diffs = []
-    for k in range(1, top + 1):
+    for k in range(1, a.top + b.top + 1):
         rows: list[dict] = [{} for _ in range(ranks[k - 1])]
         for p, col_off in offsets[k].items():
             q = k - p

@@ -1,13 +1,10 @@
 """Exact integer and rational linear algebra: rank over Q by sparse
 fraction-free row reduction (``reduce_row``, one step that the windows of
-``complexes`` share), rank mod a prime, and Smith form.
+``complexes`` share), rank mod a prime, and the integer Smith normal form.
 
-Matrices are plain lists of lists.  One Smith elimination serves every
-Euclidean domain this package uses, described by an ``EuclideanRing``: the
-integers here, and Q[t, t^-1] in ``lmatrix``.  It records no column
-transform, and the row transforms U and U^-1 only for the integer Smith
-normal form, whose U fixes the H_1 coordinates.  Over Q[t, t^-1] it stops
-at a diagonal, and ``lmatrix._invariant_factors`` assembles the chain.
+The Smith form records the row transforms U and U^-1, whose U fixes the
+H_1 coordinates, and no column transform.  The Smith form over
+Q[t, t^-1] is a separate elimination in ``lmatrix``.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from __future__ import annotations
 from itertools import compress
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Callable, NamedTuple
 
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
@@ -130,78 +126,40 @@ def modular_rank(rows, cols: int, p: int) -> int:
     return len(pivots)
 
 
-class EuclideanRing(NamedTuple):
-    """What the Smith elimination needs to know about a Euclidean domain.
-
-    ``divmod(a, b)`` returns (q, r) with a = q*b + r and r zero or of
-    smaller ``size`` than b.  ``normalise(a)`` returns a pair (unit, its
-    inverse) taking a nonzero a to its canonical associate a*unit, or None
-    when a is canonical already.  Zero elements must be falsy.
-    """
-
-    zero: object
-    one: object
-    divmod: Callable
-    size: Callable
-    normalise: Callable
-
-
-INTEGERS = EuclideanRing(0, 1, divmod, abs,
-                         lambda a: (-1, -1) if a < 0 else None)
-
-
 def smith_normal_form(matrix):
     """Integer Smith normal form with its row transforms.
 
     Returns (D, U, Uinv): D is U*A after column operations, diagonal with
     nonnegative entries forming a divisibility chain, and Uinv = U^-1.
-    """
-    return _smith_form(matrix, INTEGERS, transforms=True)
-
-
-def _smith_form(matrix, ring: EuclideanRing, transforms: bool):
-    """Diagonalize over a Euclidean domain by elementary row and column
-    operations; column operations act on the working grid alone.  Returns
-    (D, U, Uinv), the nonzero diagonal entries of D canonical (see
-    ``normalise``).  With ``transforms``, U*A is D up to column operations,
-    Uinv = U^-1, and each diagonal entry divides the next; without, U and
-    Uinv are None and elimination stops at a diagonal, whose chain
-    ``lmatrix._invariant_factors`` assembles over Q[t, t^-1].
+    Column operations act on the working grid alone.
 
     Step order: the smallest nonzero entry of the remaining block becomes
     the pivot (row-major ties), rows then columns are cleared by Euclidean
-    steps, and with ``transforms`` an entry the pivot does not divide has
-    its row added to the pivot row before a new pivot search.  The integer
-    U fixes the H_1 coordinates that every printed character is written
-    in, so this order must not change.
+    steps, and an entry the pivot does not divide has its row added to the
+    pivot row before a new pivot search.  U fixes the H_1 coordinates that
+    every printed character is written in, so this order must not change.
     """
     m = [list(row) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if m else 0
-    zero, one = ring.zero, ring.one
 
-    u = uinv = None
-    if transforms:
-        u = [[one if i == j else zero for j in range(rows)] for i in range(rows)]
-        uinv = [list(r) for r in u]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    uinv = [list(r) for r in u]
+
     # row operations act on the rows of m and u, and inversely on the
     # columns of uinv
-    row_grids = (m, u) if transforms else (m,)
-
     def row_add(dst, src, k):
         # row_dst += k * row_src
-        for grid in row_grids:
+        for grid in (m, u):
             grid[dst] = [a + k * b if b else a for a, b in zip(grid[dst], grid[src])]
-        if transforms:
-            for r in uinv:
-                r[src] = r[src] - k * r[dst]
+        for r in uinv:
+            r[src] = r[src] - k * r[dst]
 
     def row_swap(i, j):
-        for grid in row_grids:
+        for grid in (m, u):
             grid[i], grid[j] = grid[j], grid[i]
-        if transforms:
-            for r in uinv:
-                r[i], r[j] = r[j], r[i]
+        for r in uinv:
+            r[i], r[j] = r[j], r[i]
 
     def col_add(dst, src, k):
         # col_dst += k * col_src
@@ -214,23 +172,19 @@ def _smith_form(matrix, ring: EuclideanRing, transforms: bool):
             r[i], r[j] = r[j], r[i]
 
     def normalise_pivot(s):
-        # multiply row s by the unit that makes the pivot canonical
-        units = ring.normalise(m[s][s])
-        if units is None:
-            return
-        unit, inverse = units
-        for grid in row_grids:
-            grid[s] = [a * unit for a in grid[s]]
-        if transforms:
+        # a negative pivot's row is negated, and so is its column of uinv
+        if m[s][s] < 0:
+            for grid in (m, u):
+                grid[s] = [-a for a in grid[s]]
             for r in uinv:
-                r[s] = r[s] * inverse
+                r[s] = -r[s]
 
     def find_pivot(s):
         best = best_size = None
         for i in range(s, rows):
             for j in range(s, cols):
                 if m[i][j]:
-                    size = ring.size(m[i][j])
+                    size = abs(m[i][j])
                     if best is None or size < best_size:
                         best, best_size = (i, j), size
         return best
@@ -251,27 +205,24 @@ def _smith_form(matrix, ring: EuclideanRing, transforms: bool):
             dirty = False
             for i in range(s + 1, rows):
                 if m[i][s]:
-                    q, _ = ring.divmod(m[i][s], m[s][s])
-                    row_add(i, s, -q)
+                    row_add(i, s, -(m[i][s] // m[s][s]))
                     if m[i][s]:
                         row_swap(s, i)
                         normalise_pivot(s)
                         dirty = True
             for j in range(s + 1, cols):
                 if m[s][j]:
-                    q, _ = ring.divmod(m[s][j], m[s][s])
-                    col_add(j, s, -q)
+                    col_add(j, s, -(m[s][j] // m[s][s]))
                     if m[s][j]:
                         col_swap(s, j)
                         normalise_pivot(s)
                         dirty = True
-        if transforms:
-            # force divisibility of the remaining block by the pivot
-            offender = next((i for i in range(s + 1, rows) for j in range(s + 1, cols)
-                             if m[i][j] and ring.divmod(m[i][j], m[s][s])[1]), None)
-            if offender is not None:
-                row_add(s, offender, one)
-                continue
+        # force divisibility of the remaining block by the pivot
+        offender = next((i for i in range(s + 1, rows) for j in range(s + 1, cols)
+                         if m[i][j] and m[i][j] % m[s][s]), None)
+        if offender is not None:
+            row_add(s, offender, 1)
+            continue
         s += 1
 
     return m, u, uinv

@@ -14,11 +14,13 @@ preserves exact divisibility up to units).
 ``evaluate_mod`` reduces a matrix mod a prime at a point of the torus over
 F_p, which gives the ranks mod p of the modular sandwich.
 
-The univariate ring Q[t, t^-1] is a Euclidean domain; ``smith_univariate``
-runs the Smith elimination of ``intlinalg`` over it, records no transform,
-and stops at a diagonal.  ``_invariant_factors`` turns that diagonal into
-the divisibility chain, and is the one assembly of every chain over this
-ring: the Kunneth fold of ``GroupModel.kernel_homology`` uses it too.
+Over the univariate ring Q[t, t^-1], ``smith_univariate`` eliminates to a
+diagonal by unit scalings and leading-term steps on primitive rows in
+Z[t, t^-1], so no coefficient leaves the integers or swells (the
+primitive remainders of W. S. Brown, J. ACM 18, 1971).  ``_invariant_factors``
+turns that diagonal into the divisibility chain, and is the one assembly
+of every chain over this ring: the Kunneth fold of
+``GroupModel.kernel_homology`` uses it too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import combinations
 from math import comb, gcd
 
 from .errors import NotUnivariate, TooManyMinors, VariableCountMismatch
-from .intlinalg import EuclideanRing, _smith_form, rational_rank
+from .intlinalg import rational_rank
 from .laurent import Character, LaurentPolynomial, _canonical, _make
 
 DEFAULT_MINOR_CEILING = 20000
@@ -444,15 +446,14 @@ def _from_coeffs(coeffs) -> LaurentPolynomial:
     return LaurentPolynomial(1, {(i,): c for i, c in enumerate(coeffs) if c})
 
 
-def _normalising_unit(p: LaurentPolynomial):
-    """The unit c*t^e taking p to its monic associate with nonzero
-    constant term, with its inverse; None when p is that already."""
+def _monic(p: LaurentPolynomial) -> LaurentPolynomial:
+    """The associate of nonzero p, by a unit c*t^e, that is monic with
+    nonzero constant term."""
     lo, hi = p.exponent_range(0)
     lead = p.terms[(hi,)]
     if lo == 0 and lead == 1:
-        return None
-    return (LaurentPolynomial(1, {(-lo,): Fraction(1, lead)}),
-            LaurentPolynomial(1, {(lo,): lead}))
+        return p
+    return p * LaurentPolynomial(1, {(-lo,): Fraction(1, lead)})
 
 
 def univariate_gcd(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
@@ -460,8 +461,7 @@ def univariate_gcd(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynom
     or zero when f = g = 0, by Euclid's algorithm on ``univariate_divmod``."""
     while g:
         f, g = g, univariate_divmod(f, g)[1]
-    units = _normalising_unit(f) if f else None
-    return f if units is None else f * units[0]
+    return _monic(f) if f else f
 
 
 def _invariant_factors(orders) -> tuple[LaurentPolynomial, ...]:
@@ -489,17 +489,6 @@ def _invariant_factors(orders) -> tuple[LaurentPolynomial, ...]:
     return tuple(chain)
 
 
-# univariate_divmod is looked up at call time, so a wrapper installed on the
-# module attribute sees every division the Smith form makes
-LAURENT_UNIVARIATE = EuclideanRing(
-    zero=LaurentPolynomial.zero(1),
-    one=LaurentPolynomial.one(1),
-    divmod=lambda f, g: univariate_divmod(f, g),
-    size=lambda p: (p.degree_span(0), len(p.terms)),
-    normalise=_normalising_unit,
-)
-
-
 @dataclass(frozen=True)
 class SmithFormUnivariate:
     """The rank and the non-unit invariant factors of a matrix over
@@ -518,8 +507,62 @@ class SmithFormUnivariate:
 
 
 def smith_univariate(matrix: LaurentMatrix) -> SmithFormUnivariate:
+    """Diagonalise by steps that keep every coefficient an integer, then
+    make the diagonal monic and assemble the chain.  Every row is made
+    primitive first, so entries lie in Z[t, t^-1]: the pivot is the entry
+    of least (span, coefficient bits) in the remaining block, and each
+    entry below it loses its leading term to ``_reduce_lead`` until it is
+    zero or of smaller span, when a new pivot is chosen.  The entries
+    right of the pivot are cleared as those below it in the transpose,
+    which has the same invariant factors."""
     if matrix.nvars != 1:
         raise NotUnivariate(f"matrix has {matrix.nvars} variables")
-    d, _, _ = _smith_form(_dense_rows(matrix), LAURENT_UNIVARIATE, transforms=False)
-    diagonal = [d[i][i] for i in range(min(matrix.rows, matrix.cols)) if d[i][i]]
+    grid = [_strip_row_units(row) for row in _dense_rows(matrix)]
+    diagonal = []
+    while block := [(_size(p), i, j) for i, row in enumerate(grid)
+                    for j, p in enumerate(row) if p.terms]:
+        _, i, j = min(block)
+        grid[0], grid[i] = grid[i], grid[0]
+        for row in grid:
+            row[0], row[j] = row[j], row[0]
+        if not _clear_below(grid):
+            continue
+        if any(grid[0][1:]):
+            grid = [list(col) for col in zip(*grid)]
+            if not _clear_below(grid):
+                continue
+        diagonal.append(_monic(grid[0][0]))
+        grid = [row[1:] for row in grid[1:]]
     return SmithFormUnivariate(len(diagonal), _invariant_factors(diagonal))
+
+
+def _size(p: LaurentPolynomial) -> tuple[int, int]:
+    """The span and coefficient bits of a nonzero p in Z[t, t^-1]."""
+    return max(p.terms)[0] - min(p.terms)[0], max(map(abs, p.terms.values())).bit_length()
+
+
+def _clear_below(grid) -> bool:
+    """Reduce each entry below the pivot grid[0][0] by ``_reduce_lead``;
+    False at the first that is left nonzero, of smaller span."""
+    span = grid[0][0].degree_span(0)
+    for i in range(1, len(grid)):
+        while grid[i][0] and grid[i][0].degree_span(0) >= span:
+            grid[i] = _reduce_lead(grid[i], grid[0])
+        if grid[i][0]:
+            return False
+    return True
+
+
+def _reduce_lead(row, pivot_row):
+    """(a/g)*row - (b/g)*t^k*pivot_row for rows of integral entries, with
+    a*t^h and b*t^(h+k) the leading terms of pivot_row[0] and row[0] and
+    g = gcd(a, b), made primitive: row[0] loses its leading term, and the
+    step is invertible over Q[t, t^-1]."""
+    (h,), a = pivot_row[0].leading()
+    (hk,), b = row[0].leading()
+    g = gcd(a, b)
+    a, b, shift = a // g, b // g, (hk - h,)
+    if a != 1:
+        row = [x.scale(a) for x in row]
+    return _strip_row_units([x - y.shift(shift).scale(b) if y.terms else x
+                             for x, y in zip(row, pivot_row)])

@@ -8,9 +8,8 @@ from sympy.matrices.normalforms import invariant_factors
 
 from charvar.errors import TooManyMinors, VariableCountMismatch
 from charvar.laurent import GENERIC, Character, LaurentPolynomial
-from charvar.intlinalg import _smith_form
-from charvar.lmatrix import (LAURENT_UNIVARIATE, LaurentMatrix, generic_rank, minors,
-                             rank_at, smith_univariate, univariate_divmod)
+from charvar.lmatrix import (LaurentMatrix, generic_rank, minors, rank_at,
+                             smith_univariate, univariate_divmod)
 from conftest import (entrywise_product, laurent_matrix, monic_univariate,
                       substitute_exponents, zero_matrix)
 
@@ -174,38 +173,23 @@ def test_smith_univariate_gcd_row():
     assert m.cols - s.rank == 1
 
 
-def test_smith_transforms_reconstruct_input():
+def test_smith_univariate_factors_form_a_monic_chain_of_generic_rank():
     rng = random.Random(29)
     for _ in range(60):
         m = _random_matrix(rng, nvars=1, max_dim=4)
         s = smith_univariate(m)
-        d, u, uinv = (laurent_matrix(1, g) for g in
-                      _smith_form(m.entries, LAURENT_UNIVARIATE, transforms=True))
-        zero = LaurentPolynomial.zero(1)
-        assert u @ uinv == laurent_matrix(1, [[one1() if i == j else zero
-                                              for j in range(m.rows)]
-                                             for i in range(m.rows)])
-        diagonal = [d.entries[i][i] for i in range(min(m.rows, m.cols))
-                    if d.entries[i][i]]
-        # row i of U*A is d_i times a row below the rank, and zero from it on
-        ua = (u @ m).entries
-        for i, row in enumerate(ua):
-            assert all(not f or i < len(diagonal)
-                       and univariate_divmod(f, diagonal[i])[1].is_zero()
-                       for f in row)
-        assert len(diagonal) == s.rank
-        assert tuple(f for f in diagonal if not f.is_unit()) == s.torsion_factors
+        fs = s.torsion_factors
         # divisibility chain
-        fs = diagonal
         for i in range(len(fs) - 1):
             q, r = univariate_divmod(fs[i + 1], fs[i])
             assert r.is_zero()
-        # normalization: monic with nonzero constant term
+        # normalization: monic with nonzero constant term, never a unit
         for f in fs:
             lo, _ = f.exponent_range(0)
             assert lo == 0
             assert f.leading()[1] == 1
-        assert s.rank == generic_rank(m)
+            assert not f.is_unit()
+        assert len(fs) <= s.rank == generic_rank(m)
 
 
 def test_smith_product_of_factors_matches_minor_gcd():
