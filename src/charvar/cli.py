@@ -6,7 +6,8 @@ raag, bb, flag, pencil, oracle.  Output is a plain-text table or, with
 validates against the schema shipped in charvar/schemas/.
 
 Exit codes: 0 on success, 2 when a certification's hypotheses fail, 1 on
-errors (in JSON mode errors carry machine-readable codes).
+errors, a rejected command line included (in JSON mode errors carry
+machine-readable codes, a rejected command line ``usage``).
 """
 
 from __future__ import annotations
@@ -38,13 +39,22 @@ from .presentations import (EpimorphismToZm, abelianize, induced_on_free_part,
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        # the first word is the subcommand, as no top-level option takes a
+        # value; only a known subcommand has an envelope
+        command = next((a for a in argv if not a.startswith("-")), None)
+        args = argparse.Namespace(command=command,
+                                  json=command in COMMANDS and "--json" in argv)
+        return emit_error(args, "usage", str(exc))
     if args.command is None:
         parser.print_help()
         return 1
     try:
-        status, result = run_command(args)
+        status, result = COMMANDS[args.command](args)
     except CharvarError as exc:
         return emit_error(args, exc.code, str(exc))
     except (ValueError, OSError) as exc:
@@ -53,11 +63,18 @@ def main(argv=None) -> int:
     return 2 if status == "hypothesis-failed" else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # a command line the parser rejects is an error like any other (exit
+    # code 1), not argparse's exit with code 2
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The whole parser, built once per process: ``parse_args`` fills a new
     namespace on every call, so no query sees another's arguments."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="charvar",
         description="characteristic varieties, twisted homology, and "
                     "non-FP_r certificates for finitely presented groups")
@@ -284,23 +301,6 @@ def parse_character(text: str, nvars: int) -> Character:
 # -- command bodies -----------------------------------------------------------
 
 
-def run_command(args):
-    return {
-        "betti": cmd_betti,
-        "alexander": cmd_alexander,
-        "jumploci": cmd_jumploci,
-        "certify": cmd_certify,
-        "probe": cmd_probe,
-        "kernel": cmd_kernel,
-        "window": cmd_window,
-        "oracle": cmd_oracle,
-        "raag": cmd_raag,
-        "bb": cmd_bb,
-        "flag": cmd_flag,
-        "pencil": cmd_pencil,
-    }[args.command](args)
-
-
 def _scope_note(model) -> str:
     if model.aspherical:
         return "all degrees are group homology (aspherical model)"
@@ -463,6 +463,22 @@ def cmd_flag(args):
 def cmd_pencil(args):
     genus = _int_list(args.genus, "--genus")
     return "ok", pencil_numerology(genus).to_json_dict()
+
+
+COMMANDS = {
+    "betti": cmd_betti,
+    "alexander": cmd_alexander,
+    "jumploci": cmd_jumploci,
+    "certify": cmd_certify,
+    "probe": cmd_probe,
+    "kernel": cmd_kernel,
+    "window": cmd_window,
+    "oracle": cmd_oracle,
+    "raag": cmd_raag,
+    "bb": cmd_bb,
+    "flag": cmd_flag,
+    "pencil": cmd_pencil,
+}
 
 
 # -- output -------------------------------------------------------------------

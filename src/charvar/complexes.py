@@ -34,7 +34,7 @@ from .intlinalg import clear_denominators, modular_rank, reduce_row
 from .laurent import GENERIC, Character, LaurentPolynomial
 from .lmatrix import (ExponentBox, LaurentMatrix, packed_row_products, packed_rows,
                       rank_at, smith_univariate)
-from .presentations import Presentation
+from .presentations import AbelianData, Presentation
 
 DEFAULT_WINDOW_CEILING = 200_000
 
@@ -219,9 +219,9 @@ class KernelHomologyReport:
         }
 
 
-def presentation_complex(presentation: Presentation, q) -> TwistedComplex:
+def presentation_complex(presentation: Presentation, q: AbelianData) -> TwistedComplex:
     """The chain complex of the presentation 2-complex with coefficients
-    twisted through the quotient q: Lambda^s -> Lambda^n -> Lambda.
+    twisted through q's projection onto Z^m: Lambda^s -> Lambda^n -> Lambda.
 
     The degree-two map is the transposed Alexander matrix, the degree-one
     map is the row (t^q(x_i) - 1)_i; their composite vanishes by the

@@ -18,8 +18,8 @@ from itertools import combinations, product as iproduct
 from .complexes import (BettiProfile, KernelDegreeEntry, KernelHomologyReport,
                         TwistedComplex, kernel_homology_univariate,
                         presentation_complex, tensor_complex, twisted_betti)
-from .errors import GenusTooSmall, InternalInconsistency, PresentationSyntaxError
-from .intlinalg import reduce_row
+from .errors import GenusTooSmall, PresentationSyntaxError
+from .intlinalg import reduce_row, smith_normal_form
 from .laurent import GENERIC, Character, LaurentPolynomial
 from .lmatrix import LaurentMatrix, _invariant_factors, univariate_gcd
 from .presentations import AbelianData, EpimorphismToZm, Presentation, abelianize
@@ -215,8 +215,8 @@ def free_group(rank: int) -> Presentation:
 def direct_product(factors) -> Presentation:
     """Union of the factor presentations plus commutators between
     generators of distinct factors.  Homology computations never use this
-    presentation's 2-complex: ``build_model`` keeps the factor models, the
-    product's shape, twisted Betti numbers and kernel homology over
+    presentation's relators: ``build_model`` keeps the factor models, the
+    product's H_1, shape, twisted Betti numbers and kernel homology over
     Q[t, t^-1] come from theirs, and its complex is their chain models
     pushed into one ring and tensored (``GroupModel.pushed``)."""
     factors = tuple(factors)
@@ -468,37 +468,35 @@ def build_model(presentation: Presentation) -> GroupModel:
     This is the only code that assembles a product model.  Each factor
     model is built once and kept in ``factors``, and the product's shape
     comes from theirs; no complex of the product is built here
-    (``GroupModel.pushed`` assembles one on demand).  The
-    product's projection and section are laid out block by block from the
-    factors', which lines the coordinates up with the factors' variables,
-    in order, and agrees with the Smith form of the product presentation up
-    to a unimodular change of coordinates.  Torsion invariants and free
-    rank come from that Smith form, and the factors' free ranks must add up
-    to it.
+    (``GroupModel.pushed`` assembles one on demand); its H_1 is the direct
+    sum of the factors' (``_blockwise``), so the product is never abelianized.
     """
     tags = presentation.tags
-    abelian = abelianize(presentation)
     factors = ()
     cx = None
     if "factors" in tags:
         factors = tuple(build_model(f) for f in tags["factors"])
-        abelian = _blockwise(abelian, factors)
-    elif "graph" in tags:
-        cx = raag_chain_model(tags["graph"])
+        abelian = _blockwise(factors)
     else:
-        cx = presentation_complex(presentation, abelian)
+        abelian = abelianize(presentation)
+        cx = (raag_chain_model(tags["graph"]) if "graph" in tags
+              else presentation_complex(presentation, abelian))
     return GroupModel(presentation, abelian, cx,
                       bool(tags.get("aspherical", False)), factors)
 
 
-def _blockwise(smith: AbelianData, factors) -> AbelianData:
+def _blockwise(factors) -> AbelianData:
+    """H_1(G x H) = H_1(G) + H_1(H): free ranks add, the torsion is the
+    Smith form of the factors' torsion invariants on one diagonal (Z/2 x Z/3
+    gives (6,)), and the projection and section are laid out block by block,
+    in the factors' variables, in order: the product's Smith coordinates up
+    to a unimodular change."""
     free_ranks = [f.abelian.torsion_free_rank for f in factors]
-    if sum(free_ranks) != smith.torsion_free_rank:
-        raise InternalInconsistency(
-            f"factor free ranks {free_ranks} do not add up to the free rank "
-            f"{smith.torsion_free_rank} of the product")
+    torsion = [x for f in factors for x in f.abelian.torsion_invariants]
+    d, _, _ = smith_normal_form([[x if i == j else 0 for j in range(len(torsion))]
+                                 for i, x in enumerate(torsion)])
     return AbelianData(
-        smith.torsion_free_rank, smith.torsion_invariants,
+        sum(free_ranks), tuple(d[i][i] for i in range(len(d)) if d[i][i] > 1),
         _block_diagonal([f.abelian.projection for f in factors],
                         [f.presentation.ngens for f in factors]),
         _block_diagonal([f.abelian.section for f in factors], free_ranks))

@@ -31,17 +31,9 @@ class RelatorNotKilled(CharvarError):
 
 
 class NotSurjective(CharvarError):
-    """Images generate a proper subgroup of Z^m.
-
-    When the image has finite index, ``recoordinatize`` holds a rational
-    matrix T such that composing T with the map gives a surjection onto Z^m.
-    """
+    """Images generate a proper subgroup of Z^m, of lower rank or finite index."""
 
     code = "not-surjective"
-
-    def __init__(self, message, recoordinatize=None):
-        super().__init__(message)
-        self.recoordinatize = recoordinatize
 
 
 class ZeroMap(CharvarError):

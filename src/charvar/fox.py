@@ -14,24 +14,21 @@ from __future__ import annotations
 from .errors import QuotientInvalid
 from .laurent import LaurentPolynomial
 from .lmatrix import LaurentMatrix
-from .presentations import AbelianData, EpimorphismToZm, Presentation
+from .presentations import AbelianData, Presentation
 
 
-def quotient_images(q, ngens: int) -> list[tuple[int, ...]]:
-    """Per-generator image vectors in Z^m for either kind of quotient."""
-    if isinstance(q, EpimorphismToZm):
-        return [tuple(v) for v in q.images]
-    if isinstance(q, AbelianData):
-        m = q.torsion_free_rank
-        return [tuple(q.projection[l][i] for l in range(m)) for i in range(ngens)]
-    raise TypeError(f"unsupported quotient {type(q).__name__}")
+def quotient_images(q: AbelianData, ngens: int) -> list[tuple[int, ...]]:
+    """Per-generator images in Z^m under q's projection onto the free part."""
+    if not isinstance(q, AbelianData):
+        raise TypeError(f"unsupported quotient {type(q).__name__}")
+    return [tuple(row[i] for row in q.projection) for i in range(ngens)]
 
 
-def alexander_matrix(presentation: Presentation, q) -> LaurentMatrix:
+def alexander_matrix(presentation: Presentation, q: AbelianData) -> LaurentMatrix:
     """Relators x generators matrix of pushed-forward Fox derivatives.
 
     Entry (j, i) is the image of d(r_j)/d(x_i) under Z F -> Lambda induced
-    by the quotient q, which must kill every relator.
+    by q's projection onto the free part, which must kill every relator.
     """
     n = presentation.ngens
     images = quotient_images(q, n)

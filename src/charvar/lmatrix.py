@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
-from .errors import NotUnivariate, TooManyMinors, VariableCountMismatch
+from .errors import InternalInconsistency, NotUnivariate, TooManyMinors, VariableCountMismatch
 from .intlinalg import rational_rank
 from .laurent import Character, LaurentPolynomial, _canonical, _make
 
@@ -303,9 +303,10 @@ def generic_rank(matrix: LaurentMatrix) -> int:
             f = rows[r][col]
             new_row = [rows[r][j] * p - f * top[j] for j in range(nc)]
             if not prev.is_one():
-                divided = [q.exact_divide(prev) for q in new_row]
-                if all(d is not None for d in divided):
-                    new_row = divided
+                # exact by Sylvester's identity: rows are only ever divided by units
+                new_row = [q.exact_divide(prev) for q in new_row]
+                if None in new_row:
+                    raise InternalInconsistency("inexact Bareiss step in generic_rank")
             rows[r] = _strip_row_units(new_row)
         prev = p
         rank += 1

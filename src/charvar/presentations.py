@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import prod
 
 from .errors import NotSurjective, RelatorNotKilled, ZeroMap
@@ -94,10 +93,8 @@ def abelianize(presentation: Presentation) -> AbelianData:
 def validate_epimorphism(presentation: Presentation, images) -> EpimorphismToZm:
     """Check that generator images define a genuine surjection G -> Z^m.
 
-    Raises RelatorNotKilled, ZeroMap, or NotSurjective.  When the image is a
-    finite-index sublattice, the NotSurjective error carries the rational
-    re-coordinatizing matrix the caller can compose with to restore
-    surjectivity.
+    Raises RelatorNotKilled, ZeroMap, or NotSurjective, whose message
+    gives the rank, or the index, of the image lattice from its Smith form.
     """
     images = tuple(tuple(v) for v in images)
     if len(images) != presentation.ngens:
@@ -118,16 +115,14 @@ def validate_epimorphism(presentation: Presentation, images) -> EpimorphismToZm:
             raise RelatorNotKilled(idx)
     # image lattice: columns are the generator images
     lattice = [[images[i][l] for i in range(presentation.ngens)] for l in range(m)]
-    d, u, _ = smith_normal_form(lattice)
+    d, _, _ = smith_normal_form(lattice)
     diag = [d[i][i] for i in range(min(m, presentation.ngens))]
     if len(diag) < m or 0 in diag:
         raise NotSurjective(f"images span a rank-{sum(1 for x in diag if x)} "
                             f"sublattice of Z^{m}")
     if any(x != 1 for x in diag):
-        recoord = [[Fraction(u[i][j], diag[i]) for j in range(m)] for i in range(m)]
-        raise NotSurjective(
-            "images span a finite-index proper sublattice of Z^"
-            f"{m} (index {prod(diag)})", recoordinatize=recoord)
+        raise NotSurjective(f"images span a finite-index proper sublattice "
+                            f"of Z^{m} (index {prod(diag)})")
     return nu
 
 

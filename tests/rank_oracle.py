@@ -61,7 +61,8 @@ def rational_rank(matrix) -> int:
         for x in row:
             scale *= Fraction(x).denominator
         scaled = [Fraction(x) * scale for x in row]
-        assert all(x.denominator == 1 for x in scaled)
+        if any(x.denominator != 1 for x in scaled):
+            raise AssertionError(f"row {row} kept a denominator after scaling")
         cleared.append([int(x) for x in scaled])
     return integer_rank(cleared)
 

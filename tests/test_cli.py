@@ -233,6 +233,39 @@ def test_usage_error(capsys):
     assert payload["result"]["error"]["code"] == "usage"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["certify", "--preset", "surface", "--genus", "2"], "required: --r"),
+    (["kernel", "--preset", "surface", "--genus", "2", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["betti", "--preset", "sphere"], "argument --preset: invalid choice"),
+], ids=["missing-r", "unknown-flag", "bad-preset"])
+def test_parser_error_is_usage_error(capsys, argv, message):
+    code, payload = run_json(capsys, argv)
+    assert code == 1
+    assert payload["command"] == argv[0]
+    assert payload["result"]["error"]["code"] == "usage"
+    assert message in payload["result"]["error"]["message"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_unknown_subcommand_exits_one_without_envelope(capsys):
+    assert main(["frobnicate", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'frobnicate'" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"], ["--version"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_zero_denominator_in_character_is_usage_error(capsys):
     code, payload = run_json(capsys, ["betti", "--preset", "torus",
                                       "--char", "1/0,1"])

@@ -1,11 +1,9 @@
 import contextlib
-import dataclasses
 import io
 import random
 
 import pytest
 
-import charvar.constructions
 from charvar.cli import main
 from charvar.complexes import kernel_homology_univariate, twisted_betti
 from charvar.constructions import (bestvina_brady, build_model,
@@ -16,7 +14,7 @@ from charvar.constructions import (bestvina_brady, build_model,
                                    punctured_surface_group, raag,
                                    raag_chain_model,
                                    reduced_homology, surface_group)
-from charvar.errors import GenusTooSmall, InternalInconsistency
+from charvar.errors import GenusTooSmall
 from charvar.intlinalg import mat_mul
 from charvar.laurent import Character
 from charvar.parser import parse_presentation
@@ -136,18 +134,29 @@ def test_product_with_torsion_factor_has_blockwise_coordinates():
         assert list(twisted_betti(model.complex, rho).betti) == expected
 
 
-def test_product_free_rank_mismatch_is_internal_inconsistency(monkeypatch):
-    real = charvar.constructions.abelianize
+CYCLIC_2 = parse_presentation("gens a; rel a^2;")
+CYCLIC_3 = parse_presentation("gens a; rel a^3;")
+TORSION = parse_presentation("gens a,b,c; rel a^3 b^-3 c^6; rel [b,c];")
+TREFOIL = parse_presentation("gens x,y; rel x y x y^-1 x^-1 y^-1;")
+TORSION_PRODUCTS = {
+    "Z2xZ3": (direct_product([CYCLIC_2, CYCLIC_3]), 0, (6,)),
+    "TORSIONxT2": (direct_product([TORSION, surface_group(1)]), 4, (3,)),
+    "trefoilxS2": (direct_product([TREFOIL, surface_group(2)]), 5, ()),
+    "Z2x(Z3xF2)": (direct_product([CYCLIC_2, direct_product([CYCLIC_3, free_group(2)])]),
+                   2, (6,)),
+    "TORSIONxTORSION": (direct_product([TORSION, TORSION]), 4, (3, 3)),
+}
 
-    def short(presentation):
-        data = real(presentation)
-        if "factors" not in presentation.tags:
-            return data
-        return dataclasses.replace(data, torsion_free_rank=data.torsion_free_rank - 1)
 
-    monkeypatch.setattr(charvar.constructions, "abelianize", short)
-    with pytest.raises(InternalInconsistency):
-        build_model(direct_product([surface_group(1)] * 2))
+@pytest.mark.parametrize("name", TORSION_PRODUCTS)
+def test_product_h1_from_factors_is_the_smith_form_of_the_product(name):
+    # the model reads H_1 off the factors; the Smith form of the whole
+    # product presentation is the oracle
+    p, free_rank, torsion = TORSION_PRODUCTS[name]
+    model = build_model(p).abelian
+    smith = abelianize(p)
+    assert (model.torsion_free_rank, model.torsion_invariants) == (free_rank, torsion)
+    assert (smith.torsion_free_rank, smith.torsion_invariants) == (free_rank, torsion)
 
 
 S2_CUBED = ["--preset", "product-surface", "--genus", "2,2,2"]
@@ -158,10 +167,10 @@ def test_one_model_per_query(monkeypatch):
                  ("complexes", "tensor_complex")]
     calls = cli_calls(monkeypatch, functions, [
         "jumploci", "--preset", "product-surface", "--genus", "2,2", "--r", "2"])
-    # the product model and its two factor models, each abelianized once;
-    # the ideal reads the product model's
+    # the product model and its two factor models; only the factors are
+    # abelianized, and the ideal reads the product model's H_1
     assert len(calls["constructions.build_model"]) == 3
-    assert len(calls["presentations.abelianize"]) == 3
+    assert len(calls["presentations.abelianize"]) == 2
     assert len(calls["complexes.tensor_complex"]) == 1
     monkeypatch.undo()
     calls = cli_calls(monkeypatch, functions, [

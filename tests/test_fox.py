@@ -3,10 +3,11 @@ import random
 import pytest
 
 from charvar.errors import QuotientInvalid
-from charvar.fox import alexander_matrix
+from charvar.fox import alexander_matrix, quotient_images
 from charvar.laurent import Character
 from charvar.parser import parse_presentation
-from charvar.presentations import Presentation, abelianize
+from charvar.presentations import (AbelianData, EpimorphismToZm, Presentation,
+                                   abelianize)
 from charvar.constructions import (bestvina_brady, cycle_graph, direct_product,
                                    free_group, surface_group)
 from charvar.words import Word, commutator
@@ -121,9 +122,13 @@ def test_alexander_free_group_is_empty():
 
 def test_alexander_rejects_bad_quotient():
     p = parse_presentation("gens a,b; rel a b;")
-    from charvar.presentations import EpimorphismToZm
     with pytest.raises(QuotientInvalid):
-        alexander_matrix(p, EpimorphismToZm(1, ((1,), (1,))))
+        alexander_matrix(p, AbelianData(1, (), ((1, 1),), ((1,), (0,))))
+
+
+def test_quotient_is_an_abelianization():
+    with pytest.raises(TypeError):
+        quotient_images(EpimorphismToZm(1, ((1,), (-1,))), 2)
 
 
 def test_pushed_fundamental_identity_kills_rows():

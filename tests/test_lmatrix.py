@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ, Matrix, Poly, symbols
 from sympy.matrices.normalforms import invariant_factors
 
-from charvar.errors import TooManyMinors, VariableCountMismatch
+from charvar.errors import InternalInconsistency, TooManyMinors, VariableCountMismatch
 from charvar.laurent import GENERIC, Character, LaurentPolynomial
 from charvar.lmatrix import (LaurentMatrix, generic_rank, minors, rank_at,
                              smith_univariate, univariate_divmod)
@@ -68,6 +68,21 @@ def test_generic_rank_cross_checked_by_minors():
             if any(not d.is_zero() for d in minors(m, k)):
                 largest = k
         assert g == largest
+
+
+def test_generic_rank_fails_loudly_on_an_inexact_bareiss_step(monkeypatch):
+    one = LaurentPolynomial.one(2)
+    t1 = LaurentPolynomial.variable(0, 2)
+    t2 = LaurentPolynomial.variable(1, 2)
+    m = laurent_matrix(2, [[t1 - one, t2 - one, one],
+                           [t2 - one, t1 + one, t1],
+                           [t1 + t2, one, t2 - one]])
+    assert generic_rank(m) == 3
+    # a Bareiss quotient is exact by Sylvester's identity, so an inexact
+    # one is a fault, never a step to skip
+    monkeypatch.setattr(LaurentPolynomial, "exact_divide", lambda self, other: None)
+    with pytest.raises(InternalInconsistency):
+        generic_rank(m)
 
 
 def _random_matrix(rng, nvars, max_dim=4):

@@ -79,21 +79,18 @@ def test_validate_genus_two_pattern():
     assert nu.of_word(p.relators[0]) == (0, 0)
 
 
-def test_not_surjective_reports_recoordinatization():
+def test_not_surjective_reports_the_index():
     p = surface_group(1)
     with pytest.raises(NotSurjective) as err:
         validate_epimorphism(p, [(2,), (0,)])
-    assert err.value.recoordinatize is not None
-    # composing with the reported matrix rescales the image onto Z
-    t = err.value.recoordinatize
-    assert t[0][0] * 2 == 1
+    assert "index 2" in str(err.value)
 
 
 def test_rank_deficient_images_rejected_without_matrix():
     p = surface_group(2)
     with pytest.raises(NotSurjective) as err:
         validate_epimorphism(p, [(1, 0), (2, 0), (0, 0), (0, 0)])
-    assert err.value.recoordinatize is None
+    assert "rank-1 sublattice" in str(err.value)
 
 
 def test_zero_map_rejected():
