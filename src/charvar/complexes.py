@@ -27,13 +27,14 @@ from __future__ import annotations
 import random
 from dataclasses import InitVar, dataclass
 from itertools import product as iproduct
+from operator import add, mul
 
 from .errors import InternalInconsistency, NotUnivariate, WindowTooLarge
 from .fox import alexander_matrix, quotient_images
 from .intlinalg import clear_denominators, modular_rank, reduce_row
 from .laurent import GENERIC, Character, LaurentPolynomial
-from .lmatrix import (ExponentBox, LaurentMatrix, packed_row_products, packed_rows,
-                      rank_at, smith_univariate)
+from .lmatrix import (LaurentMatrix, packed_row_products, packed_rows, rank_at,
+                      smith_univariate)
 from .presentations import AbelianData, Presentation
 
 DEFAULT_WINDOW_CEILING = 200_000
@@ -462,42 +463,55 @@ def window_homology(complex_: TwistedComplex, radius: int,
     so each cell is visited once, for the least radius keeping it, and each
     degree grows one echelon (``intlinalg.reduce_row``) by the boundaries,
     denominators cleared, of the cells each radius adds; its size is the
-    rank of d_j on the window.  Cell (i, v) is the int i + width * (packed
-    v + packed 0) in an ``ExponentBox`` of the exponents and box corners, so
-    boundary cell (r, v + e) is (0, v) plus an offset of the term, and is
-    no kept cell when v + e leaves the box.
+    rank of d_j on the window.  Column i has closure bounds lo_i <= 0 <=
+    hi_i, per coordinate the least and greatest offset its boundary
+    reaches, recursively, (0, 0) in degree 0: translate v of cell i is kept
+    at radius k exactly when v + lo_i >= 0 and max(1, v + hi_i) <= k, so
+    each column enumerates only its kept translates.  Boundary cell (r, w)
+    of a kept cell has w in the box and the key -(r + width * (w_0 +
+    (radius + 1) w_1)), so a row is its translate's key plus its column's
+    offsets, each distinct exponent packed once.  Keys count down, so a
+    row a radius adds leads on the box's newest face, where few pivots lie
+    yet (S_2^4 under ``ones`` at radius 6: 13,936 steps, 48,032 counting
+    up); the rank is the same in any order.
     """
     m = complex_.nvars
     check_window_size(sum(complex_.ranks), m, radius, ceiling)
-    raw = [[[(r, e, c) for r, p in col.items() for e, c in p.terms.items()]
-            for col in d.transpose().sparse_rows] for d in complex_.differentials]
-    box = ExponentBox(m, {e for cols in raw for col in cols for _r, e, _c in col}
-                      | {(0,) * m, (radius,) * m})
-    width, zero, never = max(complex_.ranks), box.pack((0,) * m), radius + 1
-    # each column of d_j as (key offset, coefficient) terms, degree 0's empty
     columns = [[()] * complex_.ranks[0]] + [
-        [list(zip([width * (box.pack(e) - zero) + r for r, e, _c in col],
-                  clear_denominators([c for _r, _e, c in col]))) for col in cols]
-        for cols in raw]
-    translates = [(v, width * (box.pack(v) + zero))
-                  for v in iproduct(range(radius + 1), repeat=m)]
-    batches = [[[] for _ in range(never + 1)] for _ in columns]
-    enters: dict[int, int] = {}
+        [[(r, e, c) for r, p in col.items() for e, c in p.terms.items()]
+         for col in d.transpose().sparse_rows] for d in complex_.differentials]
+    origin, weights = (0,) * m, [-max(complex_.ranks) * (radius + 1) ** t for t in range(m)]
+    packed = {e: sum(map(mul, e, weights)) for e in {e for cols in columns for col in cols
+                                                    for _r, e, _c in col}}
+    batches = [[[] for _ in range(radius + 1)] for _ in columns]
+    bounds, plans = [], {}  # plans: (lo, hi) -> {radius: keys of the translates it adds}
     for j, cols in enumerate(columns):
-        below, enters = enters, {}
-        for i, terms in enumerate(cols):
-            for v, key in translates:
-                k = max(1, *v, *(below.get(key + off, never) for off, _c in terms))
-                enters[key + i] = k
-                batches[j][k].append((key, terms))
+        below, bounds = bounds, []
+        for col in cols:
+            lo, hi = list(origin), list(origin)
+            for r, e, _c in col:
+                for t, (x, low, high) in enumerate(zip(e, *below[r])):
+                    lo[t], hi[t] = min(lo[t], x + low), max(hi[t], x + high)
+            bounds.append((lo, hi))
+            plan = plans.get(key := (tuple(lo), tuple(hi)))
+            if plan is None:
+                plan = plans[key] = {}
+                for v in iproduct(*(range(-x, radius + 1 - y) for x, y in zip(lo, hi))):
+                    plan.setdefault(max(1, *map(add, v, hi)), []).append(
+                        sum(map(mul, v, weights)))
+            terms = list(zip([packed[e] - r for r, e, _c in col],
+                             clear_denominators([c for _r, _e, c in col])))
+            for k, keys in plan.items():
+                batches[j][k].append((keys, terms))
     kept = [0] * len(columns)
     pivots: list[dict] = [{} for _ in columns]  # the echelon of d_j at j
     per_degree = [[] for _ in columns]
     for k in range(1, radius + 1):
         for j, batch in enumerate(batches):
-            kept[j] += len(batch[k])
-            for key, terms in batch[k]:
-                reduce_row(pivots[j], {key + off: c for off, c in terms})
+            for keys, terms in batch[k]:
+                kept[j] += len(keys)
+                for key in keys:
+                    reduce_row(pivots[j], {key + off: c for off, c in terms})
         ranks = [len(p) for p in pivots] + [0]
         for j, seq in enumerate(per_degree):
             seq.append(kept[j] - ranks[j] - ranks[j + 1])

@@ -231,11 +231,11 @@ def direct_product(factors) -> Presentation:
     for off, f in zip(offsets, factors):
         for r in f.relators:
             relators.append(Word((g + off, e) for g, e in r.syllables))
+    # [x, y] of distinct generators is already reduced: x y x^-1 y^-1
     for (off_a, fa), (off_b, fb) in combinations(zip(offsets, factors), 2):
-        for i in range(fa.ngens):
-            for j in range(fb.ngens):
-                relators.append(commutator(Word.generator(off_a + i),
-                                           Word.generator(off_b + j)))
+        relators += [Word(((x, 1), (y, 1), (x, -1), (y, -1)))
+                     for x in range(off_a, off_a + fa.ngens)
+                     for y in range(off_b, off_b + fb.ngens)]
     return Presentation(tuple(names), tuple(relators), tags={
         "name": " x ".join(f.tags.get("name", "?") for f in factors),
         "factors": factors,

@@ -1,6 +1,8 @@
 """Exact integer and rational linear algebra: rank over Q by sparse
 fraction-free row reduction (``reduce_row``, one step that the windows of
-``complexes`` share), rank mod a prime, and the integer Smith normal form.
+``complexes`` share: a pivot whose lead divides the row's is subtracted
+unscaled, and content is divided out only of a scaled row or a new pivot),
+rank mod a prime, and the integer Smith normal form.
 
 The Smith form records the row transforms U and U^-1, whose U fixes the
 H_1 coordinates, and no column transform.  The Smith form over
@@ -50,23 +52,22 @@ def reduce_row(pivots: dict, row: dict) -> bool:
     return whether it became a pivot row.  ``row`` is consumed.
 
     Fraction-free elimination, in the pattern of ``modular_rank``: while a
-    pivot row leads where the row does, row <- (a/g)*row - (b/g)*pivot, a
-    and b the leading entries and g = gcd(a, b), and the row is divided by
-    its content.  Each step is invertible over Q, so the echelon's size is
-    the rank of the rows fed to it, in any order and any number of calls;
-    primitive rows grow their entries only as far as their lines need.
+    pivot row leads where the row does, a and b the leading entries, row <-
+    row - (b/a)*pivot when a divides b, as a unit a does, with no gcd and
+    no scaling; else row <- (a/g)*row - (b/g)*pivot, g = gcd(a, b), and the
+    scaled row is divided by its content, as is a row stored as a pivot.
+    Each step is invertible over Q, so the echelon's size is the rank of
+    the rows fed to it, in any order and any number of calls; primitive
+    rows grow their entries only as far as their lines need.
     """
     while row:
-        content = gcd(*row.values())
-        if content != 1:
-            row = {j: x // content for j, x in row.items()}
         lead = min(row)
         pivot = pivots.get(lead)
         if pivot is None:
-            pivots[lead] = row
+            pivots[lead] = _primitive(row)
             return True
         a, b = pivot[lead], row[lead]
-        g = gcd(a, b)
+        g = gcd(a, b) if b % a else a
         a, b = a // g, b // g
         if a != 1:
             row = {j: x * a for j, x in row.items()}
@@ -76,7 +77,15 @@ def reduce_row(pivots: dict, row: dict) -> bool:
                 row[j] = y
             else:
                 del row[j]
+        if a != 1 and row:
+            row = _primitive(row)
     return False
+
+
+def _primitive(row: dict) -> dict:
+    """The nonzero integer row divided by its content."""
+    content = gcd(*row.values())
+    return row if content == 1 else {j: x // content for j, x in row.items()}
 
 
 def rational_rank(matrix) -> int:

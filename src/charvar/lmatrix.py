@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import neg, sub
 
 from .errors import InternalInconsistency, NotUnivariate, TooManyMinors, VariableCountMismatch
 from .intlinalg import rational_rank
@@ -317,29 +318,24 @@ def generic_rank(matrix: LaurentMatrix) -> int:
 
 def _strip_row_units(row):
     """Divide a whole row by its common unit factor (rational content and
-    monomial floor); preserves the row space exactly."""
+    monomial floor); preserves the row space exactly.  A row of int
+    coefficients has the gcd of its ints as content and is divided exactly;
+    only a row holding a Fraction coefficient is rescaled by a Fraction."""
     nonzero = [p for p in row if p.terms]
     if not nonzero:
         return row
-    content = nonzero[0].content()
-    for p in nonzero[1:]:
-        c = p.content()
-        content = _gcd_frac(content, c)
-    floor = list(nonzero[0].monomial_floor())
-    for p in nonzero[1:]:
-        for i, x in enumerate(p.monomial_floor()):
-            if x < floor[i]:
-                floor[i] = x
+    coeffs = [c for p in nonzero for c in p.terms.values()]
+    fractions = [c for c in coeffs if c.__class__ is not int]
+    content = (Fraction(gcd(*(c.numerator for c in coeffs)),
+                        lcm(*(c.denominator for c in fractions)))
+               if fractions else gcd(*coeffs))
+    floor = tuple(map(min, zip(*(e for p in nonzero for e in p.terms))))
     if content == 1 and not any(floor):
         return row
-    shift = tuple(-x for x in floor)
-    return [p.shift(shift).scale(1 / content) if p.terms else p for p in row]
-
-
-def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
-    num = gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
+    if fractions:
+        return [p.shift(map(neg, floor)).scale(1 / content) if p.terms else p for p in row]
+    return [_make(p.nvars, {tuple(map(sub, e, floor)): c // content
+                            for e, c in p.terms.items()}) if p.terms else p for p in row]
 
 
 def check_minor_count(rows: int, cols: int, k: int, ceiling: int) -> None:

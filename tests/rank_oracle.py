@@ -6,21 +6,12 @@ each pivot every remaining row is rewritten across every remaining column
 and divided exactly by the previous pivot, so the tests can compare the
 two ranks on any matrix.
 
-``window_homology`` is the reference for the shipped windows, which grow
-one sparse echelon per degree across the radii: here every radius is
-computed from scratch, its kept cells found by set membership and each
-restricted differential ranked as a dense grid.
-
 ``reduced_homology`` is the reference for the shipped flag-complex
 homology, which reduces each simplex's boundary as a sparse row: here each
 boundary matrix is filled in as a dense grid and ranked by Bareiss.
 """
 
 from fractions import Fraction
-from itertools import product as iproduct
-from operator import add
-
-from charvar.complexes import WindowReport
 
 
 def integer_rank(matrix) -> int:
@@ -65,48 +56,6 @@ def rational_rank(matrix) -> int:
             raise AssertionError(f"row {row} kept a denominator after scaling")
         cleared.append([int(x) for x in scaled])
     return integer_rank(cleared)
-
-
-def window_homology(complex_, radius) -> WindowReport:
-    """Homology of the windows {0..k}^m, k = 1..radius, each from scratch:
-    a cell is kept when its whole boundary is kept one degree down."""
-    columns = [[[(r, e, c) for r in range(d.rows)
-                 for e, c in d.entries[r][i].terms.items()]
-                for i in range(d.cols)] for d in complex_.differentials]
-    per_degree = [[] for _ in complex_.ranks]
-    for k in range(1, radius + 1):
-        for j, dim in enumerate(_window_dims(complex_, columns, k)):
-            per_degree[j].append(dim)
-    return WindowReport(tuple(range(1, radius + 1)),
-                        tuple(tuple(seq) for seq in per_degree))
-
-
-def _window_dims(complex_, columns, k):
-    box = [tuple(v) for v in iproduct(range(k + 1), repeat=complex_.nvars)]
-    kept = [{(i, v) for i in range(complex_.ranks[0]) for v in box}]
-    for j in range(1, complex_.top + 1):
-        prev = kept[j - 1]
-        kept.append({(i, v) for i, terms in enumerate(columns[j - 1])
-                     for v in box
-                     if all((r, tuple(map(add, v, e))) in prev
-                            for r, e, _c in terms)})
-    ranks = [0] * (complex_.top + 2)
-    for j in range(1, complex_.top + 1):
-        ranks[j] = _window_rank(columns[j - 1], kept[j], kept[j - 1])
-    return [len(kept[j]) - ranks[j] - ranks[j + 1]
-            for j in range(complex_.top + 1)]
-
-
-def _window_rank(columns, cols, rows):
-    """Rank of d_j restricted to the kept cells ``cols`` and ``rows``."""
-    if not cols or not rows:
-        return 0
-    row_index = {cell: idx for idx, cell in enumerate(sorted(rows))}
-    grid = [[0] * len(cols) for _ in range(len(row_index))]
-    for cidx, (i, v) in enumerate(sorted(cols)):
-        for r, e, coeff in columns[i]:
-            grid[row_index[(r, tuple(map(add, v, e)))]][cidx] += coeff
-    return rational_rank(grid)
 
 
 def reduced_homology(complex_) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+from itertools import combinations
 
 import pytest
 
@@ -68,6 +69,24 @@ def test_direct_product_counts():
     assert build_model(direct_product([f, f])).complex.ranks == (1, 4, 4)
     with pytest.raises(ValueError):
         direct_product([g2])
+
+
+@pytest.mark.parametrize("factors", [
+    [surface_group(2)] * 3,
+    [surface_group(1), free_group(2), surface_group(2)],
+], ids=["S2^3", "S1xF2xS2"])
+def test_cross_factor_relators_are_the_commutators(factors):
+    # the product writes each [x, y] out as x y x^-1 y^-1; it must be the
+    # word that words.commutator builds, in the same order
+    p = direct_product(factors)
+    offsets = [sum(f.ngens for f in factors[:i]) for i in range(len(factors))]
+    own = sum(len(f.relators) for f in factors)
+    expected = [commutator(Word.generator(x), Word.generator(y))
+                for a, b in combinations(range(len(factors)), 2)
+                for x in range(offsets[a], offsets[a] + factors[a].ngens)
+                for y in range(offsets[b], offsets[b] + factors[b].ngens)]
+    assert list(p.relators[own:]) == expected
+    assert all(r.syllables == Word(r.syllables).syllables for r in p.relators)
 
 
 def test_catalog_betti_consistency():

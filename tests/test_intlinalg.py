@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from charvar.intlinalg import (integer_rank, mat_mul, rational_rank,
-                               smith_normal_form)
+                               reduce_row, smith_normal_form)
 
 
 def test_integer_rank_small():
@@ -77,3 +78,23 @@ def test_smith_diagonal_matches_sympy():
         # invariant factors are unique up to sign
         assert [d[i][i] for i in range(min(rows, cols))] == \
             [abs(int(oracle[i, i])) for i in range(min(rows, cols))]
+
+
+def test_reduce_row_on_non_unit_entries_stores_primitive_pivots():
+    # entries with non-unit leads take the scaled step, units and divisors
+    # of the row's lead the unscaled one; either way the echelon's size is
+    # the rank over Q, and each stored pivot row has content one
+    rng = random.Random(23)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        base = [[rng.choice((0, 0, 1, -1, 2, -3, 4, 6, -9, 12)) for _ in range(cols)]
+                for _ in range(rng.randint(1, rows))]
+        # integer combinations of the base rows, so many are dependent
+        grid = [[sum(c * b[j] for c, b in zip(combo, base)) for j in range(cols)]
+                for combo in ([rng.randint(-3, 3) for _ in base] for _ in range(rows))]
+        pivots = {}
+        grew = [reduce_row(pivots, {j: x for j, x in enumerate(row) if x}) for row in grid]
+        assert len(pivots) == sum(grew) == Matrix(grid).rank()
+        for lead, row in pivots.items():
+            assert lead == min(row) and 0 not in row.values()
+            assert gcd(*row.values()) == 1, row

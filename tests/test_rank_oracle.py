@@ -1,5 +1,5 @@
 """The shipped sparse ranks against the dense Bareiss oracle, directly and
-through their callers."""
+through their callers; windows against the literal sympy window oracle."""
 
 import random
 from fractions import Fraction
@@ -8,6 +8,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 import rank_oracle
+import window_oracle
 from charvar.complexes import TwistedComplex, window_homology
 from charvar.constructions import (Graph, complete_graph, cycle_graph,
                                    direct_product, flag_complex, free_group,
@@ -215,7 +216,7 @@ def test_window_homology_under_the_oracle():
     # radii; the oracle recomputes every radius from scratch on dense grids
     for make, radius in WINDOW_CASES:
         cx = make()
-        assert window_homology(cx, radius) == rank_oracle.window_homology(cx, radius)
+        assert window_homology(cx, radius) == window_oracle.window_homology(cx, radius)
 
 
 def test_reduced_homology_under_the_oracle():

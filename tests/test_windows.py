@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 
 import pytest
 
@@ -8,7 +9,10 @@ from charvar.cli import main
 from charvar.complexes import TwistedComplex, kernel_homology_univariate, window_homology
 from charvar.constructions import build_model, direct_product, free_group, surface_group
 from charvar.errors import WindowTooLarge
+from charvar.parser import parse_presentation
 from charvar.presentations import induced_on_free_part, validate_epimorphism
+
+import window_oracle
 
 
 def univariate_model(p, images):
@@ -84,6 +88,27 @@ def test_window_two_variables():
     seq = report.dimensions[1]
     assert all(x <= y for x, y in zip(seq, seq[1:]))
     assert seq[-1] > seq[0]  # H_1 of the Z^2-kernel is infinite-dimensional
+
+
+# surfaces, free groups, the torus and a group whose H_1 has torsion
+ORACLE_FACTORS = [surface_group(2), free_group(1), free_group(2), surface_group(1),
+                  parse_presentation("gens a,b,c; rel a^3 b^-3 c^6; rel [b,c];")]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_window_matches_the_literal_oracle(seed):
+    # a seeded product under a seeded nubar with one or two rows: the closure
+    # bounds must keep exactly the cells whose whole boundary is kept, at
+    # every radius up to 4 (up to 3 in two variables), and every rank must be
+    # sympy's on the literal subcomplex
+    rng = random.Random(seed)
+    nvars = 1 + seed % 2
+    factors = rng.choices(ORACLE_FACTORS, k=3 if nvars == 1 and seed % 4 == 0 else 2)
+    model = build_model(direct_product(factors))
+    nubar = [[rng.randint(-2, 2) for _ in range(model.nvars)] for _ in range(nvars)]
+    cx = model.pushed(nubar)
+    radius = 4 if nvars == 1 else rng.randint(1, 3)
+    assert window_homology(cx, radius) == window_oracle.window_homology(cx, radius)
 
 
 def test_window_memory_ceiling():
