@@ -187,7 +187,8 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
                             r: int, trials: int = 100, seed: int = 0) -> ProbeReport:
     """Sample rational characters of the target torus, pull back through
     nu, and record the twisted Betti numbers in degrees <= r, from
-    ``GroupModel.betti`` (on a product, convolved from the factors').  The
+    ``GroupModel.betti`` (on a product, convolved from the factors'; a
+    character a factor model has met before costs no elimination).  The
     trivial character is never sampled; boxes start at {-2..2} and double
     every batch of 16 trials.  Deterministic under a fixed seed."""
     if r < 1:

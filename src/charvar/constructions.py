@@ -11,7 +11,7 @@ tags: asphericity is undecidable in general, so only the catalog asserts it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations, product as iproduct
 
@@ -304,7 +304,8 @@ class GroupModel:
     ``aspherical`` records whether every degree of the complex computes
     group homology; otherwise only degrees <= 1 do, and degree-2 values are
     homology of the presentation 2-complex.  ``factors`` holds the factor
-    models of a catalog direct product, in order, and is empty otherwise.
+    models of a catalog direct product, in order, and is empty otherwise;
+    equal factors share one model (``build_model``).
     A product's character coordinates are blockwise, one block per factor
     in the factor's own coordinates, so a character of the product
     restricts to each factor by slicing.
@@ -316,6 +317,9 @@ class GroupModel:
     is assembled only by ``pushed``, from the factors pushed into one ring:
     a window pushes to Z^m, and ``complex``, which only the spot checks of
     ``jumploci.is_full_vr_product`` read, pushes through the identity.
+    A model without factors remembers its profile at each rational
+    character in ``_profiles``, keyed by the canonical coordinates, for the
+    model's lifetime: one query in the CLI, which builds a model per query.
     """
 
     presentation: Presentation
@@ -323,6 +327,7 @@ class GroupModel:
     built: TwistedComplex | None
     aspherical: bool
     factors: tuple["GroupModel", ...] = ()
+    _profiles: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def complex(self) -> TwistedComplex:
@@ -334,7 +339,7 @@ class GroupModel:
         n = self.nvars
         return self.pushed([[int(i == j) for j in range(n)] for i in range(n)])
 
-    @property
+    @cached_property
     def nvars(self) -> int:
         """Character coordinates; a product concatenates its factors'."""
         if not self.factors:
@@ -392,26 +397,34 @@ class GroupModel:
         """
         if character.is_generic:
             return self.generic_betti
-        return self._convolved(character)
+        return self._convolved(character) if self.factors else self._at(character.coords)
+
+    def _at(self, coords: tuple) -> BettiProfile:
+        """The profile at the rational character with these canonical
+        coordinates (a slice of a product's are); a model without factors
+        computes each profile once and keeps it in ``_profiles``."""
+        if self.factors:
+            return self._convolved(Character(coords))
+        if coords not in self._profiles:
+            self._profiles[coords] = twisted_betti(self.complex, Character(coords))
+        return self._profiles[coords]
 
     @cached_property
     def generic_betti(self) -> BettiProfile:
         """The profile at the generic point, computed once per model, so
         every verdict of a query reads the same factor ranks.  On a product
         its route is {"name": "kunneth", "factors": [each factor's route]}."""
-        return self._convolved(GENERIC)
+        return self._convolved(GENERIC) if self.factors else twisted_betti(self.complex, GENERIC)
 
     def _convolved(self, character: Character) -> BettiProfile:
-        if not self.factors:
-            return twisted_betti(self.complex, character)
         if not character.is_generic and len(character.coords) != self.nvars:
             raise ValueError(f"character needs {self.nvars} coordinates, "
                              f"got {len(character.coords)}")
         profile = [1]
         routes = []
         for factor, (coords,) in self._blocks([character.coords or ()]):
-            part = character if character.is_generic else Character(coords)
-            factor_profile = factor.betti(part)
+            factor_profile = (factor.generic_betti if character.is_generic
+                              else factor._at(coords))
             routes.append(factor_profile.route)
             profile = _convolve(profile, factor_profile.betti)
         route = {"name": "kunneth", "factors": routes} if character.is_generic else None
@@ -465,24 +478,35 @@ def build_model(presentation: Presentation) -> GroupModel:
     clique cube complex for a right-angled Artin group, and the
     presentation 2-complex otherwise.
 
-    This is the only code that assembles a product model.  Each factor
-    model is built once and kept in ``factors``, and the product's shape
+    This is the only code that assembles a product model.  Each distinct
+    factor model is built once and kept in ``factors``; factors are equal
+    when their words and tags are (``_same_factor``: ``==`` ignores tags,
+    yet ``aspherical`` or ``graph`` changes the model).  The product's shape
     comes from theirs; no complex of the product is built here
     (``GroupModel.pushed`` assembles one on demand); its H_1 is the direct
     sum of the factors' (``_blockwise``), so the product is never abelianized.
     """
     tags = presentation.tags
-    factors = ()
+    factors: list[GroupModel] = []
     cx = None
     if "factors" in tags:
-        factors = tuple(build_model(f) for f in tags["factors"])
+        for f in tags["factors"]:
+            factors.append(next((m for m in factors if _same_factor(m.presentation, f)),
+                                None) or build_model(f))
         abelian = _blockwise(factors)
     else:
         abelian = abelianize(presentation)
         cx = (raag_chain_model(tags["graph"]) if "graph" in tags
               else presentation_complex(presentation, abelian))
     return GroupModel(presentation, abelian, cx,
-                      bool(tags.get("aspherical", False)), factors)
+                      bool(tags.get("aspherical", False)), tuple(factors))
+
+
+def _same_factor(a: Presentation, b: Presentation) -> bool:
+    """Equal words and tags, a nested product's factors compared likewise."""
+    return a == b and a.tags.keys() == b.tags.keys() and all(
+        len(a.tags[k]) == len(b.tags[k]) and all(map(_same_factor, a.tags[k], b.tags[k]))
+        if k == "factors" else a.tags[k] == b.tags[k] for k in a.tags)
 
 
 def _blockwise(factors) -> AbelianData:

@@ -1,11 +1,13 @@
 import contextlib
 import io
+import json
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from charvar.cli import main
+from charvar.cli import main, resolve_nu
 from charvar.complexes import kernel_homology_univariate, twisted_betti
 from charvar.constructions import (bestvina_brady, build_model,
                                    complete_graph, cycle_graph,
@@ -17,9 +19,9 @@ from charvar.constructions import (bestvina_brady, build_model,
                                    reduced_homology, surface_group)
 from charvar.errors import GenusTooSmall
 from charvar.intlinalg import mat_mul
-from charvar.laurent import Character
+from charvar.laurent import Character, pullback_character
 from charvar.parser import parse_presentation
-from charvar.presentations import (abelianize, induced_on_free_part,
+from charvar.presentations import (Presentation, abelianize, induced_on_free_part,
                                    validate_epimorphism)
 from charvar.sampling import sample_character
 from charvar.words import Word, commutator
@@ -186,15 +188,15 @@ def test_one_model_per_query(monkeypatch):
                  ("complexes", "tensor_complex")]
     calls = cli_calls(monkeypatch, functions, [
         "jumploci", "--preset", "product-surface", "--genus", "2,2", "--r", "2"])
-    # the product model and its two factor models; only the factors are
-    # abelianized, and the ideal reads the product model's H_1
-    assert len(calls["constructions.build_model"]) == 3
-    assert len(calls["presentations.abelianize"]) == 2
+    # the product model and one model its two equal factors share; only
+    # that factor is abelianized, and the ideal reads the product's H_1
+    assert len(calls["constructions.build_model"]) == 2
+    assert len(calls["presentations.abelianize"]) == 1
     assert len(calls["complexes.tensor_complex"]) == 1
     monkeypatch.undo()
     calls = cli_calls(monkeypatch, functions, [
         "certify", *S2_CUBED, "--r", "3"])
-    assert len(calls["constructions.build_model"]) == 4
+    assert len(calls["constructions.build_model"]) == 2
     # a full verdict's spot checks are the one reader of the tensor model
     assert len(calls["complexes.tensor_complex"]) == 2
     # elsewhere a product's variables, ranks and top degree come from its
@@ -214,6 +216,62 @@ def test_one_model_per_query(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["certify", *S2_CUBED, "--r", "2", "--json"]) == 2
     assert calls["complexes.tensor_complex"] == []
+
+
+def test_equal_factors_share_one_model():
+    # each factor built on its own, so sharing rests on equality, not identity
+    model = build_model(direct_product([surface_group(2), surface_group(3),
+                                        surface_group(2), surface_group(2)]))
+    first, other, third, fourth = model.factors
+    assert third is first and fourth is first
+    assert other is not first and other.nvars == 6
+    assert model.nvars == 18
+
+
+def test_equal_words_with_different_tags_are_not_shared():
+    s2 = surface_group(2)
+    untagged = Presentation(s2.generators, s2.relators)
+    assert untagged == s2
+    model = build_model(direct_product([s2, untagged]))
+    assert model.factors[0] is not model.factors[1]
+    assert (model.factors[0].aspherical, model.factors[1].aspherical) == (True, False)
+    # a graph tag picks the clique cube complex over the presentation one
+    edge = raag(complete_graph(2))
+    model = build_model(direct_product([edge, Presentation(edge.generators, edge.relators)]))
+    assert model.factors[0] is not model.factors[1]
+    # a nested product's tags hold its factors, which compare without
+    # theirs; here only the inner graph tag tells the two products apart
+    named = Presentation(edge.generators, edge.relators,
+                         tags={k: v for k, v in edge.tags.items() if k != "graph"})
+    nested = [direct_product([edge, s2]), direct_product([named, s2])]
+    assert nested[0] == nested[1] and nested[0].tags == nested[1].tags
+    model = build_model(direct_product(nested + [direct_product([edge, s2])]))
+    assert model.factors[0] is not model.factors[1]
+    assert model.factors[2] is model.factors[0]
+
+
+def test_a_probe_ranks_each_factor_character_once(monkeypatch):
+    argv = ["probe", *S2_CUBED, "--r", "3", "--trials", "32", "--seed", "3"]
+    calls = cli_calls(monkeypatch, [("complexes", "twisted_betti")], argv)
+    ranked = calls["complexes.twisted_betti"]
+    monkeypatch.undo()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--json"]) == 0
+    samples = json.loads(out.getvalue())["result"]["samples"]
+    # the oracle: every factor's slice of every pulled-back sample
+    presentation = direct_product([surface_group(2)] * 3)
+    model = build_model(presentation)
+    nubar = induced_on_free_part(resolve_nu(presentation, "pencil"), model.abelian)
+    slices = set()
+    for sample in samples:
+        rho = Character([Fraction(x) for x in sample["rho"]])
+        coords = pullback_character(nubar, rho, model.nvars).coords
+        slices.update(coords[i:i + 4] for i in range(0, 12, 4))
+    # one shared factor complex, ranked once at each distinct slice
+    assert all(args[0] is ranked[0][0] for args in ranked)
+    assert sorted(args[1].coords for args in ranked) == sorted(slices)
+    assert len(slices) < len(samples)
 
 
 def test_raag_presentations():

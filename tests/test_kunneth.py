@@ -52,12 +52,20 @@ def seeded_character(seed: int, nvars: int) -> Character:
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from(range(len(FACTORS))), min_size=2, max_size=3),
-       st.integers(0, 2 ** 32))
-def test_convolved_profile_matches_the_tensor_model(choice, seed):
+       st.booleans(), st.integers(0, 2 ** 32))
+def test_convolved_profile_matches_the_tensor_model(choice, repeat, seed):
+    if repeat:
+        choice[-1] = choice[0]
     model = build_model(direct_product([FACTORS[i] for i in choice]))
     n = model.complex.nvars
-    characters = [seeded_character(seed, n), seeded_character(seed + 1, n),
-                  Character.trivial(n), Character((-1,) * n), GENERIC]
+    seeded = seeded_character(seed, n)
+    characters = [seeded, seeded_character(seed + 1, n),
+                  Character.trivial(n), Character((-1,) * n), GENERIC, seeded]
+    if repeat:
+        # the first factor's block again in the last factor's place, so the
+        # factor model the two share is asked the same character twice
+        width = model.factors[0].nvars
+        characters.append(Character(seeded.coords[:n - width] + seeded.coords[:width]))
     for rho in characters:
         got = model.betti(rho)
         assert got.character == rho
@@ -167,10 +175,11 @@ def test_certify_with_a_torus_factor_fails_definitely(capsys):
      (2, 2)),
 ], ids=["certify-S2^4", "jumploci-S2xS3", "jumploci-S2xS2-r2"])
 def test_product_verdicts_rank_factor_complexes_only(monkeypatch, argv, genus):
-    factors = [build_model(surface_group(g)).complex for g in genus]
+    factors = [build_model(surface_group(g)).complex for g in dict.fromkeys(genus)]
     calls = cli_calls(monkeypatch, [("complexes", "generic_ranks"),
                                     ("lmatrix", "generic_rank")], argv)
-    # each factor once, in order, and never the tensor model
+    # each distinct factor once, in order of first appearance, and never
+    # the tensor model
     assert [args[0] for args in calls["complexes.generic_ranks"]] == factors
     assert calls["lmatrix.generic_rank"] == []
 
