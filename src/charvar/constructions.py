@@ -369,10 +369,12 @@ class GroupModel:
         column block and the results are tensored over the shared
         m-variable ring, folded left to right; pushing is a ring map, so
         this is the product's complex pushed through ``nubar``, and every
-        complex built on the way checks d o d = 0 (``TwistedComplex``)."""
+        complex built on the way checks d o d = 0 (``TwistedComplex``).
+        A factor model shared by factors with equal blocks is pushed once
+        (``_per_factor``)."""
         if not self.factors:
             return self.built.specialize(nubar)
-        return reduce(tensor_complex, (f.pushed(block) for f, block in self._blocks(nubar)))
+        return reduce(tensor_complex, self._per_factor(GroupModel.pushed, nubar))
 
     def _blocks(self, nubar):
         """Each factor with its own column block of ``nubar``."""
@@ -381,6 +383,19 @@ class GroupModel:
             width = factor.nvars
             yield factor, [row[start:start + width] for row in nubar]
             start += width
+
+    def _per_factor(self, method, nubar):
+        """method(factor, block) for each factor and its own column block of
+        ``nubar``, in order, computed once per distinct (factor model,
+        block) pair: equal factors share one model (``build_model``), so a
+        shared model under equal blocks gives one result.  The memo lives
+        for this call only."""
+        memo = {}
+        for factor, block in self._blocks(nubar):
+            key = (id(factor), tuple(map(tuple, block)))
+            if key not in memo:
+                memo[key] = method(factor, block)
+            yield memo[key]
 
     def betti(self, character: Character) -> BettiProfile:
         """Twisted Betti numbers at a rational character or at the generic
@@ -434,7 +449,8 @@ class GroupModel:
         """The homology of the complex pushed through ``nubar`` (a map onto
         Z) as a module over the PID Lambda = Q[t, t^-1]; on a product, from
         the factors' complexes alone, each pushed through its own column
-        block and free over Lambda.  By Kunneth over a PID, H_n is the sum of
+        block and free over Lambda, each distinct (factor model, block) pair
+        once (``_per_factor``).  By Kunneth over a PID, H_n is the sum of
         H_p (x) H_q over p + q = n and of Tor(H_p, H_q) over p + q = n - 1;
         for Lambda/(a) and Lambda/(b) both are Lambda/gcd(a, b), where
         Lambda = Lambda/(0) has no Tor."""
@@ -444,8 +460,7 @@ class GroupModel:
         # per degree, how many summands Lambda/(x) of each order x, with
         # x = 0 for Lambda itself
         summands = [Counter({zero: 1})]
-        for factor, block in self._blocks(nubar):
-            part = factor.kernel_homology(block)
+        for part in self._per_factor(GroupModel.kernel_homology, nubar):
             folded = [Counter() for _ in range(len(summands) + len(part.entries))]
             for (p, a), e in iproduct(enumerate(summands), part.entries):
                 b = Counter(e.torsion_factors) + Counter({zero: e.free_rank})

@@ -3,12 +3,14 @@ import io
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
 
 from charvar.cli import main, resolve_nu
-from charvar.complexes import kernel_homology_univariate, twisted_betti
+from charvar.complexes import (TwistedComplex, kernel_homology_univariate, tensor_complex,
+                               twisted_betti)
 from charvar.constructions import (bestvina_brady, build_model,
                                    complete_graph, cycle_graph,
                                    direct_product, edgeless_graph,
@@ -226,6 +228,31 @@ def test_equal_factors_share_one_model():
     assert third is first and fourth is first
     assert other is not first and other.nvars == 6
     assert model.nvars == 18
+
+
+def test_a_shared_factor_is_pushed_once_per_distinct_block(monkeypatch):
+    # S_2, S_3, S_2, S_2: the shared S_2 model under blocks a, b, a gives two
+    # pushes of it, one of S_3; the memo keys on the block, not the model alone
+    model = build_model(direct_product([surface_group(2), surface_group(3),
+                                        surface_group(2), surface_group(2)]))
+    a, b = [[1, 0, 0, 1]], [[0, 1, 1, 0]]
+    nubar = [a[0] + [1] * 6 + b[0] + a[0]]
+    calls = []
+    specialize = TwistedComplex.specialize
+
+    def recording(cx, matrix):
+        calls.append((cx.nvars, matrix))
+        return specialize(cx, matrix)
+
+    monkeypatch.setattr(TwistedComplex, "specialize", recording)
+    pushed = model.pushed(nubar)
+    assert calls == [(4, a), (6, [[1] * 6]), (4, b)]
+    monkeypatch.undo()
+    by_factor = reduce(tensor_complex, (f.built.specialize(block)
+                                        for f, block in model._blocks(nubar)))
+    assert pushed == by_factor
+    kernel = model.kernel_homology(nubar)
+    assert kernel.to_json_dict() == kernel_homology_univariate(by_factor).to_json_dict()
 
 
 def test_equal_words_with_different_tags_are_not_shared():

@@ -299,10 +299,12 @@ def test_product_kernel_homology_smith_reduces_factor_matrices_only(monkeypatch)
     calls = cli_calls(monkeypatch, [("lmatrix", "smith_univariate"),
                                     ("complexes", "kernel_homology_univariate")],
                       ["kernel", *S2_CUBED, "--nu", "ones", "--top-degree", "6"])
+    # the three equal factors share one model and their blocks of ones are
+    # equal, so it is pushed and reduced once: one Smith form per differential
     pushed = [args[0] for args in calls["complexes.kernel_homology_univariate"]]
-    assert len(pushed) == 3 and all(cx.ranks == factor.ranks for cx in pushed)
-    shapes = {(m.rows, m.cols) for (m,) in calls["lmatrix.smith_univariate"]}
-    assert shapes == {(1, 4), (4, 1)}
+    assert len(pushed) == 1 and pushed[0].ranks == factor.ranks
+    shapes = [(m.rows, m.cols) for (m,) in calls["lmatrix.smith_univariate"]]
+    assert sorted(shapes) == [(1, 4), (4, 1)]
 
 
 def reduction_steps(monkeypatch):

@@ -22,10 +22,21 @@ from charvar.complexes import WindowReport
 
 def window_homology(complex_, radius) -> WindowReport:
     """Homology of the windows {0..k}^m, k = 1..radius, each from scratch."""
+    per_degree = [[] for _ in complex_.ranks]
+    for kept, ranks in window_counts(complex_, radius):
+        for j, seq in enumerate(per_degree):
+            seq.append(kept[j] - ranks[j] - ranks[j + 1])
+    return WindowReport(tuple(range(1, radius + 1)),
+                        tuple(tuple(seq) for seq in per_degree))
+
+
+def window_counts(complex_, radius) -> list[tuple[list[int], list[int]]]:
+    """Per radius k = 1..radius, the number of kept cells in each degree and
+    the rank of each d_j on the window, j = 0..top + 1 (d_0 = d_(top+1) = 0)."""
     # column i of d_j as its boundary terms (row r, exponent e, coefficient)
     columns = [[[(r, e, c) for r in range(d.rows) for e, c in d.entries[r][i].terms.items()]
                 for i in range(d.cols)] for d in complex_.differentials]
-    per_degree = [[] for _ in complex_.ranks]
+    counts = []
     for k in range(1, radius + 1):
         box = [tuple(v) for v in iproduct(range(k + 1), repeat=complex_.nvars)]
         kept = [[(i, v) for i in range(complex_.ranks[0]) for v in box]]
@@ -36,10 +47,8 @@ def window_homology(complex_, radius) -> WindowReport:
         ranks = [0] * (complex_.top + 2)
         for j, cols in enumerate(columns, start=1):
             ranks[j] = _rank(cols, kept[j], kept[j - 1])
-        for j, seq in enumerate(per_degree):
-            seq.append(len(kept[j]) - ranks[j] - ranks[j + 1])
-    return WindowReport(tuple(range(1, radius + 1)),
-                        tuple(tuple(seq) for seq in per_degree))
+        counts.append(([len(cells) for cells in kept], ranks))
+    return counts
 
 
 def _rank(columns, cells, rows) -> int:
