@@ -135,10 +135,9 @@ def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
         raise TrivialNu("the map to Z^m is trivial") from exc
     model = build_model(presentation)
     verdict = is_full_vr_product(model, r, seed=seed)
-    group_name = presentation.tags.get("name", presentation.describe())
     if verdict.is_full:
         return Certificate(
-            group=group_name,
+            group=presentation.label,
             nu_images=nu.images, nu_target_rank=nu.target_rank, degree=r,
             status="certified",
             conclusions=(CONCLUSION_HOMOLOGY, CONCLUSION_NOT_FP,
@@ -146,7 +145,7 @@ def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
             evidence={"fullness": verdict.to_json_dict()},
             citations=CITATIONS, seed=seed)
     return Certificate(
-        group=group_name,
+        group=presentation.label,
         nu_images=nu.images, nu_target_rank=nu.target_rank, degree=r,
         status="not-established", conclusions=(),
         evidence={"fullness": verdict.to_json_dict()},

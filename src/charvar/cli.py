@@ -216,15 +216,13 @@ def resolve_nu(presentation, spec: str) -> EpimorphismToZm:
     elif spec == "first":
         images = [(1,)] + [(0,)] * (n - 1)
     elif spec == "pencil":
-        factors = presentation.tags.get("factors")
-        if not factors:
+        if not presentation.factors:
             raise ValueError("--nu pencil needs a product preset")
         images = []
-        for f in factors:
+        for f in presentation.factors:
             if f.ngens < 2:
                 raise ValueError("--nu pencil needs >= 2 generators per factor")
-            rows = [(1, 0), (0, 1)] + [(0, 0)] * (f.ngens - 2)
-            images.extend(rows)
+            images += [(1, 0), (0, 1)] + [(0, 0)] * (f.ngens - 2)
     else:
         images = []
         for chunk in spec.split(";"):
@@ -232,6 +230,17 @@ def resolve_nu(presentation, spec: str) -> EpimorphismToZm:
         if len(images) != n:
             raise ValueError(f"--nu gives {len(images)} rows for {n} generators")
     return validate_epimorphism(presentation, images)
+
+
+def resolve_group_and_nu(args, own_nu: str, onto_z: bool = False):
+    """Returns (presentation, nu): --nu if given, else the preset's default,
+    else ``own_nu``.  A command that needs a map onto Z (``onto_z``) takes
+    ``own_nu`` over a preset default onto Z^2, as 'pencil' is."""
+    presentation, preset_nu = resolve_group(args)
+    nu = resolve_nu(presentation, args.nu or preset_nu or own_nu)
+    if onto_z and not args.nu and nu.target_rank != 1:
+        nu = resolve_nu(presentation, own_nu)
+    return presentation, nu
 
 
 def resolve_graph(args):
@@ -314,7 +323,7 @@ def cmd_betti(args):
     rho = parse_character(args.char, model.nvars)
     profile = model.betti(rho)
     result = {
-        "group": presentation.tags.get("name", presentation.describe()),
+        "group": presentation.label,
         "character": rho.describe(),
         "betti": list(profile.betti),
         "euler": profile.alternating_sum(),
@@ -335,7 +344,7 @@ def cmd_alexander(args):
     presentation, _ = resolve_group(args)
     alex = alexander_matrix(presentation, abelianize(presentation))
     return "ok", {
-        "group": presentation.tags.get("name", presentation.describe()),
+        "group": presentation.label,
         "rows": alex.rows,
         "cols": alex.cols,
         "variables": alex.nvars,
@@ -350,7 +359,7 @@ def cmd_jumploci(args):
     model = build_model(presentation)
     verdict = is_full_v1(model)
     result = {
-        "group": presentation.tags.get("name", presentation.describe()),
+        "group": presentation.label,
         "depth": args.t,
         "fullness_v1": verdict.to_json_dict(),
     }
@@ -374,51 +383,46 @@ def cmd_jumploci(args):
 
 
 def cmd_certify(args):
-    presentation, default_nu = resolve_group(args)
-    nu = resolve_nu(presentation, args.nu or default_nu or "ones")
+    presentation, nu = resolve_group_and_nu(args, "ones")
     certificate = certify_non_fp(presentation, nu, args.r, seed=args.seed)
     status = "ok" if certificate.status == "certified" else "hypothesis-failed"
     return status, certificate.to_json_dict()
 
 
 def cmd_probe(args):
-    presentation, default_nu = resolve_group(args)
-    nu = resolve_nu(presentation, args.nu or default_nu or "ones")
+    presentation, nu = resolve_group_and_nu(args, "ones")
     report = generic_vanishing_probe(presentation, nu, args.r,
                                      trials=args.trials, seed=args.seed)
     return "ok", report.to_json_dict()
 
 
 def cmd_kernel(args):
-    presentation, default_nu = resolve_group(args)
-    nu = resolve_nu(presentation, args.nu or default_nu or "ones")
+    presentation, nu = resolve_group_and_nu(args, "ones", onto_z=True)
     report = kernel_report_univariate(presentation, nu, top_degree=args.top_degree)
     result = report.to_json_dict()
-    result["group"] = presentation.tags.get("name", presentation.describe())
+    result["group"] = presentation.label
     return "ok", result
 
 
 def cmd_window(args):
     ceiling = _ceiling(args.window_ceiling, "--window-ceiling", "CHARVAR_WINDOW_CEILING",
                        DEFAULT_WINDOW_CEILING)
-    presentation, default_nu = resolve_group(args)
-    nu = resolve_nu(presentation, args.nu or default_nu or "ones")
+    presentation, nu = resolve_group_and_nu(args, "ones")
     model = build_model(presentation)
     nubar = induced_on_free_part(nu, model.abelian)
     # refused before any complex is pushed or tensored
     check_window_size(sum(model.ranks), len(nubar), args.radius, ceiling)
     report = window_homology(model.pushed(nubar), args.radius, ceiling=ceiling)
     result = report.to_json_dict()
-    result["group"] = presentation.tags.get("name", presentation.describe())
+    result["group"] = presentation.label
     return "ok", result
 
 
 def cmd_oracle(args):
-    presentation, default_nu = resolve_group(args)
-    nu = resolve_nu(presentation, args.nu or default_nu or "first")
+    presentation, nu = resolve_group_and_nu(args, "first", onto_z=True)
     report = finite_cover_oracle(presentation, nu)
     result = report.to_json_dict()
-    result["group"] = presentation.tags.get("name", presentation.describe())
+    result["group"] = presentation.label
     return "ok", result
 
 

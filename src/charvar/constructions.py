@@ -3,9 +3,9 @@ products, right-angled Artin groups with their one-vertex-per-circle cube
 complexes, flag complexes, and the branched-cover numerology for products
 of curves over an elliptic base.
 
-Constructors attach catalog tags (name, asphericity, product factor data,
-defining graph).  Parsed user presentations never get
-tags: asphericity is undecidable in general, so only the catalog asserts it.
+Constructors set a ``Presentation``'s catalog facts (name, asphericity,
+product factors, graph).  Parsed presentations have none: asphericity is
+undecidable in general, so only the catalog asserts it.
 """
 
 from __future__ import annotations
@@ -103,6 +103,8 @@ def parse_graph_text(text: str) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
+    if 0 <= n < 3:  # Graph refuses a negative count
+        raise ValueError("a cycle needs at least 3 vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -184,10 +186,8 @@ def surface_group(genus: int) -> Presentation:
     relator = Word.identity()
     for i in range(genus):
         relator = relator * commutator(Word.generator(2 * i), Word.generator(2 * i + 1))
-    return Presentation(tuple(names), (relator,), tags={
-        "name": f"surface_genus_{genus}",
-        "aspherical": True,
-    })
+    return Presentation(tuple(names), (relator,),
+                        name=f"surface_genus_{genus}", aspherical=True)
 
 
 def punctured_surface_group(genus: int, punctures: int) -> Presentation:
@@ -199,10 +199,8 @@ def punctured_surface_group(genus: int, punctures: int) -> Presentation:
     for i in range(1, genus + 1):
         names += [f"a{i}", f"b{i}"]
     names += [f"p{i}" for i in range(1, punctures)]
-    return Presentation(tuple(names), (), tags={
-        "name": f"punctured_surface_{genus}_{punctures}",
-        "aspherical": True,
-    })
+    return Presentation(tuple(names), (),
+                        name=f"punctured_surface_{genus}_{punctures}", aspherical=True)
 
 
 def free_group(rank: int) -> Presentation:
@@ -236,11 +234,10 @@ def direct_product(factors) -> Presentation:
         relators += [Word(((x, 1), (y, 1), (x, -1), (y, -1)))
                      for x in range(off_a, off_a + fa.ngens)
                      for y in range(off_b, off_b + fb.ngens)]
-    return Presentation(tuple(names), tuple(relators), tags={
-        "name": " x ".join(f.tags.get("name", "?") for f in factors),
-        "factors": factors,
-        "aspherical": all(f.tags.get("aspherical", False) for f in factors),
-    })
+    return Presentation(tuple(names), tuple(relators),
+                        name=" x ".join(f.name or "?" for f in factors),
+                        aspherical=all(f.aspherical for f in factors),
+                        factors=factors)
 
 
 def raag(graph: Graph) -> Presentation:
@@ -248,11 +245,9 @@ def raag(graph: Graph) -> Presentation:
     names = tuple(f"v{i}" for i in range(graph.nverts))
     relators = tuple(commutator(Word.generator(u), Word.generator(v))
                      for u, v in sorted(graph.edges))
-    return Presentation(names, relators, tags={
-        "name": f"raag_{graph.nverts}v_{len(graph.edges)}e",
-        "aspherical": True,
-        "graph": graph,
-    })
+    return Presentation(names, relators,
+                        name=f"raag_{graph.nverts}v_{len(graph.edges)}e",
+                        aspherical=True, graph=graph)
 
 
 @dataclass(frozen=True)
@@ -301,14 +296,11 @@ def raag_chain_model(graph: Graph) -> TwistedComplex:
 class GroupModel:
     """A presentation with the chain complex used for its homology.
 
-    ``aspherical`` records whether every degree of the complex computes
-    group homology; otherwise only degrees <= 1 do, and degree-2 values are
-    homology of the presentation 2-complex.  ``factors`` holds the factor
-    models of a catalog direct product, in order, and is empty otherwise;
-    equal factors share one model (``build_model``).
-    A product's character coordinates are blockwise, one block per factor
-    in the factor's own coordinates, so a character of the product
-    restricts to each factor by slicing.
+    ``factors`` holds the factor models of a catalog direct product, in
+    order, and is empty otherwise; equal factors share one model
+    (``build_model``).  A product's character coordinates are blockwise,
+    one block per factor in the factor's own coordinates, so a character of
+    the product restricts to each factor by slicing.
 
     ``built`` is the complex a model without factors is built with, and
     None on a product.  A product's shape (``nvars``, ``ranks``, ``top``),
@@ -325,9 +317,15 @@ class GroupModel:
     presentation: Presentation
     abelian: AbelianData
     built: TwistedComplex | None
-    aspherical: bool
     factors: tuple["GroupModel", ...] = ()
     _profiles: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @property
+    def aspherical(self) -> bool:
+        """Whether the catalog asserts that every degree of the complex is
+        group homology; otherwise only degrees <= 1 are, and degree 2 is
+        homology of the presentation 2-complex."""
+        return self.presentation.aspherical
 
     @cached_property
     def complex(self) -> TwistedComplex:
@@ -495,33 +493,20 @@ def build_model(presentation: Presentation) -> GroupModel:
 
     This is the only code that assembles a product model.  Each distinct
     factor model is built once and kept in ``factors``; factors are equal
-    when their words and tags are (``_same_factor``: ``==`` ignores tags,
-    yet ``aspherical`` or ``graph`` changes the model).  The product's shape
+    when their presentations are, words and catalog facts alike, since
+    ``aspherical`` or ``graph`` changes the model.  The product's shape
     comes from theirs; no complex of the product is built here
     (``GroupModel.pushed`` assembles one on demand); its H_1 is the direct
     sum of the factors' (``_blockwise``), so the product is never abelianized.
     """
-    tags = presentation.tags
-    factors: list[GroupModel] = []
-    cx = None
-    if "factors" in tags:
-        for f in tags["factors"]:
-            factors.append(next((m for m in factors if _same_factor(m.presentation, f)),
-                                None) or build_model(f))
-        abelian = _blockwise(factors)
-    else:
-        abelian = abelianize(presentation)
-        cx = (raag_chain_model(tags["graph"]) if "graph" in tags
-              else presentation_complex(presentation, abelian))
-    return GroupModel(presentation, abelian, cx,
-                      bool(tags.get("aspherical", False)), tuple(factors))
-
-
-def _same_factor(a: Presentation, b: Presentation) -> bool:
-    """Equal words and tags, a nested product's factors compared likewise."""
-    return a == b and a.tags.keys() == b.tags.keys() and all(
-        len(a.tags[k]) == len(b.tags[k]) and all(map(_same_factor, a.tags[k], b.tags[k]))
-        if k == "factors" else a.tags[k] == b.tags[k] for k in a.tags)
+    if presentation.factors:
+        shared = {f: build_model(f) for f in dict.fromkeys(presentation.factors)}
+        factors = tuple(shared[f] for f in presentation.factors)
+        return GroupModel(presentation, _blockwise(factors), None, factors)
+    abelian = abelianize(presentation)
+    cx = (raag_chain_model(presentation.graph) if presentation.graph is not None
+          else presentation_complex(presentation, abelian))
+    return GroupModel(presentation, abelian, cx)
 
 
 def _blockwise(factors) -> AbelianData:

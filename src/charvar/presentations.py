@@ -2,26 +2,32 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
+from typing import TYPE_CHECKING
 
 from .errors import NotSurjective, RelatorNotKilled, ZeroMap
 from .intlinalg import mat_mul, smith_normal_form
 from .words import Word
 
+if TYPE_CHECKING:
+    from .constructions import Graph
+
 
 @dataclass(frozen=True)
 class Presentation:
-    """A finite presentation <generators | relators>.
-
-    ``tags`` carries catalog metadata set only by the construction helpers
-    (name, asphericity, product factors, defining graph); parsed user input
-    never has tags.
-    """
+    """A finite presentation <generators | relators> and what the catalog
+    asserts of its group: ``name``, ``aspherical`` (its chain model computes
+    group homology in every degree), a direct product's ``factors`` in order
+    and a right-angled Artin group's ``graph``.  Only the constructors set
+    these facts, never the parser; ``==`` and ``hash`` include them."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
-    tags: dict = field(default_factory=dict, compare=False)
+    name: str | None = None
+    aspherical: bool = False
+    factors: tuple[Presentation, ...] = ()
+    graph: Graph | None = None
 
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):
@@ -38,6 +44,11 @@ class Presentation:
     def exponent_matrix(self) -> list[list[int]]:
         """Relators x generators matrix of total exponents."""
         return [list(r.exponent_vector(self.ngens)) for r in self.relators]
+
+    @property
+    def label(self) -> str:
+        """The catalog name, else the presentation written out."""
+        return self.name or self.describe()
 
     def describe(self) -> str:
         gens = ", ".join(self.generators)

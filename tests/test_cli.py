@@ -159,6 +159,23 @@ def test_oracle_cli(capsys):
     assert payload["result"]["b1_cover"] == 6
 
 
+@pytest.mark.parametrize("command, own_nu", [("kernel", "ones"), ("oracle", "first")])
+def test_a_pencil_preset_falls_back_to_the_command_default_onto_z(capsys, command, own_nu):
+    # the product-surface default 'pencil' maps onto Z^2, and these two
+    # commands need a map onto Z
+    argv = [command, "--preset", "product-surface", "--genus", "2,2"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert (code, payload) == run_json(capsys, argv + ["--nu", own_nu])
+
+
+def test_a_cycle_of_two_vertices_is_usage_error(capsys):
+    code, payload = run_json(capsys, ["raag", "--graph-name", "cycle:2"])
+    assert code == 1
+    assert payload["result"]["error"] == {
+        "code": "usage", "message": "a cycle needs at least 3 vertices"}
+
+
 def test_raag_bb_flag_cli(capsys):
     code, payload = run_json(capsys, ["raag", "--graph-name", "cycle:4"])
     assert code == 0

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -116,7 +117,7 @@ def test_catalog_product_coordinates_are_the_smith_coordinates(name):
     p = CATALOG_PRODUCTS[name]
     model = build_model(p)
     assert abelianize(p) == model.abelian
-    assert [f.presentation for f in model.factors] == list(p.tags["factors"])
+    assert tuple(f.presentation for f in model.factors) == p.factors
 
 
 def test_product_with_torsion_factor_has_blockwise_coordinates():
@@ -255,26 +256,45 @@ def test_a_shared_factor_is_pushed_once_per_distinct_block(monkeypatch):
     assert kernel.to_json_dict() == kernel_homology_univariate(by_factor).to_json_dict()
 
 
-def test_equal_words_with_different_tags_are_not_shared():
+def test_equal_words_with_different_facts_are_not_shared():
     s2 = surface_group(2)
-    untagged = Presentation(s2.generators, s2.relators)
-    assert untagged == s2
-    model = build_model(direct_product([s2, untagged]))
+    parsed = Presentation(s2.generators, s2.relators)
+    assert parsed.relators == s2.relators
+    model = build_model(direct_product([s2, parsed]))
     assert model.factors[0] is not model.factors[1]
     assert (model.factors[0].aspherical, model.factors[1].aspherical) == (True, False)
-    # a graph tag picks the clique cube complex over the presentation one
+    # a graph picks the clique cube complex over the presentation one
     edge = raag(complete_graph(2))
     model = build_model(direct_product([edge, Presentation(edge.generators, edge.relators)]))
     assert model.factors[0] is not model.factors[1]
-    # a nested product's tags hold its factors, which compare without
-    # theirs; here only the inner graph tag tells the two products apart
-    named = Presentation(edge.generators, edge.relators,
-                         tags={k: v for k, v in edge.tags.items() if k != "graph"})
+    # here only the inner factor's graph tells the two products apart
+    named = replace(edge, graph=None)
     nested = [direct_product([edge, s2]), direct_product([named, s2])]
-    assert nested[0] == nested[1] and nested[0].tags == nested[1].tags
+    assert nested[0].relators == nested[1].relators and nested[0].name == nested[1].name
+    assert nested[0] != nested[1]
     model = build_model(direct_product(nested + [direct_product([edge, s2])]))
     assert model.factors[0] is not model.factors[1]
     assert model.factors[2] is model.factors[0]
+
+
+def test_presentation_equality_and_hash_include_the_facts():
+    s2 = surface_group(2)
+    parsed = parse_presentation("gens a1,b1,a2,b2; rel [a1,b1][a2,b2];")
+    assert (parsed.generators, parsed.relators) == (s2.generators, s2.relators)
+    assert parsed != s2 and len({s2, parsed}) == 2
+    products = [direct_product([s2, s2]), direct_product([s2, s2])]
+    assert products[0] == products[1] and hash(products[0]) == hash(products[1])
+    assert len(set(products)) == 1
+    edge = raag(complete_graph(2))
+    with_graph, without = (direct_product([f, s2]) for f in (edge, replace(edge, graph=None)))
+    assert with_graph.relators == without.relators and with_graph != without
+
+
+def test_a_cycle_needs_three_vertices():
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="a cycle needs at least 3 vertices"):
+            cycle_graph(n)
+    assert cycle_graph(3).edges == {(0, 1), (1, 2), (0, 2)}
 
 
 def test_a_probe_ranks_each_factor_character_once(monkeypatch):
@@ -323,7 +343,7 @@ def test_bb_c4_kernel_infinite_in_degree_two():
     data = bestvina_brady(cycle_graph(4))
     report = kernel_homology_univariate(all_ones_complex(cycle_graph(4)))
     assert report.entries[2].infinite_dimensional
-    assert data.presentation.tags["aspherical"]
+    assert data.presentation.aspherical
 
 
 def test_bb_complete_graphs_are_finite_kernels():

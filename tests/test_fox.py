@@ -95,7 +95,7 @@ CATALOG = [surface_group(1), surface_group(2), surface_group(3),
            parse_presentation("gens a,b,c; rel a^3 b^-3 c^6; rel [b,c];")]
 
 
-@pytest.mark.parametrize("p", CATALOG, ids=lambda p: p.tags.get("name", "parsed"))
+@pytest.mark.parametrize("p", CATALOG, ids=lambda p: p.name or "parsed")
 def test_alexander_rows_match_oracle_on_catalog(p):
     assert_rows_match_oracle(p)
 

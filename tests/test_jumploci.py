@@ -104,7 +104,7 @@ CURVE_GROUPS = ([surface_group(g) for g in range(1, 6)]
                    for g, n in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2))])
 
 
-@pytest.mark.parametrize("p", CURVE_GROUPS, ids=lambda p: p.tags["name"])
+@pytest.mark.parametrize("p", CURVE_GROUPS, ids=lambda p: p.name)
 def test_curve_group_fullness_matches_euler_characteristic(p):
     # a curve group's locus is full exactly when chi < 0, since the twisted
     # Euler characteristic does not depend on the character; the sandwich
