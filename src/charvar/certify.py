@@ -228,8 +228,8 @@ class KernelReport:
     degree2_scope: str
 
     def to_json_dict(self) -> dict:
-        out = self.homology.to_json_dict()
-        out["degrees"] = out["degrees"][:self.top_degree + 1]
+        shown = KernelHomologyReport(self.homology.entries[:self.top_degree + 1])
+        out = shown.to_json_dict()
         out["degree2_scope"] = self.degree2_scope
         return out
 

@@ -34,7 +34,7 @@ from .errors import InternalInconsistency, NotUnivariate, WindowTooLarge
 from .fox import alexander_matrix, quotient_images
 from .intlinalg import clear_denominators, modular_rank, reduce_row
 from .laurent import GENERIC, Character, LaurentPolynomial
-from .lmatrix import (LaurentMatrix, packed_row_products, packed_rows, rank_at,
+from .lmatrix import (LaurentMatrix, Torsion, packed_row_products, packed_rows, rank_at,
                       smith_univariate)
 from .presentations import AbelianData, Presentation
 
@@ -184,14 +184,19 @@ class BettiProfile:
 
 @dataclass(frozen=True)
 class KernelDegreeEntry:
+    """H_degree as a module over Lambda = Q[t, t^-1]: Lambda^free_rank plus
+    k copies of Lambda/(f) per run (f, k) of ``torsion``, the runs of its
+    invariant factors (``lmatrix._invariant_factors``).  The JSON lists
+    each factor once per copy, as ``torsion_factors``."""
+
     degree: int
     free_rank: int
-    torsion_factors: tuple[LaurentPolynomial, ...]
+    torsion: Torsion
 
     @property
     def torsion_dimension(self) -> int:
         """The Q-dimension of the torsion part, sum of the factors' spans."""
-        return sum(f.degree_span(0) for f in self.torsion_factors)
+        return sum(k * f.degree_span(0) for f, k in self.torsion)
 
     @property
     def infinite_dimensional(self) -> bool:
@@ -211,7 +216,8 @@ class KernelHomologyReport:
                 {
                     "degree": e.degree,
                     "free_rank": e.free_rank,
-                    "torsion_factors": [f.to_text() for f in e.torsion_factors],
+                    "torsion_factors": [text for f, k in e.torsion
+                                        for text in [f.to_text()] * k],
                     "torsion_dimension": e.torsion_dimension,
                     "verdict": ("infinite-dimensional" if e.infinite_dimensional
                                 else "finite-dimensional"),
@@ -408,7 +414,7 @@ def kernel_homology_univariate(complex_: TwistedComplex) -> KernelHomologyReport
         entries.append(KernelDegreeEntry(
             degree=j,
             free_rank=complex_.ranks[j] - r_j - r_next,
-            torsion_factors=smiths[j].torsion_factors if j < complex_.top else (),
+            torsion=smiths[j].torsion if j < complex_.top else (),
         ))
     return KernelHomologyReport(tuple(entries))
 

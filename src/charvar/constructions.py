@@ -211,12 +211,13 @@ def free_group(rank: int) -> Presentation:
 
 
 def direct_product(factors) -> Presentation:
-    """Union of the factor presentations plus commutators between
-    generators of distinct factors.  Homology computations never use this
-    presentation's relators: ``build_model`` keeps the factor models, the
-    product's H_1, shape, twisted Betti numbers and kernel homology over
-    Q[t, t^-1] come from theirs, and its complex is their chain models
-    pushed into one ring and tensored (``GroupModel.pushed``)."""
+    """Union of the factor presentations, their relators first and in
+    order (``validate_epimorphism`` reads only these), plus commutators
+    between generators of distinct factors.  Homology computations never
+    use this presentation's relators: ``build_model`` keeps the factor
+    models, the product's H_1, shape, twisted Betti numbers and kernel
+    homology over Q[t, t^-1] come from theirs, and its complex is their
+    chain models pushed into one ring and tensored (``GroupModel.pushed``)."""
     factors = tuple(factors)
     if len(factors) < 2:
         raise ValueError("a direct product needs at least two factors")
@@ -451,19 +452,29 @@ class GroupModel:
         once (``_per_factor``).  By Kunneth over a PID, H_n is the sum of
         H_p (x) H_q over p + q = n and of Tor(H_p, H_q) over p + q = n - 1;
         for Lambda/(a) and Lambda/(b) both are Lambda/gcd(a, b), where
-        Lambda = Lambda/(0) has no Tor."""
+        Lambda = Lambda/(0) has no Tor.
+
+        The fold counts summands per order, reading each factor degree's
+        runs of invariant factors (and its free rank, as order 0), so its
+        work grows with the distinct orders, not the summands; each
+        distinct pair of orders has its gcd computed once per call.  The
+        counted summands of each degree become its invariant factors by
+        ``_invariant_factors``."""
         if not self.factors:
             return kernel_homology_univariate(self.pushed(nubar))
         zero = LaurentPolynomial.zero(1)
+        gcds: dict = {}
         # per degree, how many summands Lambda/(x) of each order x, with
         # x = 0 for Lambda itself
         summands = [Counter({zero: 1})]
         for part in self._per_factor(GroupModel.kernel_homology, nubar):
             folded = [Counter() for _ in range(len(summands) + len(part.entries))]
             for (p, a), e in iproduct(enumerate(summands), part.entries):
-                b = Counter(e.torsion_factors) + Counter({zero: e.free_rank})
-                for (x, kx), (y, ky) in iproduct(a.items(), b.items()):
-                    g = univariate_gcd(x, y)
+                runs = (*e.torsion, (zero, e.free_rank)) if e.free_rank else e.torsion
+                for (x, kx), (y, ky) in iproduct(a.items(), runs):
+                    if (x, y) not in gcds:
+                        gcds[x, y] = univariate_gcd(x, y)
+                    g = gcds[x, y]
                     folded[p + e.degree][g] += kx * ky
                     if x and y:
                         folded[p + e.degree + 1][g] += kx * ky
@@ -472,7 +483,7 @@ class GroupModel:
         for n, cyclic in enumerate(summands[:self.top + 1]):
             free_rank = cyclic.pop(zero, 0)
             entries.append(KernelDegreeEntry(
-                n, free_rank, _invariant_factors(cyclic.elements())))
+                n, free_rank, _invariant_factors(cyclic.items())))
         return KernelHomologyReport(tuple(entries))
 
 

@@ -17,14 +17,17 @@ F_p, which gives the ranks mod p of the modular sandwich.
 Over the univariate ring Q[t, t^-1], ``smith_univariate`` eliminates to a
 diagonal by unit scalings and leading-term steps on primitive rows in
 Z[t, t^-1], so no coefficient leaves the integers or swells (the
-primitive remainders of W. S. Brown, J. ACM 18, 1971).  ``_invariant_factors``
-turns that diagonal into the divisibility chain, and is the one assembly
-of every chain over this ring: the Kunneth fold of
-``GroupModel.kernel_homology`` uses it too.
+primitive remainders of W. S. Brown, J. ACM 18, 1971).  Torsion over this
+ring is carried as runs, (order, multiplicity) pairs ascending in
+divisibility, so work scales with the distinct orders, not the summands.
+``_invariant_factors`` turns runs of cyclic summands into the chain's
+runs, and is the one assembly of every chain over this ring: the Smith
+diagonal, counted, and the Kunneth fold of ``GroupModel.kernel_homology``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -461,29 +464,55 @@ def univariate_gcd(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynom
     return _monic(f) if f else f
 
 
-def _invariant_factors(orders) -> tuple[LaurentPolynomial, ...]:
-    """The invariant factors of the sum of the Lambda/(x), x in ``orders``
-    monic with nonzero constant term: an ascending divisibility chain
-    without units.  Each x enters from the top by the swaps Lambda/(d) (+)
-    Lambda/(x) = Lambda/(lcm) (+) Lambda/(gcd), carrying the gcd down until
-    it is a unit or equals the entry it meets."""
-    chain = []
-    for x in orders:
+Torsion = tuple[tuple[LaurentPolynomial, int], ...]
+
+
+def _invariant_factors(runs) -> Torsion:
+    """The invariant factors of the sum of k copies of Lambda/(x) over the
+    runs (x, k), each x monic with nonzero constant term: the runs of an
+    ascending divisibility chain without units, one per distinct order.
+
+    Each run enters from the top.  It passes below every run whose order x
+    divides, and settles right above a run whose order divides x.  Where it
+    meets a run (d, c) of neither kind, the swap Lambda/(d) (+) Lambda/(x) =
+    Lambda/(lcm) (+) Lambda/(gcd) applies to m = min(c, k) copies at once:
+    m copies of the lcm take the place of m copies of d, and m copies of
+    the gcd and the k - m copies of x left over go back on the pending
+    stack.  The chain is unique, so the order in which runs enter is free."""
+    chain: list[list] = []
+    pending = list(runs)
+    while pending:
+        x, k = pending.pop()
+        if not k or x.is_unit():
+            continue
         j = len(chain)
-        while j and not x.is_unit():
-            d = chain[j - 1]
+        while j:
+            d, c = chain[j - 1]
             if x == d:
+                chain[j - 1][1] += k
                 break
             g = univariate_gcd(d, x)
-            if g == x:  # every copy of d stays
-                while j and chain[j - 1] == d:
-                    j -= 1
+            if g == x:  # x divides d: it passes below every copy
+                j -= 1
                 continue
-            chain[j - 1] = univariate_divmod(d * x, g)[0]
-            x, j = g, j - 1
-        if not x.is_unit():
-            chain.insert(j, x)
-    return tuple(chain)
+            if g == d:  # d divides x: x enters right above d
+                chain.insert(j, [x, k])
+                break
+            m = min(c, k)
+            lcm = univariate_divmod(d * x, g)[0]
+            if j < len(chain) and chain[j][0] == lcm:
+                chain[j][1] += m
+            else:
+                chain.insert(j, [lcm, m])
+            if c == m:
+                del chain[j - 1]
+            else:
+                chain[j - 1][1] = c - m
+            pending += [(g, m), (x, k - m)]
+            break
+        else:
+            chain.insert(0, [x, k])
+    return tuple(map(tuple, chain))
 
 
 @dataclass(frozen=True)
@@ -492,15 +521,15 @@ class SmithFormUnivariate:
     Q[t, t^-1].
 
     The matrix is read as a module presentation: ``cols`` generators subject
-    to ``rows`` relations, so the cokernel is Lambda^(cols - rank) plus one
-    torsion summand Lambda/(f) per f in ``torsion_factors``.  These are
-    monic with nonzero constant term and form a divisibility chain, which
-    ``_invariant_factors`` assembles from the diagonal the elimination
-    stops at.
+    to ``rows`` relations, so the cokernel is Lambda^(cols - rank) plus k
+    torsion summands Lambda/(f) per run (f, k) of ``torsion``.  The orders
+    are distinct, monic with nonzero constant term and ascend in
+    divisibility; ``_invariant_factors`` assembles them from the counted
+    diagonal the elimination stops at.
     """
 
     rank: int
-    torsion_factors: tuple[LaurentPolynomial, ...]
+    torsion: Torsion
 
 
 def smith_univariate(matrix: LaurentMatrix) -> SmithFormUnivariate:
@@ -530,7 +559,8 @@ def smith_univariate(matrix: LaurentMatrix) -> SmithFormUnivariate:
                 continue
         diagonal.append(_monic(grid[0][0]))
         grid = [row[1:] for row in grid[1:]]
-    return SmithFormUnivariate(len(diagonal), _invariant_factors(diagonal))
+    return SmithFormUnivariate(len(diagonal),
+                               _invariant_factors(Counter(diagonal).items()))
 
 
 def _size(p: LaurentPolynomial) -> tuple[int, int]:

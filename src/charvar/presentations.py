@@ -18,9 +18,10 @@ if TYPE_CHECKING:
 class Presentation:
     """A finite presentation <generators | relators> and what the catalog
     asserts of its group: ``name``, ``aspherical`` (its chain model computes
-    group homology in every degree), a direct product's ``factors`` in order
-    and a right-angled Artin group's ``graph``.  Only the constructors set
-    these facts, never the parser; ``==`` and ``hash`` include them."""
+    group homology in every degree), a direct product's ``factors`` in
+    order, whose relators its own list first, and a right-angled Artin
+    group's ``graph``.  Only the constructors set these facts, never the
+    parser; ``==`` and ``hash`` include them."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
@@ -104,7 +105,10 @@ def abelianize(presentation: Presentation) -> AbelianData:
 def validate_epimorphism(presentation: Presentation, images) -> EpimorphismToZm:
     """Check that generator images define a genuine surjection G -> Z^m.
 
-    Raises RelatorNotKilled, ZeroMap, or NotSurjective, whose message
+    Every relator must map to zero; on a direct product only the factors'
+    relators are read, as its commutators map to zero under any map to an
+    abelian group.  Raises RelatorNotKilled, with the relator's index in
+    ``presentation.relators``, ZeroMap, or NotSurjective, whose message
     gives the rank, or the index, of the image lattice from its Smith form.
     """
     images = tuple(tuple(v) for v in images)
@@ -121,7 +125,12 @@ def validate_epimorphism(presentation: Presentation, images) -> EpimorphismToZm:
     nu = EpimorphismToZm(m, images)
     if nu.is_zero():
         raise ZeroMap("every generator maps to zero")
-    for idx, r in enumerate(presentation.relators):
+    relators = presentation.relators
+    if presentation.factors:
+        # a commutator of two factors' generators maps to 0 in Z^m, and
+        # ``direct_product`` lists the factors' relators first
+        relators = relators[:sum(len(f.relators) for f in presentation.factors)]
+    for idx, r in enumerate(relators):
         if any(nu.of_word(r)):
             raise RelatorNotKilled(idx)
     # image lattice: columns are the generator images

@@ -90,19 +90,27 @@ def monic_univariate(p: LaurentPolynomial) -> LaurentPolynomial:
 def record_calls(monkeypatch, functions):
     """Wrap every module binding of each (module, name) in ``functions`` by
     a recorder, and return the positional arguments of every later call,
-    per function."""
+    per function.  A name "Class.method" wraps the method on its class,
+    and its calls record the instance first."""
     calls = {}
     modules = [m for name, m in sorted(sys.modules.items())
                if name == "charvar" or name.startswith("charvar.")]
     for module_name, attr in functions:
         key = f"{module_name}.{attr}"
-        original = getattr(importlib.import_module(f"charvar.{module_name}"), attr)
+        owner = importlib.import_module(f"charvar.{module_name}")
+        *classes, attr = attr.split(".")
+        for name in classes:
+            owner = getattr(owner, name)
+        original = getattr(owner, attr)
         calls[key] = []
 
         def recorder(*args, _calls=calls[key], _original=original, **kwargs):
             _calls.append(args)
             return _original(*args, **kwargs)
 
+        if classes:
+            monkeypatch.setattr(owner, attr, recorder)
+            continue
         for module in modules:
             for name, value in list(vars(module).items()):
                 if value is original:

@@ -8,6 +8,8 @@ Q[t, t^-1]; the tensor model stays as the oracle.  The CLI must reach
 any of them on a product only through its factor complexes.
 """
 
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -29,7 +31,7 @@ from charvar.laurent import GENERIC, Character
 from charvar.parser import parse_presentation
 from charvar.presentations import induced_on_free_part
 
-from conftest import cli_calls, scaled
+from conftest import cli_calls, record_calls, scaled
 
 TORSION = parse_presentation("gens a,b,c; rel a^3 b^-3 c^6; rel [b,c];")
 
@@ -291,7 +293,7 @@ def test_kunneth_kernel_homology_on_chosen_products(choice, nubar, torsion):
     expected = kernel_homology_univariate(model.complex.specialize(nubar))
     assert len(got.entries) == model.complex.top + 1
     assert got.to_json_dict() == expected.to_json_dict()
-    assert {f.to_text() for e in got.entries for f in e.torsion_factors} == torsion
+    assert {f.to_text() for e in got.entries for f, _ in e.torsion} == torsion
 
 
 def test_product_kernel_homology_smith_reduces_factor_matrices_only(monkeypatch):
@@ -305,6 +307,26 @@ def test_product_kernel_homology_smith_reduces_factor_matrices_only(monkeypatch)
     assert len(pushed) == 1 and pushed[0].ranks == factor.ranks
     shapes = [(m.rows, m.cols) for (m,) in calls["lmatrix.smith_univariate"]]
     assert sorted(shapes) == [(1, 4), (4, 1)]
+
+
+@pytest.mark.parametrize("top_degree", [12, 6])
+def test_kernel_work_follows_the_distinct_orders(monkeypatch, top_degree):
+    # S_2^6 under the sum map has 23,296 torsion summands, all Lambda/(t - 1):
+    # each shown degree renders its one order once, and the fold computes the
+    # gcd of each distinct pair of orders, 0 or t - 1, once
+    calls = record_calls(monkeypatch, [("laurent", "LaurentPolynomial.to_text"),
+                                       ("lmatrix", "univariate_gcd")])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["kernel", "--preset", "product-surface", "--genus", "2,2,2,2,2,2",
+                     "--nu", "ones", "--top-degree", str(top_degree), "--json"]) == 0
+    degrees = json.loads(out.getvalue())["result"]["degrees"]
+    assert len(degrees) == top_degree + 1
+    assert {f for d in degrees for f in d["torsion_factors"]} == {"t1 - 1"}
+    rendered = calls["laurent.LaurentPolynomial.to_text"]
+    assert len(rendered) == sum(bool(d["torsion_factors"]) for d in degrees)
+    pairs = calls["lmatrix.univariate_gcd"]
+    assert len(pairs) == len(set(pairs)) <= 4
 
 
 def reduction_steps(monkeypatch):

@@ -8,8 +8,10 @@ from sympy.matrices.normalforms import invariant_factors
 
 from charvar.errors import InternalInconsistency, TooManyMinors, VariableCountMismatch
 from charvar.laurent import GENERIC, Character, LaurentPolynomial
-from charvar.lmatrix import (LaurentMatrix, generic_rank, minors, rank_at,
-                             smith_univariate, univariate_divmod)
+from charvar.lmatrix import (LaurentMatrix, _invariant_factors, generic_rank, minors,
+                             rank_at, smith_univariate, univariate_divmod)
+import chain_oracle
+from chain_oracle import expand
 from conftest import (entrywise_product, laurent_matrix, monic_univariate,
                       substitute_exponents, zero_matrix)
 
@@ -167,15 +169,14 @@ def test_univariate_divmod():
 def test_smith_univariate_single_entry():
     m = laurent_matrix(1, [[x() - one1()]])
     s = smith_univariate(m)
-    assert [f.to_text() for f in s.torsion_factors] == ["t1 - 1"]
+    assert [(f.to_text(), k) for f, k in s.torsion] == [("t1 - 1", 1)]
     assert m.cols - s.rank == 0
-    assert sum(f.degree_span(0) for f in s.torsion_factors) == 1
 
 
 def test_smith_univariate_zero_matrix():
     m = zero_matrix(1, 1, 2)
     s = smith_univariate(m)
-    assert s.torsion_factors == ()
+    assert s.torsion == ()
     assert m.cols - s.rank == 2
 
 
@@ -183,8 +184,7 @@ def test_smith_univariate_gcd_row():
     # gcd(t - 1, t^2 - 1) = t - 1 by one Euclidean step
     m = laurent_matrix(1, [[x() - one1(), x(2) - one1()]])
     s = smith_univariate(m)
-    assert [f.to_text() for f in s.torsion_factors] == ["t1 - 1"]
-    assert sum(f.degree_span(0) for f in s.torsion_factors) == 1
+    assert [(f.to_text(), k) for f, k in s.torsion] == [("t1 - 1", 1)]
     assert m.cols - s.rank == 1
 
 
@@ -193,18 +193,19 @@ def test_smith_univariate_factors_form_a_monic_chain_of_generic_rank():
     for _ in range(60):
         m = _random_matrix(rng, nvars=1, max_dim=4)
         s = smith_univariate(m)
-        fs = s.torsion_factors
-        # divisibility chain
+        fs = [f for f, _ in s.torsion]
+        # a divisibility chain of distinct orders, each run nonempty
         for i in range(len(fs) - 1):
             q, r = univariate_divmod(fs[i + 1], fs[i])
-            assert r.is_zero()
+            assert r.is_zero() and fs[i + 1] != fs[i]
+        assert all(k > 0 for _, k in s.torsion)
         # normalization: monic with nonzero constant term, never a unit
         for f in fs:
             lo, _ = f.exponent_range(0)
             assert lo == 0
             assert f.leading()[1] == 1
             assert not f.is_unit()
-        assert len(fs) <= s.rank == generic_rank(m)
+        assert len(expand(s.torsion)) <= s.rank == generic_rank(m)
 
 
 def test_smith_product_of_factors_matches_minor_gcd():
@@ -216,7 +217,7 @@ def test_smith_product_of_factors_matches_minor_gcd():
         if k == 0:
             continue
         product = LaurentPolynomial.one(1)
-        for f in s.torsion_factors:
+        for f in expand(s.torsion):
             product = product * f
         gcd = LaurentPolynomial.zero(1)
         for d in minors(m, k):
@@ -254,9 +255,42 @@ def test_smith_univariate_matches_sympy():
                 int(coeffs[-1].p), int(coeffs[-1].q)) for c in coeffs])
         s = smith_univariate(m)
         got = [[f.terms.get((k,), Fraction(0)) for k in range(f.degree_span(0) + 1)]
-               for f in s.torsion_factors]
+               for f in expand(s.torsion)]
         assert got == expected
         assert s.rank == len(nonzero)
+
+
+def chain_bases():
+    """t - 1, t + 1, t - 2, t - 1/2 and t^2 - t + 1: monic, nonzero constant
+    term, pairwise coprime."""
+    t = x()
+    return [t - one1(), t + one1(), t - one1().scale(2), t - one1().scale(Fraction(1, 2)),
+            x(2) - t + one1()]
+
+
+@st.composite
+def order_runs(draw):
+    """Runs (order, multiplicity): each order a product of the chain bases,
+    each to a power 0-2 (all 0 is the unit 1), each multiplicity 0-50;
+    orders may repeat across runs."""
+    runs = []
+    for powers in draw(st.lists(st.lists(st.integers(0, 2), min_size=5, max_size=5),
+                                max_size=6)):
+        order = one1()
+        for base, power in zip(chain_bases(), powers):
+            for _ in range(power):
+                order = order * base
+        runs.append((order, draw(st.integers(0, 50))))
+    return runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(order_runs())
+def test_the_run_chain_matches_the_per_summand_chain(runs):
+    got = _invariant_factors(runs)
+    assert expand(got) == list(chain_oracle.invariant_factors(expand(runs)))
+    assert all(k > 0 for _, k in got)
+    assert all(a != b for (a, _), (b, _) in zip(got, got[1:]))
 
 
 # -- sparse rows against the dense grid, cell by cell -------------------------

@@ -105,6 +105,32 @@ def test_relator_not_killed():
     assert err.value.index == 0
 
 
+TORSION = parse_presentation("gens a,b,c; rel a^3 b^-3 c^6; rel [b,c];")
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["TORSIONxS2", "S2xTORSION"])
+def test_a_product_reports_the_index_of_its_own_relator(first):
+    # a -> 1 leaves TORSION's relator a^3 b^-3 c^6 alive; the product reads
+    # only its factors' relators, but reports the index in its own list
+    groups = [TORSION, surface_group(2)] if first else [surface_group(2), TORSION]
+    p = direct_product(groups)
+    a = "a_f1" if first else "a_f2"
+    with pytest.raises(RelatorNotKilled) as err:
+        validate_epimorphism(p, [(int(g == a),) for g in p.generators])
+    assert err.value.index == (0 if first else 1)
+
+
+def test_a_product_lists_its_factors_relators_first():
+    p = direct_product([TORSION, direct_product([surface_group(1)] * 2), free_group(2)])
+    shifted, offset = [], 0
+    for f in p.factors:
+        shifted += [Word((g + offset, e) for g, e in r.syllables) for r in f.relators]
+        offset += f.ngens
+    assert list(p.relators[:len(shifted)]) == shifted
+    # the rest, commutators of two factors' generators, die in every Z^m
+    assert all(not any(r.exponent_vector(p.ngens)) for r in p.relators[len(shifted):])
+
+
 def test_normal_closure_maps_to_zero():
     # products of conjugates of relators always die under a valid map
     p = surface_group(2)
