@@ -21,7 +21,7 @@ from . import __version__
 # perfbench's tracer test reads twisted_betti from this module
 from .complexes import KernelHomologyReport, twisted_betti
 from .constructions import build_model
-from .errors import NotUnivariate, TrivialNu, UnsupportedDegree, ZeroMap
+from .errors import NotUnivariate, UnsupportedDegree
 from .jumploci import is_full_vr_product
 from .laurent import pullback_character
 from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
@@ -119,20 +119,17 @@ class Certificate:
 
 def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
                    seed: int = 0) -> Certificate:
-    """Run the full pipeline: validate nu, decide fullness of the degree-r
-    locus by the exact generic b_r (``is_full_vr_product``), and emit the
-    certificate.
+    """Run the full pipeline: validate nu (a zero map raises ``ZeroMap``),
+    decide fullness of the degree-r locus by the exact generic b_r
+    (``is_full_vr_product``), and emit the certificate.
 
     Returns a "not-established" certificate with no conclusions when
     fullness cannot be established.  Never claims the kernel IS of type
     FP_r.
     """
+    nu = validate_epimorphism(presentation, nu.images)
     if r < 1:
         raise ValueError("degree r must be >= 1")
-    try:
-        nu = validate_epimorphism(presentation, nu.images)
-    except ZeroMap as exc:
-        raise TrivialNu("the map to Z^m is trivial") from exc
     model = build_model(presentation)
     verdict = is_full_vr_product(model, r, seed=seed)
     if verdict.is_full:
@@ -190,11 +187,11 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
     character a factor model has met before costs no elimination).  The
     trivial character is never sampled; boxes start at {-2..2} and double
     every batch of 16 trials.  Deterministic under a fixed seed."""
+    nu = validate_epimorphism(presentation, nu.images)
     if r < 1:
         raise ValueError("degree r must be >= 1")
     if trials < 1:
         raise ValueError("need at least one trial")
-    nu = validate_epimorphism(presentation, nu.images)
     model = build_model(presentation)
     if r > model.top:
         raise UnsupportedDegree(f"degree r={r} outside the chain model "
@@ -239,9 +236,9 @@ def kernel_report_univariate(presentation: Presentation, nu: EpimorphismToZm,
     """Per-degree structure of the kernel's rational homology as a module
     over Q[t, t^-1], by ``GroupModel.kernel_homology``; exact verdicts, no
     sampling."""
+    nu = validate_epimorphism(presentation, nu.images)
     if top_degree < 0:
         raise ValueError("top degree must be >= 0")
-    nu = validate_epimorphism(presentation, nu.images)
     if nu.target_rank != 1:
         raise NotUnivariate("exact kernel homology needs a map onto Z")
     model = build_model(presentation)

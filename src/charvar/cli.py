@@ -209,13 +209,15 @@ def resolve_nu(presentation, spec: str) -> EpimorphismToZm:
     sends only the first generator to 1; 'pencil' sends the first two
     generators of every curve factor to the two basis vectors of a shared
     Z^2; explicit rows are semicolon-separated integer vectors, one per
-    generator."""
+    generator, and the first row's length is the target rank.  Only the
+    images are built here: the library entry point that takes the map
+    validates it (``validate_epimorphism``)."""
     n = presentation.ngens
     if spec == "ones":
-        images = [(1,)] * n
-    elif spec == "first":
-        images = [(1,)] + [(0,)] * (n - 1)
-    elif spec == "pencil":
+        return EpimorphismToZm(1, ((1,),) * n)
+    if spec == "first":
+        return EpimorphismToZm(1, ((1,),) + ((0,),) * (n - 1))
+    if spec == "pencil":
         if not presentation.factors:
             raise ValueError("--nu pencil needs a product preset")
         images = []
@@ -223,22 +225,22 @@ def resolve_nu(presentation, spec: str) -> EpimorphismToZm:
             if f.ngens < 2:
                 raise ValueError("--nu pencil needs >= 2 generators per factor")
             images += [(1, 0), (0, 1)] + [(0, 0)] * (f.ngens - 2)
-    else:
-        images = []
-        for chunk in spec.split(";"):
-            images.append(tuple(int(x) for x in chunk.split(",")))
-        if len(images) != n:
-            raise ValueError(f"--nu gives {len(images)} rows for {n} generators")
-    return validate_epimorphism(presentation, images)
+        return EpimorphismToZm(2, tuple(images))
+    images = tuple(tuple(int(x) for x in chunk.split(",")) for chunk in spec.split(";"))
+    if len(images) != n:
+        raise ValueError(f"--nu gives {len(images)} rows for {n} generators")
+    return EpimorphismToZm(len(images[0]), images)
 
 
 def resolve_group_and_nu(args, own_nu: str, onto_z: bool = False):
-    """Returns (presentation, nu): --nu if given, else the preset's default,
-    else ``own_nu``.  A command that needs a map onto Z (``onto_z``) takes
-    ``own_nu`` over a preset default onto Z^2, as 'pencil' is."""
+    """Returns (presentation, nu): --nu if given, even empty, else the
+    preset's default, else ``own_nu``.  A command that needs a map onto Z
+    (``onto_z``) takes ``own_nu`` over a preset default onto Z^2, as
+    'pencil' is.  The map is not validated here (``resolve_nu``)."""
     presentation, preset_nu = resolve_group(args)
-    nu = resolve_nu(presentation, args.nu or preset_nu or own_nu)
-    if onto_z and not args.nu and nu.target_rank != 1:
+    given = args.nu is not None
+    nu = resolve_nu(presentation, args.nu if given else preset_nu or own_nu)
+    if onto_z and not given and nu.target_rank != 1:
         nu = resolve_nu(presentation, own_nu)
     return presentation, nu
 
@@ -408,6 +410,7 @@ def cmd_window(args):
     ceiling = _ceiling(args.window_ceiling, "--window-ceiling", "CHARVAR_WINDOW_CEILING",
                        DEFAULT_WINDOW_CEILING)
     presentation, nu = resolve_group_and_nu(args, "ones")
+    nu = validate_epimorphism(presentation, nu.images)
     model = build_model(presentation)
     nubar = induced_on_free_part(nu, model.abelian)
     # refused before any complex is pushed or tensored

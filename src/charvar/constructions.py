@@ -310,9 +310,11 @@ class GroupModel:
     is assembled only by ``pushed``, from the factors pushed into one ring:
     a window pushes to Z^m, and ``complex``, which only the spot checks of
     ``jumploci.is_full_vr_product`` read, pushes through the identity.
-    A model without factors remembers its profile at each rational
-    character in ``_profiles``, keyed by the canonical coordinates, for the
-    model's lifetime: one query in the CLI, which builds a model per query.
+    Every model remembers its profile at each character it was asked,
+    rational or generic, in ``_profiles``, keyed by the ``Character``, for
+    the model's lifetime: one query in the CLI, which builds a model per
+    query.  A product asks its factors through their own ``betti``, so a
+    shared factor model ranks each distinct slice once.
     """
 
     presentation: Presentation
@@ -408,27 +410,14 @@ class GroupModel:
         point passes to every factor whole.  By Kunneth over K the profile
         is the convolution of the factors' profiles, exactly, cut to the
         degrees the tensor model keeps (it trims trailing zero ranks).
+        Each profile is computed once per model (``_profiles``), so every
+        verdict of a query reads the same ranks; a product's generic route
+        is {"name": "kunneth", "factors": [each factor's route]}.
         """
-        if character.is_generic:
-            return self.generic_betti
-        return self._convolved(character) if self.factors else self._at(character.coords)
-
-    def _at(self, coords: tuple) -> BettiProfile:
-        """The profile at the rational character with these canonical
-        coordinates (a slice of a product's are); a model without factors
-        computes each profile once and keeps it in ``_profiles``."""
-        if self.factors:
-            return self._convolved(Character(coords))
-        if coords not in self._profiles:
-            self._profiles[coords] = twisted_betti(self.complex, Character(coords))
-        return self._profiles[coords]
-
-    @cached_property
-    def generic_betti(self) -> BettiProfile:
-        """The profile at the generic point, computed once per model, so
-        every verdict of a query reads the same factor ranks.  On a product
-        its route is {"name": "kunneth", "factors": [each factor's route]}."""
-        return self._convolved(GENERIC) if self.factors else twisted_betti(self.complex, GENERIC)
+        if character not in self._profiles:
+            self._profiles[character] = (self._convolved(character) if self.factors
+                                         else twisted_betti(self.complex, character))
+        return self._profiles[character]
 
     def _convolved(self, character: Character) -> BettiProfile:
         if not character.is_generic and len(character.coords) != self.nvars:
@@ -437,8 +426,8 @@ class GroupModel:
         profile = [1]
         routes = []
         for factor, (coords,) in self._blocks([character.coords or ()]):
-            factor_profile = (factor.generic_betti if character.is_generic
-                              else factor._at(coords))
+            factor_profile = factor.betti(GENERIC if character.is_generic
+                                          else Character(coords))
             routes.append(factor_profile.route)
             profile = _convolve(profile, factor_profile.betti)
         route = {"name": "kunneth", "factors": routes} if character.is_generic else None

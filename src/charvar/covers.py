@@ -3,8 +3,10 @@
 For a surjection nu: G -> Z, the preimage of 2Z has index 2; its ordinary
 first Betti number must equal the sum of the twisted first Betti numbers of
 G at the two characters factoring through Z/2.  That identity is an
-independent consistency check on the whole Fox-calculus pipeline, which is
-why it is computed here from scratch with no Laurent machinery.
+independent consistency check on the whole Fox-calculus pipeline: its left
+side is computed here from scratch with no Laurent machinery (Schreier
+rewriting and an integer rank), and only its right side evaluates the
+twisted chain complex.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 from .complexes import presentation_complex, twisted_betti
 from .intlinalg import integer_rank
 from .laurent import Character, pullback_character
-from .presentations import EpimorphismToZm, Presentation, abelianize, induced_on_free_part
+from .presentations import (EpimorphismToZm, Presentation, abelianize,
+                            induced_on_free_part, validate_epimorphism)
 from .words import Word
 
 
@@ -93,8 +96,10 @@ def finite_cover_oracle(presentation: Presentation, nu: EpimorphismToZm) -> Cove
 
     The left side is ordinary homology of the Reidemeister-Schreier
     presentation; the right side evaluates the twisted chain complex at the
-    two characters pulled back from Z -> {+1, -1}.
+    two characters pulled back from Z -> {+1, -1}.  Raises as
+    ``validate_epimorphism`` does unless nu is onto.
     """
+    nu = validate_epimorphism(presentation, nu.images)
     subgroup = index_two_subgroup(presentation, nu)
     exponents = subgroup.exponent_matrix()
     b1_cover = subgroup.ngens - integer_rank(exponents)

@@ -78,10 +78,6 @@ class UnsupportedDegree(CharvarError):
     code = "unsupported-degree"
 
 
-class TrivialNu(CharvarError):
-    code = "trivial-nu"
-
-
 class GenusTooSmall(CharvarError):
     code = "genus-too-small"
 

@@ -152,7 +152,7 @@ def _special_point_checks(model: GroupModel, degree: int) -> list[dict]:
         out.append({"point": label,
                     "character": rho.describe(),
                     "betti": list(betti),
-                    "b_degree": betti[degree] if degree <= len(betti) - 1 else 0})
+                    "b_degree": betti[degree]})
     return out
 
 

@@ -70,7 +70,9 @@ class AbelianData:
 
 @dataclass(frozen=True)
 class EpimorphismToZm:
-    """A surjection G -> Z^m recorded by generator images."""
+    """A map G -> Z^m recorded by generator images, unchecked: each query
+    entry point (certify, probe, kernel, oracle) first validates it as a
+    surjection by ``validate_epimorphism``."""
 
     target_rank: int
     images: tuple[tuple[int, ...], ...]  # one vector in Z^m per generator

@@ -8,7 +8,7 @@ from charvar.certify import (certify_non_fp, generic_vanishing_probe,
 from charvar.constructions import (bestvina_brady, build_model,
                                    complete_graph, direct_product, free_group,
                                    octahedron_graph, surface_group)
-from charvar.errors import TrivialNu, UnsupportedDegree
+from charvar.errors import UnsupportedDegree, ZeroMap
 from charvar.presentations import EpimorphismToZm, validate_epimorphism
 from charvar.sampling import sample_character
 
@@ -53,7 +53,7 @@ def test_certify_torus_fails_hypothesis():
 
 
 def test_certify_rejects_trivial_nu():
-    with pytest.raises(TrivialNu):
+    with pytest.raises(ZeroMap):
         certify_non_fp(surface_group(2),
                        EpimorphismToZm(1, ((0,),) * 4), 1)
 

@@ -303,6 +303,33 @@ def test_degree_below_range_is_usage_error(capsys, argv):
     assert payload["result"]["error"]["code"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--preset", "surface", "--genus", "2", "--r", "0", "--nu", "0;0;0;0"],
+    ["probe", "--preset", "surface", "--genus", "2", "--r", "0", "--nu", "0;0;0;0"],
+    ["kernel", "--preset", "surface", "--genus", "2", "--top-degree", "-1",
+     "--nu", "0;0;0;0"],
+], ids=["certify", "probe", "kernel"])
+def test_a_bad_map_is_reported_before_a_bad_degree(capsys, argv):
+    code, payload = run_json(capsys, argv)
+    assert code == 1
+    assert payload["result"]["error"]["code"] == "zero-map"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("certify", ["--r", "1"]),
+    ("probe", ["--r", "1", "--trials", "2"]),
+    ("kernel", []),
+    ("window", ["--radius", "1"]),
+    ("oracle", []),
+], ids=["certify", "probe", "kernel", "window", "oracle"])
+def test_an_explicit_empty_nu_is_usage_error(capsys, command, flags):
+    # an empty --nu is given, so it is read, not replaced by a default
+    argv = [command, "--preset", "surface", "--genus", "2", *flags, "--nu", ""]
+    code, payload = run_json(capsys, argv)
+    assert code == 1
+    assert payload["result"]["error"]["code"] == "usage"
+
+
 @pytest.mark.parametrize("argv,code,message", [
     (["certify", "--preset", "free", "--rank", "0", "--r", "1"],
      "zero-map", "no generators"),

@@ -22,7 +22,7 @@ from charvar.constructions import (bestvina_brady, build_model,
                                    reduced_homology, surface_group)
 from charvar.errors import GenusTooSmall
 from charvar.intlinalg import mat_mul
-from charvar.laurent import Character, pullback_character
+from charvar.laurent import GENERIC, Character, pullback_character
 from charvar.parser import parse_presentation
 from charvar.presentations import (Presentation, abelianize, induced_on_free_part,
                                    validate_epimorphism)
@@ -319,6 +319,34 @@ def test_a_probe_ranks_each_factor_character_once(monkeypatch):
     assert all(args[0] is ranked[0][0] for args in ranked)
     assert sorted(args[1].coords for args in ranked) == sorted(slices)
     assert len(slices) < len(samples)
+
+
+def test_a_product_ranks_each_factor_slice_once_across_repeated_questions(monkeypatch):
+    model = build_model(direct_product([surface_group(2)] * 3))
+    calls = record_calls(monkeypatch, [("complexes", "twisted_betti")])
+    # the first two factors share a slice, so a fresh product ranks two
+    rho = Character((2, 3, -1, 5, 2, 3, -1, 5, 7, 1, 1, 2))
+    first = [model.betti(rho), model.betti(GENERIC)]
+    assert [model.betti(rho), model.betti(GENERIC)] == first
+    asked = [args[1] for args in calls["complexes.twisted_betti"]]
+    assert len(asked) == 3
+    assert set(asked) == {Character((2, 3, -1, 5)), Character((7, 1, 1, 2)), GENERIC}
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", *S2_CUBED, "--r", "3"],
+    ["probe", *S2_CUBED, "--r", "3", "--trials", "4"],
+    ["kernel", "--preset", "product-surface", "--genus", "2,2"],
+    ["oracle", "--preset", "product-surface", "--genus", "2,2"],
+    ["window", "--preset", "product-surface", "--genus", "2,2", "--nu", "ones",
+     "--radius", "1"],
+], ids=["certify", "probe", "kernel", "oracle", "window"])
+def test_each_query_validates_its_map_once(monkeypatch, argv):
+    # the CLI only builds the images; the map is validated where it enters
+    # the library, and a preset's default onto Z^2 ('pencil') that a
+    # command onto Z replaces is never validated
+    calls = cli_calls(monkeypatch, [("presentations", "validate_epimorphism")], argv)
+    assert len(calls["presentations.validate_epimorphism"]) == 1
 
 
 def test_raag_presentations():

@@ -2,7 +2,8 @@ import pytest
 
 from charvar.covers import finite_cover_oracle, index_two_subgroup
 from charvar.constructions import free_group, surface_group
-from charvar.presentations import validate_epimorphism
+from charvar.errors import NotSurjective, ZeroMap
+from charvar.presentations import EpimorphismToZm, validate_epimorphism
 
 
 def test_f2_cover_is_free_of_rank_three():
@@ -54,3 +55,12 @@ def test_index_two_needs_odd_generator():
     with pytest.raises(ValueError):
         index_two_subgroup(p, bad)
     assert nu.target_rank == 1
+
+
+@pytest.mark.parametrize("images, error", [
+    (((3,), (0,), (0,), (0,)), NotSurjective),
+    (((0,),) * 4, ZeroMap),
+], ids=["index-3", "zero"])
+def test_the_oracle_refuses_a_map_that_is_not_onto(images, error):
+    with pytest.raises(error):
+        finite_cover_oracle(surface_group(2), EpimorphismToZm(1, images))
