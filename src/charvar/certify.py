@@ -133,22 +133,17 @@ def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
     model = build_model(presentation)
     verdict = is_full_vr_product(model, r, seed=seed)
     if verdict.is_full:
-        return Certificate(
-            group=presentation.label,
-            nu_images=nu.images, nu_target_rank=nu.target_rank, degree=r,
-            status="certified",
-            conclusions=(CONCLUSION_HOMOLOGY, CONCLUSION_NOT_FP,
-                         CONCLUSION_NOT_COMMENSURABLE),
-            evidence={"fullness": verdict.to_json_dict()},
-            citations=CITATIONS, seed=seed)
+        status, failed = "certified", None
+        conclusions = (CONCLUSION_HOMOLOGY, CONCLUSION_NOT_FP, CONCLUSION_NOT_COMMENSURABLE)
+    else:
+        status, conclusions = "not-established", ()
+        failed = f"V^{r}_1 = T not established: {verdict.reason or verdict.status}"
     return Certificate(
         group=presentation.label,
         nu_images=nu.images, nu_target_rank=nu.target_rank, degree=r,
-        status="not-established", conclusions=(),
+        status=status, conclusions=conclusions,
         evidence={"fullness": verdict.to_json_dict()},
-        citations=CITATIONS, seed=seed,
-        failed_hypothesis=f"V^{r}_1 = T not established: "
-                          f"{verdict.reason or verdict.status}")
+        citations=CITATIONS, seed=seed, failed_hypothesis=failed)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,7 @@ from .jumploci import is_full_v1, is_full_vr_product, v1_ideal
 from .laurent import GENERIC, Character
 from .lmatrix import DEFAULT_MINOR_CEILING
 from .parser import parse_presentation
-from .presentations import (EpimorphismToZm, abelianize, induced_on_free_part,
-                            validate_epimorphism)
+from .presentations import EpimorphismToZm, induced_on_free_part, validate_epimorphism
 
 
 def main(argv=None) -> int:
@@ -344,7 +343,7 @@ def cmd_betti(args):
 
 def cmd_alexander(args):
     presentation, _ = resolve_group(args)
-    alex = alexander_matrix(presentation, abelianize(presentation))
+    alex = alexander_matrix(presentation, build_model(presentation).abelian)
     return "ok", {
         "group": presentation.label,
         "rows": alex.rows,

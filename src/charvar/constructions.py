@@ -129,27 +129,29 @@ def octahedron_graph() -> Graph:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    facets: tuple[tuple[int, ...], ...]
+    """A simplicial complex stored as all its simplices, grouped by
+    dimension (0-simplices first), each group in lexicographic order and
+    every group nonempty; the empty complex has no groups."""
+
+    groups: tuple[tuple[tuple[int, ...], ...], ...]
 
     def simplices(self) -> list[list[tuple[int, ...]]]:
         """All simplices grouped by dimension (0-simplices first)."""
-        seen: set[tuple[int, ...]] = set()
-        for facet in self.facets:
-            for size in range(1, len(facet) + 1):
-                seen.update(combinations(facet, size))
-        if not seen:
-            return []
-        top = max(len(s) for s in seen)
-        return [sorted(s for s in seen if len(s) == d + 1) for d in range(top)]
+        return [list(group) for group in self.groups]
+
+    @cached_property
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal simplices, sorted: those that are no face of a
+        simplex one dimension up."""
+        faces = {s[:i] + s[i + 1:] for group in self.groups[1:]
+                 for s in group for i in range(len(s))}
+        return tuple(sorted(s for group in self.groups for s in group
+                            if s not in faces))
 
 
 def flag_complex(graph: Graph) -> SimplicialComplex:
-    """Simplices are the cliques of the graph; facets the maximal ones."""
-    cliques = [c for group in graph.cliques()[1:] for c in group]
-    clique_set = set(cliques)
-    facets = [c for c in cliques
-              if not any(set(c) < set(d) for d in clique_set if len(d) > len(c))]
-    return SimplicialComplex(tuple(sorted(facets)))
+    """Simplices are the nonempty cliques of the graph (``Graph.cliques``)."""
+    return SimplicialComplex(tuple(map(tuple, graph.cliques()[1:])))
 
 
 def reduced_homology(complex_: SimplicialComplex) -> tuple[int, ...]:
@@ -213,11 +215,12 @@ def free_group(rank: int) -> Presentation:
 def direct_product(factors) -> Presentation:
     """Union of the factor presentations, their relators first and in
     order (``validate_epimorphism`` reads only these), plus commutators
-    between generators of distinct factors.  Homology computations never
-    use this presentation's relators: ``build_model`` keeps the factor
-    models, the product's H_1, shape, twisted Betti numbers and kernel
-    homology over Q[t, t^-1] come from theirs, and its complex is their
-    chain models pushed into one ring and tensored (``GroupModel.pushed``)."""
+    between generators of distinct factors.  Only the oracle's independent
+    side (``covers.finite_cover_oracle``) rewrites all of them; homology
+    computations never use them: ``build_model`` keeps the factor models,
+    the product's H_1, shape, twisted Betti numbers and kernel homology
+    over Q[t, t^-1] come from theirs, and its complex is their chain
+    models pushed into one ring and tensored (``GroupModel.pushed``)."""
     factors = tuple(factors)
     if len(factors) < 2:
         raise ValueError("a direct product needs at least two factors")
@@ -491,13 +494,16 @@ def build_model(presentation: Presentation) -> GroupModel:
     clique cube complex for a right-angled Artin group, and the
     presentation 2-complex otherwise.
 
-    This is the only code that assembles a product model.  Each distinct
-    factor model is built once and kept in ``factors``; factors are equal
-    when their presentations are, words and catalog facts alike, since
-    ``aspherical`` or ``graph`` changes the model.  The product's shape
-    comes from theirs; no complex of the product is built here
-    (``GroupModel.pushed`` assembles one on demand); its H_1 is the direct
-    sum of the factors' (``_blockwise``), so the product is never abelianized.
+    This is the only code that abelianizes a presentation or builds its
+    2-complex, and the only code that assembles a product model: every
+    command reads a group's H_1 and its twisted Betti numbers from the
+    model this returns.  Each distinct factor model is built once and kept
+    in ``factors``; factors are equal when their presentations are, words
+    and catalog facts alike, since ``aspherical`` or ``graph`` changes the
+    model.  The product's shape comes from theirs; no complex of the
+    product is built here (``GroupModel.pushed`` assembles one on demand);
+    its H_1 is the direct sum of the factors' (``_blockwise``), so the
+    product is never abelianized.
     """
     if presentation.factors:
         shared = {f: build_model(f) for f in dict.fromkeys(presentation.factors)}

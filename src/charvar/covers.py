@@ -5,19 +5,20 @@ first Betti number must equal the sum of the twisted first Betti numbers of
 G at the two characters factoring through Z/2.  That identity is an
 independent consistency check on the whole Fox-calculus pipeline: its left
 side is computed here from scratch with no Laurent machinery (Schreier
-rewriting and an integer rank), and only its right side evaluates the
-twisted chain complex.
+rewriting of every relator and an integer rank), and only its right side
+reads the chain model (``build_model``): its H_1 and its twisted Betti
+numbers, which on a product come from the factors by Kunneth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import presentation_complex, twisted_betti
+from .constructions import build_model
 from .intlinalg import integer_rank
 from .laurent import Character, pullback_character
-from .presentations import (EpimorphismToZm, Presentation, abelianize,
-                            induced_on_free_part, validate_epimorphism)
+from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
+                            validate_epimorphism)
 from .words import Word
 
 
@@ -67,20 +68,18 @@ def index_two_subgroup(presentation: Presentation, nu: EpimorphismToZm) -> Prese
                 names.append(f"{presentation.generators[g]}_c{coset}")
 
     def rewrite(word: Word, start_coset: int) -> Word:
-        out = Word.identity()
+        out = []
         coset = start_coset
         for g, step in word.letters():
             if step == 1:
                 idx = table[(coset, g)]
                 coset ^= parity[g]
-                if idx is not None:
-                    out = out * Word.generator(idx)
             else:
                 coset ^= parity[g]
                 idx = table[(coset, g)]
-                if idx is not None:
-                    out = out * Word.generator(idx, -1)
-        return out
+            if idx is not None:
+                out.append((idx, step))
+        return Word(out)
 
     relators = []
     for r in presentation.relators:
@@ -95,8 +94,9 @@ def finite_cover_oracle(presentation: Presentation, nu: EpimorphismToZm) -> Cove
     """Check b_1(index-2 subgroup) = b_1(G, trivial) + b_1(G, order-2).
 
     The left side is ordinary homology of the Reidemeister-Schreier
-    presentation; the right side evaluates the twisted chain complex at the
-    two characters pulled back from Z -> {+1, -1}.  Raises as
+    presentation; the right side is the model's twisted b_1 at the two
+    characters pulled back from Z -> {+1, -1}, in the model's H_1
+    coordinates (a twisted b_1 does not depend on the basis).  Raises as
     ``validate_epimorphism`` does unless nu is onto.
     """
     nu = validate_epimorphism(presentation, nu.images)
@@ -104,13 +104,12 @@ def finite_cover_oracle(presentation: Presentation, nu: EpimorphismToZm) -> Cove
     exponents = subgroup.exponent_matrix()
     b1_cover = subgroup.ngens - integer_rank(exponents)
 
-    abelian = abelianize(presentation)
-    nubar = induced_on_free_part(nu, abelian)
-    cx = presentation_complex(presentation, abelian)
+    model = build_model(presentation)
+    nubar = induced_on_free_part(nu, model.abelian)
     b1 = {}
     for value in (1, -1):
-        rho = pullback_character(nubar, Character((value,)), cx.nvars)
-        b1[value] = twisted_betti(cx, rho).betti[1]
+        rho = pullback_character(nubar, Character((value,)), model.nvars)
+        b1[value] = model.betti(rho).betti[1]
     return CoverReport(
         subgroup=subgroup,
         b1_cover=b1_cover,

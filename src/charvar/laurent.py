@@ -161,15 +161,19 @@ class LaurentPolynomial:
             total += value
         return _canonical(total)
 
-    def exact_divide(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial | None":
-        """Quotient self/divisor when division is exact in the Laurent ring,
-        else None.  Reduction by lex leading terms after stripping the
-        monomial floor; sound for any number of variables."""
+    def divide(self, divisor: "LaurentPolynomial"
+               ) -> tuple["LaurentPolynomial", "LaurentPolynomial"]:
+        """(q, r) with self = q * divisor + r, by lex leading terms after
+        stripping both monomial floors: the largest remaining term is
+        cancelled while the divisor's leading term divides it, and moved to
+        r otherwise.  r = 0 exactly when the division is exact in the
+        Laurent ring; in one variable this is Euclidean division, with
+        span(r) < span(divisor)."""
         self._check(divisor)
         if divisor.is_zero():
-            raise ZeroDivisionError("exact division by zero")
-        if self.is_zero():
-            return self
+            raise ZeroDivisionError("division by zero")
+        if not self.terms:
+            return self, self
         floor_f = self.monomial_floor()
         floor_g = divisor.monomial_floor()
         g0 = divisor.shift(tuple(-x for x in floor_g)).terms
@@ -177,11 +181,13 @@ class LaurentPolynomial:
         gcoeff = g0[glead]
         rem = dict(self.shift(tuple(-x for x in floor_f)).terms)
         quo: dict[tuple[int, ...], int | Fraction] = {}
+        left: dict[tuple[int, ...], int | Fraction] = {}
         while rem:
             flead = max(rem)
             diff = tuple(a - b for a, b in zip(flead, glead))
             if any(d < 0 for d in diff):
-                return None
+                left[flead] = rem.pop(flead)
+                continue
             coeff = _canonical(Fraction(rem[flead], gcoeff))
             quo[diff] = coeff
             for eg, cg in g0.items():
@@ -192,7 +198,14 @@ class LaurentPolynomial:
                 else:
                     rem.pop(e, None)
         shift = tuple(a - b for a, b in zip(floor_f, floor_g))
-        return _make(self.nvars, quo).shift(shift)
+        return (_make(self.nvars, quo).shift(shift),
+                _make(self.nvars, left).shift(floor_f))
+
+    def exact_divide(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial | None":
+        """Quotient self/divisor when division is exact in the Laurent ring,
+        else None (``divide`` leaves a remainder)."""
+        q, r = self.divide(divisor)
+        return None if r else q
 
     # -- degrees, content, normal forms -------------------------------------
 

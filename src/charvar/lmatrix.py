@@ -11,6 +11,9 @@ Laurent-polynomial pivots: cross-multiplication, exact division by the
 previous pivot to control entry growth, and unit-content stripping
 (rational content and monomial factors are units here, so stripping
 preserves exact divisibility up to units).
+One division serves the ring: ``LaurentPolynomial.divide``, by lex leading
+terms, is the exact step of generic rank (``exact_divide``) and Euclid's
+step over Q[t, t^-1] (``univariate_divmod``).
 ``evaluate_mod`` reduces a matrix mod a prime at a point of the torus over
 F_p, which gives the ranks mod p of the modular sandwich.
 
@@ -36,7 +39,7 @@ from operator import neg, sub
 
 from .errors import InternalInconsistency, NotUnivariate, TooManyMinors, VariableCountMismatch
 from .intlinalg import rational_rank
-from .laurent import Character, LaurentPolynomial, _canonical, _make
+from .laurent import Character, LaurentPolynomial, _make
 
 DEFAULT_MINOR_CEILING = 20000
 
@@ -407,43 +410,9 @@ def determinant(entries, nvars: int) -> LaurentPolynomial:
 
 def univariate_divmod(f: LaurentPolynomial, g: LaurentPolynomial):
     """Quotient and remainder with span(remainder) < span(divisor), after
-    stripping unit monomials.  Both inputs univariate, g nonzero."""
-    if g.is_zero():
-        raise ZeroDivisionError("univariate division by zero")
-    if f.is_zero():
-        return f, f
-    a, _ = f.exponent_range(0)
-    b, _ = g.exponent_range(0)
-    fc = _coeff_list(f.shift((-a,)))
-    gc = _coeff_list(g.shift((-b,)))
-    qc = [0] * max(len(fc) - len(gc) + 1, 0)
-    rc = list(fc)
-    while len(rc) >= len(gc) and any(rc):
-        while rc and rc[-1] == 0:
-            rc.pop()
-        if len(rc) < len(gc):
-            break
-        shift = len(rc) - len(gc)
-        factor = _canonical(Fraction(rc[-1], gc[-1]))
-        qc[shift] = factor
-        for i, c in enumerate(gc):
-            rc[shift + i] -= factor * c
-        rc.pop()
-    quotient = _from_coeffs(qc).shift((a - b,))
-    remainder = _from_coeffs(rc).shift((a,))
-    return quotient, remainder
-
-
-def _coeff_list(p: LaurentPolynomial) -> list[int | Fraction]:
-    _, hi = p.exponent_range(0)
-    out = [0] * (hi + 1)
-    for (e,), c in p.terms.items():
-        out[e] = c
-    return out
-
-
-def _from_coeffs(coeffs) -> LaurentPolynomial:
-    return LaurentPolynomial(1, {(i,): c for i, c in enumerate(coeffs) if c})
+    stripping unit monomials (``LaurentPolynomial.divide``).  Both inputs
+    univariate, g nonzero."""
+    return f.divide(g)
 
 
 def _monic(p: LaurentPolynomial) -> LaurentPolynomial:

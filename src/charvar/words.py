@@ -35,13 +35,8 @@ class Word:
         return Word((g, -e) for g, e in reversed(self.syllables))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word.identity()
-        base = self if n > 0 else self.inverse()
-        out = Word.identity()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        base = self if n >= 0 else self.inverse()
+        return Word(base.syllables * abs(n))
 
     def letters(self) -> Iterator[tuple[int, int]]:
         """Expand syllables into single letters (gen, +1) or (gen, -1)."""

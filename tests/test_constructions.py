@@ -12,7 +12,7 @@ import pytest
 from charvar.cli import main, resolve_nu
 from charvar.complexes import (TwistedComplex, kernel_homology_univariate, tensor_complex,
                                twisted_betti)
-from charvar.constructions import (bestvina_brady, build_model,
+from charvar.constructions import (Graph, bestvina_brady, build_model,
                                    complete_graph, cycle_graph,
                                    direct_product, edgeless_graph,
                                    flag_complex, free_group, octahedron_graph,
@@ -387,6 +387,48 @@ def test_flag_complex_examples():
     assert reduced_homology(flag_complex(complete_graph(3))) == (0, 0, 0)
     two_edges = parse_graph_text("v 4\ne 0 1\ne 2 3\n")
     assert reduced_homology(flag_complex(two_edges)) == (1, 0)
+
+
+def _maximal_cliques_pairwise(graph):
+    """Every clique that lies in no larger one, by comparing every pair."""
+    cliques = [c for group in graph.cliques()[1:] for c in group]
+    return tuple(sorted(c for c in cliques
+                        if not any(set(c) < set(d) for d in cliques if len(d) > len(c))))
+
+
+def test_flag_complex_facets_are_the_maximal_cliques():
+    rng = random.Random(41)
+    isolated = parse_graph_text("v 5\ne 0 1\ne 1 2\ne 0 2\ne 2 3\n")  # 4 is isolated
+    assert flag_complex(isolated).facets == ((0, 1, 2), (2, 3), (4,))
+    graphs = [edgeless_graph(0), complete_graph(1), isolated]
+    for _ in range(30):
+        n, p = rng.randint(1, 14), rng.random()
+        graphs.append(Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                           if rng.random() < p]))
+    for graph in graphs:
+        complex_ = flag_complex(graph)
+        assert complex_.facets == _maximal_cliques_pairwise(graph), graph
+        # every simplex is a face of a facet, and every face of a facet is one
+        faces = {face for f in complex_.facets
+                 for k in range(1, len(f) + 1) for face in combinations(f, k)}
+        assert faces == {s for group in complex_.simplices() for s in group}
+
+
+@pytest.mark.parametrize("command", [
+    ["oracle"], ["alexander"], ["certify", "--r", "2"], ["probe", "--r", "2", "--trials", "4"],
+    ["kernel"], ["window", "--nu", "ones", "--radius", "1"], ["betti"], ["jumploci"]],
+    ids=lambda command: command[0])
+@pytest.mark.parametrize("group", [["--preset", "product-surface", "--genus", "2,2"],
+                                   ["--preset", "product-free", "--ranks", "2,3"]],
+                         ids=["product-surface", "product-free"])
+def test_no_product_is_abelianized(monkeypatch, command, group):
+    # a product's H_1 and its 2-complex come from its factors' models, in
+    # every command; only a factor is abelianized or given a 2-complex
+    calls = cli_calls(monkeypatch, [("presentations", "abelianize"),
+                                    ("complexes", "presentation_complex")],
+                      [command[0], *group, *command[1:]])
+    asked = [args[0] for recorded in calls.values() for args in recorded]
+    assert asked and not any(p.factors for p in asked)
 
 
 def test_raag_complex_shapes():

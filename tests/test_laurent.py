@@ -130,10 +130,16 @@ def test_exact_divide():
     assert f.exact_divide(x.scale(2)) == (x - one) * (x + one) * \
         LaurentPolynomial(1, {(-1,): Fraction(1, 2)})
     assert (x - one).exact_divide(x + one) is None
+    # x*y + 1 by x + y: x*y cancels to 1 - y^2, whose terms are no
+    # multiples of the leading term x
+    assert (t(0) * t(1) + const(1)).divide(t(0) + t(1)) == (t(1), const(1) - t(1, power=2))
+    assert (t(0) * t(1) + t(1, power=2)).divide(t(0) - const(1)) == (t(1), t(1, power=2) + t(1))
+    assert (t(0) * t(1) + t(1, power=2)).exact_divide(t(0) - const(1)) is None
 
 
 def test_exact_divide_random_products():
     rng = random.Random(17)
+    inexact = 0
     for _ in range(150):
         p = _random_poly(rng)
         q = _random_poly(rng)
@@ -142,6 +148,20 @@ def test_exact_divide_random_products():
         prod = p * q
         got = prod.exact_divide(q)
         assert got == p
+        # division with remainder: p * q + p by q, and p by q, are exact
+        # only when q divides p
+        for f in (prod + p, p):
+            quo, rem = f.divide(q)
+            assert quo * q + rem == f
+            assert (f.exact_divide(q) is None) == bool(rem)
+            inexact += bool(rem)
+            # no term of rem, above f's floor, is a multiple of the
+            # divisor's leading term above its floor
+            lead = tuple(a - b for a, b in zip(q.leading()[0], q.monomial_floor()))
+            for e in rem.terms:
+                above = tuple(a - b for a, b in zip(e, f.monomial_floor()))
+                assert any(x < y for x, y in zip(above, lead))
+    assert inexact > 50
 
 
 def test_substitute_exponents_is_ring_map():

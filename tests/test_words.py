@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import mul
 
 from hypothesis import given, strategies as st
 
@@ -73,3 +75,12 @@ def test_random_word_times_inverse_is_identity():
     for _ in range(200):
         w = random_word(rng, 4, 15)
         assert (w * w.inverse()).is_identity()
+
+
+def test_power_is_the_repeated_product():
+    rng = random.Random(23)
+    for _ in range(50):
+        w = random_word(rng, 3, 8)
+        for n in range(-5, 6):
+            base = w if n >= 0 else w.inverse()
+            assert w ** n == reduce(mul, [base] * abs(n), Word.identity())
