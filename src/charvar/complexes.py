@@ -33,7 +33,7 @@ from operator import add, mul
 from .errors import InternalInconsistency, NotUnivariate, WindowTooLarge
 from .fox import alexander_matrix, quotient_images
 from .intlinalg import clear_denominators, modular_rank, reduce_row
-from .laurent import GENERIC, Character, LaurentPolynomial
+from .laurent import GENERIC, Character, LaurentPolynomial, _make
 from .lmatrix import (LaurentMatrix, Torsion, packed_row_products, packed_rows, rank_at,
                       smith_univariate)
 from .presentations import AbelianData, Presentation
@@ -240,9 +240,10 @@ def presentation_complex(presentation: Presentation, q: AbelianData) -> TwistedC
     images = quotient_images(q, presentation.ngens)
     m = len(images[0]) if images else 0
     n = presentation.ngens
-    d1 = LaurentMatrix(m, 1, n, [[
-        LaurentPolynomial.monomial(images[i]) - LaurentPolynomial.one(m)
-        for i in range(n)]])
+    # t^q(x_i) - 1, and no cell where q(x_i) = 0
+    zero = (0,) * m
+    d1 = LaurentMatrix._from_rows(m, 1, n, [
+        {i: _make(m, {image: 1, zero: -1}) for i, image in enumerate(images) if any(image)}])
     alex = alexander_matrix(presentation, q)
     d2 = alex.transpose()
     return TwistedComplex(m, (1, n, len(presentation.relators)), (d1, d2))

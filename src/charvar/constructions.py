@@ -185,9 +185,9 @@ def surface_group(genus: int) -> Presentation:
     names = []
     for i in range(1, genus + 1):
         names += [f"a{i}", f"b{i}"]
-    relator = Word.identity()
-    for i in range(genus):
-        relator = relator * commutator(Word.generator(2 * i), Word.generator(2 * i + 1))
+    # [a_i, b_i] = a_i b_i a_i^-1 b_i^-1, written out in one word
+    relator = Word(s for i in range(0, 2 * genus, 2)
+                   for s in ((i, 1), (i + 1, 1), (i, -1), (i + 1, -1)))
     return Presentation(tuple(names), (relator,),
                         name=f"surface_genus_{genus}", aspherical=True)
 
@@ -213,31 +213,25 @@ def free_group(rank: int) -> Presentation:
 
 
 def direct_product(factors) -> Presentation:
-    """Union of the factor presentations, their relators first and in
-    order (``validate_epimorphism`` reads only these), plus commutators
-    between generators of distinct factors.  Only the oracle's independent
-    side (``covers.finite_cover_oracle``) rewrites all of them; homology
-    computations never use them: ``build_model`` keeps the factor models,
-    the product's H_1, shape, twisted Betti numbers and kernel homology
-    over Q[t, t^-1] come from theirs, and its complex is their chain
-    models pushed into one ring and tensored (``GroupModel.pushed``)."""
+    """The union of the factor presentations.  It stores the factors'
+    relators, shifted and in order (``validate_epimorphism`` reads only
+    these); the commutators between generators of distinct factors are
+    derived by ``Presentation.relators`` on its first read.  Only the
+    oracle's independent side (``covers.finite_cover_oracle``) and the
+    Alexander minors of ``jumploci.v1_ideal`` read them; homology
+    computations never do: ``build_model`` keeps the factor models, the
+    product's H_1, shape, twisted Betti numbers and kernel homology over
+    Q[t, t^-1] come from theirs, and its complex is their chain models
+    pushed into one ring and tensored (``GroupModel.pushed``)."""
     factors = tuple(factors)
     if len(factors) < 2:
         raise ValueError("a direct product needs at least two factors")
     names = []
-    offsets = []
-    for j, f in enumerate(factors, start=1):
-        offsets.append(len(names))
-        names += [f"{g}_f{j}" for g in f.generators]
     relators = []
-    for off, f in zip(offsets, factors):
-        for r in f.relators:
-            relators.append(Word((g + off, e) for g, e in r.syllables))
-    # [x, y] of distinct generators is already reduced: x y x^-1 y^-1
-    for (off_a, fa), (off_b, fb) in combinations(zip(offsets, factors), 2):
-        relators += [Word(((x, 1), (y, 1), (x, -1), (y, -1)))
-                     for x in range(off_a, off_a + fa.ngens)
-                     for y in range(off_b, off_b + fb.ngens)]
+    for j, f in enumerate(factors, start=1):
+        off = len(names)
+        names += [f"{g}_f{j}" for g in f.generators]
+        relators += [Word((g + off, e) for g, e in r.syllables) for r in f.relators]
     return Presentation(tuple(names), tuple(relators),
                         name=" x ".join(f.name or "?" for f in factors),
                         aspherical=all(f.aspherical for f in factors),

@@ -20,17 +20,17 @@ _denominator = attrgetter("denominator")
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            x = ai[k]
+    """The product a b, walking only the nonzero entries of b."""
+    cols = len(b[0]) if b else 0
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for ai in a:
+        oi = [0] * cols
+        for x, bk in zip(ai, nonzero):
             if x:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += x * bk[j]
+                for j, y in bk:
+                    oi[j] += x * y
+        out.append(oi)
     return out
 
 

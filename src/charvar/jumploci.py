@@ -68,12 +68,14 @@ def v1_ideal(model: GroupModel, depth: int = 1,
     reported separately.  When n - t exceeds the matrix dimensions there
     are no minors and the ideal is zero (locus is everything); when
     n - t <= 0 no character can jump that far and the ideal is the unit
-    ideal.
+    ideal.  The minor count is checked against ``ceiling`` from the
+    relator count alone, so a product too large for its minors never
+    derives its commutators; only the Alexander matrix reads them.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     n = model.presentation.ngens
-    rows = len(model.presentation.relators)
+    rows = model.presentation.nrelators
     k = n - depth
     trivial_b1 = model.abelian.torsion_free_rank
     if k <= 0:

@@ -18,7 +18,9 @@ from .errors import GenericNotEvaluable, VariableCountMismatch
 
 
 class LaurentPolynomial:
-    __slots__ = ("nvars", "terms")
+    # terms never change once a constructor returns, so the hash is kept
+    # in ``_hash`` on its first use
+    __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int,
                  terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
@@ -47,11 +49,6 @@ class LaurentPolynomial:
     @classmethod
     def one(cls, nvars: int) -> "LaurentPolynomial":
         return cls.constant(nvars, 1)
-
-    @classmethod
-    def monomial(cls, exponents: Iterable[int], coeff=1) -> "LaurentPolynomial":
-        exps = tuple(exponents)
-        return cls(len(exps), {exps: coeff})
 
     @classmethod
     def variable(cls, index: int, nvars: int, power: int = 1) -> "LaurentPolynomial":
@@ -138,7 +135,11 @@ class LaurentPolynomial:
                 and self.nvars == other.nvars and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+            return self._hash
 
     # -- evaluation and substitution ----------------------------------------
 

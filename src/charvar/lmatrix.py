@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
-from operator import neg, sub
+from operator import mul, neg, sub
 
 from .errors import InternalInconsistency, NotUnivariate, TooManyMinors, VariableCountMismatch
 from .intlinalg import rational_rank
@@ -120,8 +120,7 @@ class LaurentMatrix:
                 terms: dict = {}
                 for e, c in p.terms.items():
                     if e not in images:
-                        images[e] = tuple(sum(a * x for a, x in zip(m_row, e))
-                                          for m_row in matrix)
+                        images[e] = tuple([sum(map(mul, m_row, e)) for m_row in matrix])
                     terms[images[e]] = terms.get(images[e], 0) + c
                 if any(terms.values()):
                     out[-1][j] = _make(nvars, {e: c for e, c in terms.items() if c})

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from math import prod
 from typing import TYPE_CHECKING
 
@@ -19,12 +21,18 @@ class Presentation:
     """A finite presentation <generators | relators> and what the catalog
     asserts of its group: ``name``, ``aspherical`` (its chain model computes
     group homology in every degree), a direct product's ``factors`` in
-    order, whose relators its own list first, and a right-angled Artin
-    group's ``graph``.  Only the constructors set these facts, never the
-    parser; ``==`` and ``hash`` include them."""
+    order, and a right-angled Artin group's ``graph``.  Only the
+    constructors set these facts, never the parser.
+
+    ``stored_relators`` are the words given; ``relators`` is every relator.
+    The two agree but on a direct product, which stores its factors'
+    relators, shifted and in order, and derives the commutators of two
+    factors' generators from ``factors`` on the first read of ``relators``.
+    ``==`` and ``hash`` read only the stored fields, which determine the
+    commutators."""
 
     generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    stored_relators: tuple[Word, ...]
     name: str | None = None
     aspherical: bool = False
     factors: tuple[Presentation, ...] = ()
@@ -34,9 +42,34 @@ class Presentation:
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("generator names must be distinct")
         n = len(self.generators)
-        for r in self.relators:
+        # a derived commutator is in range by construction
+        for r in self.stored_relators:
             if r.max_generator() >= n:
                 raise ValueError("relator uses an undeclared generator")
+
+    @cached_property
+    def relators(self) -> tuple[Word, ...]:
+        """The stored relators, then on a direct product [x, y] = x y x^-1 y^-1
+        for each pair of factors in order, x running over the first one's
+        generators and, inside, y over the second one's."""
+        if not self.factors:
+            return self.stored_relators
+        spans, left = [], 0
+        for f in self.factors:
+            spans.append(range(left, left + f.ngens))
+            left += f.ngens
+        # [x, y] of distinct generators is already reduced
+        return self.stored_relators + tuple(
+            Word(((x, 1), (y, 1), (x, -1), (y, -1)))
+            for xs, ys in combinations(spans, 2) for x in xs for y in ys)
+
+    @property
+    def nrelators(self) -> int:
+        """``len(relators)``, without deriving a commutator: the stored
+        ones and n_i * n_j for each pair of factors, of n_i and n_j
+        generators."""
+        sizes = [f.ngens for f in self.factors]
+        return len(self.stored_relators) + (sum(sizes) ** 2 - sum(n * n for n in sizes)) // 2
 
     @property
     def ngens(self) -> int:
@@ -107,9 +140,10 @@ def abelianize(presentation: Presentation) -> AbelianData:
 def validate_epimorphism(presentation: Presentation, images) -> EpimorphismToZm:
     """Check that generator images define a genuine surjection G -> Z^m.
 
-    Every relator must map to zero; on a direct product only the factors'
-    relators are read, as its commutators map to zero under any map to an
-    abelian group.  Raises RelatorNotKilled, with the relator's index in
+    Every relator must map to zero.  Only the stored relators are read: on
+    a direct product these are its factors' relators, listed first in
+    ``relators``, and the derived commutators map to zero under any map to
+    an abelian group.  Raises RelatorNotKilled, with the relator's index in
     ``presentation.relators``, ZeroMap, or NotSurjective, whose message
     gives the rank, or the index, of the image lattice from its Smith form.
     """
@@ -127,12 +161,7 @@ def validate_epimorphism(presentation: Presentation, images) -> EpimorphismToZm:
     nu = EpimorphismToZm(m, images)
     if nu.is_zero():
         raise ZeroMap("every generator maps to zero")
-    relators = presentation.relators
-    if presentation.factors:
-        # a commutator of two factors' generators maps to 0 in Z^m, and
-        # ``direct_product`` lists the factors' relators first
-        relators = relators[:sum(len(f.relators) for f in presentation.factors)]
-    for idx, r in enumerate(relators):
+    for idx, r in enumerate(presentation.stored_relators):
         if any(nu.of_word(r)):
             raise RelatorNotKilled(idx)
     # image lattice: columns are the generator images

@@ -32,7 +32,7 @@ class Word:
         return Word(self.syllables + other.syllables)
 
     def inverse(self) -> "Word":
-        return Word((g, -e) for g, e in reversed(self.syllables))
+        return Word(_inverse(self.syllables))
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
@@ -92,4 +92,9 @@ def _reduce(syllables: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
 
 
 def commutator(u: Word, v: Word) -> Word:
-    return u * v * u.inverse() * v.inverse()
+    """u v u^-1 v^-1, reduced once from the four syllable lists."""
+    return Word(u.syllables + v.syllables + _inverse(u.syllables) + _inverse(v.syllables))
+
+
+def _inverse(syllables):
+    return tuple((g, -e) for g, e in reversed(syllables))

@@ -9,9 +9,10 @@ from itertools import combinations
 
 import pytest
 
-from charvar.cli import main, resolve_nu
+from charvar.cli import build_parser, main, resolve_group, resolve_nu
 from charvar.complexes import (TwistedComplex, kernel_homology_univariate, tensor_complex,
                                twisted_betti)
+from charvar.covers import finite_cover_oracle
 from charvar.constructions import (Graph, bestvina_brady, build_model,
                                    complete_graph, cycle_graph,
                                    direct_product, edgeless_graph,
@@ -92,6 +93,66 @@ def test_cross_factor_relators_are_the_commutators(factors):
                 for y in range(offsets[b], offsets[b] + factors[b].ngens)]
     assert list(p.relators[own:]) == expected
     assert all(r.syllables == Word(r.syllables).syllables for r in p.relators)
+
+
+def _eager_relators(factors):
+    """A product's relators built in full, as a product listed them before
+    it derived its commutators: each factor's relators shifted into place
+    (a nested product's built the same way), then [x, y] for each pair of
+    factors, x over the first one's generators and y over the second's."""
+    offsets = [sum(f.ngens for f in factors[:i]) for i in range(len(factors))]
+    relators = []
+    for off, f in zip(offsets, factors):
+        own = _eager_relators(f.factors) if f.factors else f.relators
+        relators += [Word((g + off, e) for g, e in r.syllables) for r in own]
+    for (off_a, fa), (off_b, fb) in combinations(zip(offsets, factors), 2):
+        relators += [Word(((x, 1), (y, 1), (x, -1), (y, -1)))
+                     for x in range(off_a, off_a + fa.ngens)
+                     for y in range(off_b, off_b + fb.ngens)]
+    return tuple(relators)
+
+
+def _preset(*argv):
+    return resolve_group(build_parser().parse_args(["oracle", *argv]))[0]
+
+
+@pytest.mark.parametrize("product", [
+    lambda: direct_product([surface_group(2)] * 3),
+    lambda: direct_product([free_group(0), surface_group(1)]),
+    lambda: direct_product([surface_group(2), free_group(0), free_group(3)]),
+    lambda: direct_product([surface_group(1),
+                            direct_product([free_group(2), surface_group(2)]),
+                            parse_presentation("gens a,b,c; rel a^3 b^-3 c^6; rel [b,c];")]),
+    lambda: direct_product([direct_product([free_group(1)] * 2)] * 2),
+    lambda: _preset("--preset", "stallings"),
+    lambda: _preset("--preset", "product-free", "--ranks", "0,2,1"),
+], ids=["S2^3", "F0xS1", "S2xF0xF3", "nested", "nested-equal", "stallings", "F0xF2xF1"])
+def test_derived_relators_equal_the_eager_list(product):
+    p = product()
+    eager = _eager_relators(p.factors)
+    # the count comes first: reading it must not need the commutators
+    assert p.nrelators == len(eager)
+    assert p.relators == eager
+    assert p.nrelators == len(p.relators)
+    assert p.stored_relators == eager[:len(p.stored_relators)]
+    # == and hash read the stored fields, whether or not relators were read
+    fresh = product()
+    assert fresh == p and hash(fresh) == hash(p)
+
+
+def test_a_presentation_without_factors_stores_every_relator():
+    p = parse_presentation("gens a,b,c; rel a^3 b^-3 c^6; rel [b,c];")
+    assert p.relators == p.stored_relators and p.nrelators == 2
+    assert surface_group(3).nrelators == 1 and free_group(2).nrelators == 0
+    with pytest.raises(ValueError, match="undeclared generator"):
+        Presentation(("a",), (Word.generator(1),))
+
+
+@pytest.mark.parametrize("genus", range(1, 7))
+def test_surface_relator_is_the_product_of_commutators(genus):
+    relator = reduce(lambda w, i: w * commutator(Word.generator(2 * i), Word.generator(2 * i + 1)),
+                     range(genus), Word.identity())
+    assert surface_group(genus).relators == (relator,)
 
 
 def test_catalog_betti_consistency():
@@ -429,6 +490,42 @@ def test_no_product_is_abelianized(monkeypatch, command, group):
                       [command[0], *group, *command[1:]])
     asked = [args[0] for recorded in calls.values() for args in recorded]
     assert asked and not any(p.factors for p in asked)
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", "--r", "2"], ["probe", "--r", "2", "--trials", "4"], ["kernel"],
+    ["window", "--nu", "ones", "--radius", "1"], ["jumploci"], ["betti"]],
+    ids=lambda command: command[0])
+@pytest.mark.parametrize("group", [["--preset", "product-surface", "--genus", "2,2"],
+                                   ["--preset", "product-free", "--ranks", "4,4"]],
+                         ids=["product-surface", "product-free"])
+def test_no_commutator_is_built_where_none_is_read(monkeypatch, command, group):
+    # each factor relator is built once by the catalog and shifted once
+    # into the product; the 16 commutators are never built.  jumploci's
+    # minors are refused by their count (8 generators, 18 and 16 relators),
+    # so it never assembles the Alexander matrix either
+    stored = len(_preset(*group).stored_relators)
+    calls = cli_calls(monkeypatch, [("words", "Word.__init__")],
+                      [command[0], *group, *command[1:]])
+    assert len(calls["words.Word.__init__"]) <= 2 * stored
+
+
+@pytest.mark.parametrize("group", [["--preset", "product-surface", "--genus", "2,2"],
+                                   ["--preset", "product-free", "--ranks", "4,4"]],
+                         ids=["product-surface", "product-free"])
+def test_the_oracle_rewrites_every_commutator(group):
+    # the Schreier side rewrites every relator, the derived commutators
+    # included, exactly as it rewrites the product's relators built in full
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["oracle", *group, "--nu", "first", "--json"]) == 0
+    p = _preset(*group)
+    eager = Presentation(p.generators, _eager_relators(p.factors))
+    nu = resolve_nu(p, "first")
+    expected = finite_cover_oracle(eager, nu).to_json_dict()
+    assert json.loads(out.getvalue())["result"]["subgroup_relators"] == \
+        expected["subgroup_relators"]
+    assert len(eager.relators) == len(p.stored_relators) + 16
 
 
 def test_raag_complex_shapes():

@@ -192,7 +192,7 @@ def test_cells_of_one_row_stay_apart():
 def single_cell_changes(cx):
     """Every complex that differs from cx in one cell of one differential:
     that cell plus a monomial, or that cell negated when it is nonzero."""
-    added = LaurentPolynomial.monomial([1] * cx.nvars, Fraction(2, 3))
+    added = LaurentPolynomial(cx.nvars, {(1,) * cx.nvars: Fraction(2, 3)})
     for m, d in enumerate(cx.differentials):
         for r in range(d.rows):
             for c in range(d.cols):

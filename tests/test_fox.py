@@ -144,7 +144,7 @@ def test_pushed_fundamental_identity_kills_rows():
         for j in range(alex.rows):
             total = LaurentPolynomial.zero(m)
             for i in range(p.ngens):
-                factor = LaurentPolynomial.monomial(images[i]) - \
+                factor = LaurentPolynomial(m, {images[i]: 1}) - \
                     LaurentPolynomial.one(m)
                 total = total + alex.entries[j][i] * factor
             assert total.is_zero()

@@ -9,6 +9,20 @@ from charvar.intlinalg import (integer_rank, mat_mul, rational_rank,
                                reduce_row, smith_normal_form)
 
 
+def test_mat_mul_is_the_dense_product():
+    rng = random.Random(14)
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(80)]
+    for rows, inner, cols in shapes:
+        density = rng.choice((0.0, 0.15, 0.5, 1.0))
+        a, b = ([[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(c)]
+                 for _ in range(r)] for r, c in ((rows, inner), (inner, cols)))
+        width = len(b[0]) if b else 0
+        dense = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(width)]
+                 for i in range(rows)]
+        assert mat_mul(a, b) == dense
+
+
 def test_integer_rank_small():
     assert integer_rank([[1, 2], [2, 4]]) == 1
     assert integer_rank([[1, 0], [0, 1]]) == 2

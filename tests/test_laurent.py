@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charvar.errors import GenericNotEvaluable, VariableCountMismatch
-from charvar.laurent import (GENERIC, Character, LaurentPolynomial,
+from charvar.laurent import (GENERIC, Character, LaurentPolynomial, _make,
                              pullback_character)
 from conftest import monic_univariate, substitute_exponents
 
@@ -100,6 +100,19 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p + q) * r == p * r + q * r
     assert (p - p).is_zero()
+
+
+@given(simple_polys, simple_polys)
+def test_hash_is_kept_and_equal_polynomials_hash_equal(p, q):
+    total = p + q
+    terms = dict(total.terms)
+    equal = [total, q + p, LaurentPolynomial(2, terms), _make(2, dict(terms)),
+             LaurentPolynomial(2, dict(reversed(terms.items()))),
+             total.scale(Fraction(2, 3)) * LaurentPolynomial.constant(2, Fraction(3, 2))]
+    assert all(x == total for x in equal)
+    assert len({hash(x) for x in equal}) == 1
+    fresh = hash((total.nvars, frozenset(total.terms.items())))
+    assert total._hash == fresh == hash(total)
 
 
 def test_mul_degree_span_bound():

@@ -174,7 +174,7 @@ def proportional_columns():
     # d_1 = [[1, 2t], [1/2, t]]: the column of cell (1, v) is twice that of
     # cell (0, v + 1), which clearing each entry's denominator on its own
     # would lose
-    t = LaurentPolynomial.monomial((1,))
+    t = LaurentPolynomial.variable(0, 1)
     one, half = LaurentPolynomial.one(1), LaurentPolynomial.constant(1, Fraction(1, 2))
     return TwistedComplex(1, (2, 2), (LaurentMatrix(1, 2, 2, [[one, t.scale(2)],
                                                                [half, t]]),))

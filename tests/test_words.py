@@ -35,6 +35,16 @@ def test_commutator_expansion():
     assert commutator(a, b) == Word(((0, 1), (1, 1), (0, -1), (1, -1)))
 
 
+@given(st.integers(0, 2 ** 32), st.integers(0, 6), st.integers(0, 6))
+def test_commutator_is_the_four_fold_product(seed, len_u, len_v):
+    # one reduction of the four syllable lists gives the word reduced step
+    # by step, cancellations across each junction included
+    rng = random.Random(seed)
+    u, v = random_word(rng, 2, len_u), random_word(rng, 2, len_v)
+    for x, y in ((u, v), (u, u), (u, u.inverse()), (u, v * u)):
+        assert commutator(x, y) == x * y * x.inverse() * y.inverse()
+
+
 def test_exponent_vector():
     w = commutator(a, b) * a
     assert w.exponent_vector(2) == (1, 0)
