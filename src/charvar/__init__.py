@@ -27,9 +27,8 @@ from .constructions import (BestvinaBradyData, Graph, GroupModel, PencilData,
                             cycle_graph, complete_graph, direct_product,
                             edgeless_graph,
                             flag_complex, free_group, octahedron_graph,
-                            parse_graph_text, pencil_numerology,
-                            punctured_surface_group, raag, raag_chain_model,
-                            reduced_homology, surface_group)
+                            parse_graph_text, pencil_numerology, raag,
+                            raag_chain_model, reduced_homology, surface_group)
 from .jumploci import (FullnessVerdict, V1Ideal, generic_rank_verdict,
                        is_full_v1, is_full_vr_product, v1_ideal)
 from .certify import (Certificate, KernelReport, ProbeReport, certify_non_fp,

@@ -22,7 +22,7 @@ from . import __version__
 from .complexes import KernelHomologyReport, twisted_betti
 from .constructions import build_model
 from .errors import NotUnivariate, UnsupportedDegree
-from .jumploci import is_full_vr_product
+from .jumploci import check_degree, is_full_vr_product
 from .laurent import pullback_character
 from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
                             validate_epimorphism)
@@ -128,8 +128,7 @@ def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
     FP_r.
     """
     nu = validate_epimorphism(presentation, nu.images)
-    if r < 1:
-        raise ValueError("degree r must be >= 1")
+    check_degree(r, presentation.aspherical)
     model = build_model(presentation)
     verdict = is_full_vr_product(model, r, seed=seed)
     if verdict.is_full:
@@ -181,10 +180,11 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
     ``GroupModel.betti`` (on a product, convolved from the factors'; a
     character a factor model has met before costs no elimination).  The
     trivial character is never sampled; boxes start at {-2..2} and double
-    every batch of 16 trials.  Deterministic under a fixed seed."""
+    every batch of 16 trials.  Deterministic under a fixed seed.  The
+    degree obeys ``jumploci.check_degree``: a sample's b_r for r >= 2 on a
+    presentation 2-complex is not group homology, so it is refused."""
     nu = validate_epimorphism(presentation, nu.images)
-    if r < 1:
-        raise ValueError("degree r must be >= 1")
+    check_degree(r, presentation.aspherical)
     if trials < 1:
         raise ValueError("need at least one trial")
     model = build_model(presentation)

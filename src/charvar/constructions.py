@@ -192,24 +192,14 @@ def surface_group(genus: int) -> Presentation:
                         name=f"surface_genus_{genus}", aspherical=True)
 
 
-def punctured_surface_group(genus: int, punctures: int) -> Presentation:
-    """Free group of rank 2g + n - 1: the fundamental group of the genus-g
-    surface with n >= 1 punctures; chi = 2 - 2g - n."""
-    if punctures < 1:
-        raise ValueError("need at least one puncture")
-    names = []
-    for i in range(1, genus + 1):
-        names += [f"a{i}", f"b{i}"]
-    names += [f"p{i}" for i in range(1, punctures)]
-    return Presentation(tuple(names), (),
-                        name=f"punctured_surface_{genus}_{punctures}", aspherical=True)
-
-
 def free_group(rank: int) -> Presentation:
-    """F_rank as a thrice-punctured-sphere-style curve group."""
+    """F_rank on p1..p_rank with no relators: the fundamental group of the
+    sphere with rank + 1 punctures, as its name says; aspherical,
+    chi = 1 - rank."""
     if rank < 0:
         raise ValueError("free rank must be >= 0")
-    return punctured_surface_group(0, rank + 1)
+    return Presentation(tuple(f"p{i}" for i in range(1, rank + 1)), (),
+                        name=f"punctured_surface_0_{rank + 1}", aspherical=True)
 
 
 def direct_product(factors) -> Presentation:
@@ -324,7 +314,8 @@ class GroupModel:
     def aspherical(self) -> bool:
         """Whether the catalog asserts that every degree of the complex is
         group homology; otherwise only degrees <= 1 are, and degree 2 is
-        homology of the presentation 2-complex."""
+        homology of the presentation 2-complex.  ``jumploci.check_degree``
+        owns the rule this sets: a degree r >= 2 query needs it."""
         return self.presentation.aspherical
 
     @cached_property

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import build_model
+from .errors import NotUnivariate
 from .intlinalg import integer_rank
 from .laurent import Character, pullback_character
 from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
@@ -50,7 +51,7 @@ def index_two_subgroup(presentation: Presentation, nu: EpimorphismToZm) -> Prese
     rewritten relator per relator and coset.
     """
     if nu.target_rank != 1:
-        raise ValueError("index-two construction needs a map onto Z")
+        raise NotUnivariate("the index-two subgroup needs a map onto Z")
     parity = [abs(nu.images[i][0]) % 2 for i in range(presentation.ngens)]
     if 1 not in parity:
         raise ValueError("no generator has odd image; map is not onto Z")

@@ -168,18 +168,27 @@ def _require_jumps(points: list[dict], key: str, why: str) -> None:
                 f"{why}, but {key} = {p[key]} at the character {p['character']}")
 
 
+def check_degree(r: int, aspherical: bool) -> None:
+    """The one rule on the degree r of a question about group homology,
+    read by ``generic_rank_verdict``, ``certify.certify_non_fp`` and
+    ``certify.generic_vanishing_probe``: r >= 1, and r >= 2 only on an
+    aspherical model, whose every degree is group homology; a presentation
+    2-complex gives group homology only in degrees <= 1."""
+    if r < 1:
+        raise ValueError("degree r must be >= 1")
+    if r >= 2 and not aspherical:
+        raise UnsupportedDegree(
+            "degree >= 2 needs an aspherical chain model; "
+            "only catalog groups carry that certainty")
+
+
 def generic_rank_verdict(model: GroupModel, r: int) -> FullnessVerdict:
     """Does the degree-r depth-one locus fill the whole torus?  Decided by
     the exact generic b_r (``generic_betti_in_degree``): every rank only
     drops on closed sets, so b_r is minimized at the generic point and the
-    generic value settles the question in both directions.  Degrees r >= 2
-    need an aspherical model, whose every degree is group homology."""
-    if r < 1:
-        raise ValueError("degree r must be >= 1")
-    if r >= 2 and not model.aspherical:
-        raise UnsupportedDegree(
-            "degree >= 2 fullness needs an aspherical chain model; "
-            "only catalog groups carry that certainty")
+    generic value settles the question in both directions.  The degree must
+    pass ``check_degree``."""
+    check_degree(r, model.aspherical)
     if r > model.top:
         return FullnessVerdict(
             False, "not_concluded", "generic-rank",

@@ -6,12 +6,18 @@ when integral and a ``Fraction`` otherwise, so integer data stays integer
 until a division.  No floating point enters: a float coefficient is refused.
 Coefficients over Q stand in for C: every matrix this package produces has
 rational entries, and ranks over Q equal ranks over C for such data.
+
+One rule gives a primitive part: ``strip_row_units`` divides a row of
+polynomials by its common unit, the rational content times the monomial
+floor.  Generic rank and the univariate Smith form apply it to matrix rows,
+and ``unit_normal`` is that rule on a one-entry row plus a sign.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import neg, sub
 from typing import Iterable, Mapping
 
 from .errors import GenericNotEvaluable, VariableCountMismatch
@@ -51,8 +57,8 @@ class LaurentPolynomial:
         return cls.constant(nvars, 1)
 
     @classmethod
-    def variable(cls, index: int, nvars: int, power: int = 1) -> "LaurentPolynomial":
-        exps = tuple(power if i == index else 0 for i in range(nvars))
+    def variable(cls, index: int, nvars: int) -> "LaurentPolynomial":
+        exps = tuple(int(i == index) for i in range(nvars))
         return cls(nvars, {exps: 1})
 
     # -- predicates --------------------------------------------------------
@@ -222,18 +228,6 @@ class LaurentPolynomial:
         lo, hi = self.exponent_range(var)
         return hi - lo
 
-    def content(self) -> Fraction:
-        """Positive rational content: gcd of numerators over lcm of
-        denominators.  Zero polynomial has content 0."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
-
     def monomial_floor(self) -> tuple[int, ...]:
         """Componentwise minimum exponent vector over all terms."""
         if not self.terms:
@@ -254,25 +248,21 @@ class LaurentPolynomial:
     def unit_normal(self) -> "LaurentPolynomial":
         """Divide by the unit c*t^e so the result has exponent floor zero,
         content one, and positive leading coefficient.  Canonical generator
-        of the principal ideal (self)."""
-        if not self.terms:
-            return self
-        floor = self.monomial_floor()
-        shifted = self.shift(tuple(-x for x in floor))
-        c = self.content()
-        if shifted.leading()[1] < 0:
-            c = -c
-        return shifted.scale(1 / c)
+        of the principal ideal (self): ``strip_row_units`` on the row
+        (self,), negated if its leading coefficient is negative."""
+        [primitive] = strip_row_units([self])
+        if primitive.terms and primitive.leading()[1] < 0:
+            return -primitive
+        return primitive
 
     # -- printing ------------------------------------------------------------
 
-    def to_text(self, names: tuple[str, ...] | None = None) -> str:
+    def to_text(self) -> str:
         """Canonical text form: terms sorted by descending exponent vector,
         e.g. ``3*t1^2*t2^-1 - 1``."""
         if not self.terms:
             return "0"
-        if names is None:
-            names = tuple(f"t{i + 1}" for i in range(self.nvars))
+        names = tuple(f"t{i + 1}" for i in range(self.nvars))
         chunks: list[str] = []
         for exps in sorted(self.terms, reverse=True):
             coeff = self.terms[exps]
@@ -308,6 +298,29 @@ def _canonical(value) -> int | Fraction:
 def _power(x: int | Fraction, e: int) -> int | Fraction:
     """x ** e exactly: ``int ** negative`` would be a float."""
     return x ** e if e > 0 else Fraction(x) ** e
+
+
+def strip_row_units(row):
+    """Divide a whole row by its common unit factor (rational content and
+    monomial floor); preserves the row space exactly.  The content is the
+    gcd of the numerators over the lcm of the denominators.  A row of int
+    coefficients has the gcd of its ints as content and is divided exactly;
+    only a row holding a Fraction coefficient is rescaled by a Fraction."""
+    nonzero = [p for p in row if p.terms]
+    if not nonzero:
+        return row
+    coeffs = [c for p in nonzero for c in p.terms.values()]
+    fractions = [c for c in coeffs if c.__class__ is not int]
+    content = (Fraction(gcd(*(c.numerator for c in coeffs)),
+                        lcm(*(c.denominator for c in fractions)))
+               if fractions else gcd(*coeffs))
+    floor = tuple(map(min, zip(*(e for p in nonzero for e in p.terms))))
+    if content == 1 and not any(floor):
+        return row
+    if fractions:
+        return [p.shift(map(neg, floor)).scale(1 / content) if p.terms else p for p in row]
+    return [_make(p.nvars, {tuple(map(sub, e, floor)): c // content
+                            for e, c in p.terms.items()}) if p.terms else p for p in row]
 
 
 def _make(nvars: int, terms: dict) -> LaurentPolynomial:

@@ -8,9 +8,9 @@ Rank at a rational character evaluates first and eliminates over Q
 (``intlinalg.rational_rank``, a sparse fraction-free row reduction).  Rank
 at the generic point eliminates over the fraction field with
 Laurent-polynomial pivots: cross-multiplication, exact division by the
-previous pivot to control entry growth, and unit-content stripping
-(rational content and monomial factors are units here, so stripping
-preserves exact divisibility up to units).
+previous pivot to control entry growth, and unit-content stripping by
+``laurent.strip_row_units`` (rational content and monomial factors are
+units here, so stripping preserves exact divisibility up to units).
 One division serves the ring: ``LaurentPolynomial.divide``, by lex leading
 terms, is the exact step of generic rank (``exact_divide``) and Euclid's
 step over Q[t, t^-1] (``univariate_divmod``).
@@ -34,12 +34,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
-from operator import mul, neg, sub
+from math import comb, gcd
+from operator import mul
 
 from .errors import InternalInconsistency, NotUnivariate, TooManyMinors, VariableCountMismatch
 from .intlinalg import rational_rank
-from .laurent import Character, LaurentPolynomial, _make
+from .laurent import Character, LaurentPolynomial, _make, strip_row_units
 
 DEFAULT_MINOR_CEILING = 20000
 
@@ -175,8 +175,8 @@ class LaurentMatrix:
         return hash((self.nvars, self.rows, self.cols,
                      tuple(frozenset(row.items()) for row in self.sparse_rows)))
 
-    def to_text_rows(self, names=None) -> list[list[str]]:
-        return [[p.to_text(names) for p in row] for row in self.entries]
+    def to_text_rows(self) -> list[list[str]]:
+        return [[p.to_text() for p in row] for row in self.entries]
 
     def __repr__(self) -> str:
         return f"LaurentMatrix({self.rows}x{self.cols}, {self.nvars} vars)"
@@ -313,34 +313,12 @@ def generic_rank(matrix: LaurentMatrix) -> int:
                 new_row = [q.exact_divide(prev) for q in new_row]
                 if None in new_row:
                     raise InternalInconsistency("inexact Bareiss step in generic_rank")
-            rows[r] = _strip_row_units(new_row)
+            rows[r] = strip_row_units(new_row)
         prev = p
         rank += 1
         if rank == min(nr, nc):
             break
     return rank
-
-
-def _strip_row_units(row):
-    """Divide a whole row by its common unit factor (rational content and
-    monomial floor); preserves the row space exactly.  A row of int
-    coefficients has the gcd of its ints as content and is divided exactly;
-    only a row holding a Fraction coefficient is rescaled by a Fraction."""
-    nonzero = [p for p in row if p.terms]
-    if not nonzero:
-        return row
-    coeffs = [c for p in nonzero for c in p.terms.values()]
-    fractions = [c for c in coeffs if c.__class__ is not int]
-    content = (Fraction(gcd(*(c.numerator for c in coeffs)),
-                        lcm(*(c.denominator for c in fractions)))
-               if fractions else gcd(*coeffs))
-    floor = tuple(map(min, zip(*(e for p in nonzero for e in p.terms))))
-    if content == 1 and not any(floor):
-        return row
-    if fractions:
-        return [p.shift(map(neg, floor)).scale(1 / content) if p.terms else p for p in row]
-    return [_make(p.nvars, {tuple(map(sub, e, floor)): c // content
-                            for e, c in p.terms.items()}) if p.terms else p for p in row]
 
 
 def check_minor_count(rows: int, cols: int, k: int, ceiling: int) -> None:
@@ -511,7 +489,7 @@ def smith_univariate(matrix: LaurentMatrix) -> SmithFormUnivariate:
     which has the same invariant factors."""
     if matrix.nvars != 1:
         raise NotUnivariate(f"matrix has {matrix.nvars} variables")
-    grid = [_strip_row_units(row) for row in _dense_rows(matrix)]
+    grid = [strip_row_units(row) for row in _dense_rows(matrix)]
     diagonal = []
     while block := [(_size(p), i, j) for i, row in enumerate(grid)
                     for j, p in enumerate(row) if p.terms]:
@@ -559,5 +537,5 @@ def _reduce_lead(row, pivot_row):
     a, b, shift = a // g, b // g, (hk - h,)
     if a != 1:
         row = [x.scale(a) for x in row]
-    return _strip_row_units([x - y.shift(shift).scale(b) if y.terms else x
+    return strip_row_units([x - y.shift(shift).scale(b) if y.terms else x
                              for x, y in zip(row, pivot_row)])

@@ -7,6 +7,13 @@ belongs in the tests or nowhere.  References are found by name in the
 syntax trees of the package modules: any ``Name`` or attribute access
 spelled like the definition counts, except inside the definition itself.
 Dunder methods are called by the language, not by name, and are skipped.
+
+Likewise every defaulted parameter of those functions and methods is
+passed, by position or by keyword, at some call in the package: a
+parameter only a test sets is API kept alive by its own test.  A call is
+matched to a definition by the called name, as above; a method's ``self``
+or ``cls`` is not counted among the positions, and a call with ``*args``
+or ``**kwargs`` counts as passing everything.
 """
 
 import ast
@@ -21,6 +28,13 @@ MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
 # qualified names that may stay without a caller in the package, with the
 # reason
 ALLOWED: dict[str, str] = {}
+
+# (qualified name, parameter) pairs that may stay unset by every package
+# call, with the reason
+ALLOWED_DEFAULTS: dict[tuple[str, str], str] = {
+    ("main", "argv"): "the console script calls main() with no argument, "
+                      "so the command line comes from sys.argv",
+}
 
 
 def referenced_names(tree, skip=()):
@@ -67,6 +81,83 @@ def uncalled_definitions():
         if not used and qualname not in ALLOWED:
             out.append(f"{module[:-3]}.{qualname}")
     return out
+
+
+def defaulted_parameters(node, method):
+    """(name, position) of each defaulted parameter of a function node; the
+    position counts call arguments, so a method's first parameter is
+    dropped, and a keyword-only parameter has position None."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in node.decorator_list)
+    if method and not static:
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def passes(call, name, position):
+    """Whether a call sets the parameter ``name`` at ``position``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def calls_by_name(trees):
+    """Called name -> the calls spelled with it in ``trees``."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def unset_defaults(trees):
+    """qualname.parameter of each defaulted parameter that no call in
+    ``trees`` sets; a recursive call counts, as it varies the parameter."""
+    calls = calls_by_name(trees.values())
+    out = []
+    for tree in trees.values():
+        for qualname, node in definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for name, position in defaulted_parameters(node, "." in qualname):
+                if ((qualname, name) not in ALLOWED_DEFAULTS
+                        and not any(passes(c, name, position)
+                                    for c in calls.get(node.name, []))):
+                    out.append(f"{qualname}.{name}")
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_the_package():
+    defined = {(qualname, name) for _, qualname, node in all_definitions()
+               if isinstance(node, ast.FunctionDef)
+               for name, _ in defaulted_parameters(node, "." in qualname)}
+    assert set(ALLOWED_DEFAULTS) <= defined
+    assert unset_defaults(MODULES) == []
+
+
+def test_the_guard_sees_a_default_only_tests_set():
+    tree = ast.parse("def f(a, b=1, *, c=2):\n    return a\n\n"
+                     "def g(n, depth=0):\n    return g(n, depth + 1) if n else depth\n\n"
+                     "class C:\n"
+                     "    def m(self, x=1, y=2):\n        pass\n\n"
+                     "    @classmethod\n"
+                     "    def k(cls, z=3):\n        pass\n\n"
+                     "    @staticmethod\n"
+                     "    def s(w=4):\n        pass\n\n"
+                     "f(1, c=3)\ng(2)\nC().m(5)\nC.k()\nC.s(6)\nC().m(*[1, 2])\n")
+    assert unset_defaults({"t.py": tree}) == ["f.b", "C.k.z"]
 
 
 def test_every_definition_has_a_caller_in_the_package():

@@ -159,6 +159,42 @@ def test_oracle_cli(capsys):
     assert payload["result"]["b1_cover"] == 6
 
 
+@pytest.mark.parametrize("command", ["kernel", "oracle"])
+def test_a_map_onto_z2_is_not_univariate(capsys, command):
+    # both commands need a map onto Z, and say so with the one error
+    code, payload = run_json(capsys, [command, "--preset", "surface", "--genus", "2",
+                                      "--nu", "1,0;0,1;0,0;0,0"])
+    assert code == 1
+    assert payload["result"]["error"]["code"] == "not-univariate"
+
+
+def test_probe_refuses_the_degrees_certify_refuses(capsys, tmp_path):
+    # a parsed group's chain model is its presentation 2-complex, whose
+    # b_2 is not group homology, so degree 2 is refused by every command
+    path = tmp_path / "trefoil.txt"
+    path.write_text("gens x,y; rel x y x y^-1 x^-1 y^-1;\n", encoding="utf-8")
+    for argv in (["probe", "--trials", "3"], ["certify"], ["jumploci"]):
+        code, payload = run_json(capsys, [*argv, "--input", str(path), "--r", "2"])
+        assert code == 1, argv
+        assert payload["result"]["error"]["code"] == "unsupported-degree", argv
+    code, payload = run_json(capsys, ["probe", "--input", str(path), "--r", "1",
+                                      "--trials", "3"])
+    assert code == 0 and payload["result"]["r"] == 1
+
+
+def test_probe_checks_the_map_then_the_degree_then_the_trials(capsys):
+    probe = ["probe", "--preset", "torus", "--r", "0", "--trials", "0"]
+    code, payload = run_json(capsys, [*probe, "--nu", "0;0"])
+    assert code == 1 and payload["result"]["error"]["code"] == "zero-map"
+    code, payload = run_json(capsys, probe)
+    assert code == 1
+    assert payload["result"]["error"] == {"code": "usage",
+                                          "message": "degree r must be >= 1"}
+    code, payload = run_json(capsys, [*probe[:-3], "1", "--trials", "0"])
+    assert payload["result"]["error"] == {"code": "usage",
+                                          "message": "need at least one trial"}
+
+
 @pytest.mark.parametrize("command, own_nu", [("kernel", "ones"), ("oracle", "first")])
 def test_a_pencil_preset_falls_back_to_the_command_default_onto_z(capsys, command, own_nu):
     # the product-surface default 'pencil' maps onto Z^2, and these two

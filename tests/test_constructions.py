@@ -17,8 +17,7 @@ from charvar.constructions import (Graph, bestvina_brady, build_model,
                                    complete_graph, cycle_graph,
                                    direct_product, edgeless_graph,
                                    flag_complex, free_group, octahedron_graph,
-                                   parse_graph_text, pencil_numerology,
-                                   punctured_surface_group, raag,
+                                   parse_graph_text, pencil_numerology, raag,
                                    raag_chain_model,
                                    reduced_homology, surface_group)
 from charvar.errors import GenusTooSmall
@@ -54,15 +53,27 @@ def test_surface_groups():
         surface_group(0)
 
 
-def test_punctured_surface_groups():
-    assert punctured_surface_group(0, 3).ngens == 2
-    assert euler_characteristic(punctured_surface_group(0, 3)) == -1
-    assert punctured_surface_group(1, 1).ngens == 2
-    assert euler_characteristic(punctured_surface_group(1, 1)) == -1
-    assert punctured_surface_group(2, 1).ngens == 4
-    assert euler_characteristic(punctured_surface_group(2, 1)) == -3
-    with pytest.raises(ValueError):
-        punctured_surface_group(1, 0)
+FREE_GROUPS = {
+    0: ((), "punctured_surface_0_1"),
+    1: (("p1",), "punctured_surface_0_2"),
+    2: (("p1", "p2"), "punctured_surface_0_3"),
+    3: (("p1", "p2", "p3"), "punctured_surface_0_4"),
+    4: (("p1", "p2", "p3", "p4"), "punctured_surface_0_5"),
+    5: (("p1", "p2", "p3", "p4", "p5"), "punctured_surface_0_6"),
+    6: (("p1", "p2", "p3", "p4", "p5", "p6"), "punctured_surface_0_7"),
+}
+
+
+def test_free_group_presentations():
+    # F_k is the sphere with k + 1 punctures, the name golden labels print
+    for rank, (generators, name) in FREE_GROUPS.items():
+        f = free_group(rank)
+        assert f == Presentation(generators, (), name=name, aspherical=True)
+        assert f.generators == generators and f.relators == ()
+        assert (f.name, f.aspherical, f.factors, f.graph) == (name, True, (), None)
+        assert euler_characteristic(f) == 1 - rank
+    with pytest.raises(ValueError, match="free rank must be >= 0"):
+        free_group(-1)
 
 
 def test_direct_product_counts():

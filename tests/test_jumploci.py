@@ -1,3 +1,4 @@
+import ast
 import random
 from fractions import Fraction
 
@@ -5,13 +6,14 @@ import pytest
 
 from charvar import jumploci
 from charvar.complexes import twisted_betti
-from charvar.constructions import (build_model, direct_product, free_group,
-                                   punctured_surface_group, surface_group)
+from charvar.constructions import build_model, direct_product, free_group, surface_group
 from charvar.errors import TooManyMinors
 from charvar.jumploci import is_full_v1, is_full_vr_product, v1_ideal
 from charvar.laurent import Character
+from charvar.presentations import Presentation
 from charvar.sampling import sample_character
 from conftest import joint_tensor
+from test_api_surface import all_definitions, referenced_names
 
 
 def b1_jumps(p, rho, model=None):
@@ -98,9 +100,18 @@ def test_is_full_v1_verdicts():
     assert full_f2.is_full
 
 
+def punctured_curve(genus, punctures):
+    """The fundamental group of the genus-g curve with n >= 1 punctures,
+    free on a1, b1, ..., ag, bg, p1, ..., p(n-1): rank 2g + n - 1."""
+    names = ([f"{x}{i}" for i in range(1, genus + 1) for x in "ab"]
+             + [f"p{i}" for i in range(1, punctures)])
+    return Presentation(tuple(names), (), name=f"punctured_surface_{genus}_{punctures}",
+                        aspherical=True)
+
+
 CURVE_GROUPS = ([surface_group(g) for g in range(1, 6)]
                 + [free_group(k) for k in range(1, 6)]
-                + [punctured_surface_group(g, n)
+                + [punctured_curve(g, n)
                    for g, n in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2))])
 
 
@@ -117,6 +128,22 @@ def test_curve_group_fullness_matches_euler_characteristic(p):
     assert verdict.method == "generic-rank"
     assert route["name"] == "modular-sandwich" and route["fallback_degrees"] == []
     assert verdict.is_full == (chi < 0)
+
+
+def test_one_function_owns_the_degree_rule():
+    # certify, the probe and the generic-rank verdict all call it
+    owners = [f"{module[:-3]}.{qualname}"
+              for module, qualname, node in all_definitions()
+              if isinstance(node, ast.FunctionDef)
+              and any(isinstance(c, ast.Constant) and c.value == "degree r must be >= 1"
+                      for c in ast.walk(node))]
+    assert owners == ["jumploci.check_degree"]
+    callers = {f"{module[:-3]}.{qualname}"
+               for module, qualname, node in all_definitions()
+               if isinstance(node, ast.FunctionDef)
+               and "check_degree" in referenced_names(node, skip=())}
+    assert callers == {"jumploci.generic_rank_verdict", "certify.certify_non_fp",
+                       "certify.generic_vanishing_probe"}
 
 
 def test_fullness_soundness_sampled():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,7 @@ from conftest import monic_univariate, substitute_exponents
 
 
 def t(i, nvars=2, power=1):
-    return LaurentPolynomial.variable(i, nvars, power)
+    return LaurentPolynomial(nvars, {tuple(power * (j == i) for j in range(nvars)): 1})
 
 
 def const(c, nvars=2):
@@ -31,7 +32,7 @@ def test_additive_identity():
 
 def test_unit_inverse_multiplies_to_one():
     x = LaurentPolynomial.variable(0, 1)
-    xinv = LaurentPolynomial.variable(0, 1, power=-1)
+    xinv = LaurentPolynomial(1, {(-1,): 1})
     assert (x * xinv).is_one()
 
 
@@ -85,6 +86,44 @@ def test_unit_normal():
     n = p.unit_normal()
     assert n.to_text() == "t1^2 - 1"
     assert monic_univariate(p).to_text() == "t1^2 - 1"
+
+
+def unit_normal_oracle(p):
+    """``unit_normal`` as it stood before it became ``strip_row_units`` on
+    a one-entry row: shift by the monomial floor, divide by the content
+    (gcd of numerators over lcm of denominators), leading coefficient
+    positive."""
+    if not p.terms:
+        return p
+    num, den = 0, 1
+    for c in p.terms.values():
+        num = gcd(num, abs(c.numerator))
+        den = den * c.denominator // gcd(den, c.denominator)
+    c = Fraction(num, den)
+    shifted = p.shift(tuple(-x for x in p.monomial_floor()))
+    if shifted.leading()[1] < 0:
+        c = -c
+    return shifted.scale(1 / c)
+
+
+coefficients = st.one_of(st.integers(-30, 30),
+                         st.fractions(min_value=-30, max_value=30, max_denominator=12))
+
+
+@st.composite
+def polys_in_up_to_three_variables(draw):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-4, 4)] * nvars)
+    terms = draw(st.dictionaries(exps, coefficients, max_size=6))
+    return LaurentPolynomial(nvars, terms)
+
+
+@given(polys_in_up_to_three_variables(), st.integers(-6, 6))
+def test_unit_normal_matches_the_content_and_floor_oracle(p, k):
+    for q in (p, p.scale(k), LaurentPolynomial.zero(p.nvars)):
+        got = q.unit_normal()
+        assert got == unit_normal_oracle(q)
+        assert all(c.__class__ is int or c.denominator > 1 for c in got.terms.values())
 
 
 simple_polys = st.builds(

@@ -17,7 +17,7 @@ from conftest import (entrywise_product, laurent_matrix, monic_univariate,
 
 
 def x(power=1):
-    return LaurentPolynomial.variable(0, 1, power)
+    return LaurentPolynomial(1, {(power,): 1})
 
 
 def one1():
