@@ -22,11 +22,11 @@ from . import __version__
 from .complexes import KernelHomologyReport, twisted_betti
 from .constructions import build_model
 from .errors import NotUnivariate, UnsupportedDegree
-from .jumploci import check_degree, is_full_vr_product
+from .jumploci import check_degree, group_homology_scope, is_full_vr_product
 from .laurent import pullback_character
 from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
                             validate_epimorphism)
-from .sampling import box_for_trial, sample_character
+from .sampling import BOX_SCHEDULE, box_for_trial, sample_character
 
 CONCLUSION_HOMOLOGY = "H_leq_r_infinite"
 CONCLUSION_NOT_FP = "not_FP_r"
@@ -99,7 +99,6 @@ class Certificate:
     citations: tuple[dict, ...]
     seed: int
     failed_hypothesis: str | None = None
-    tool_version: str = __version__
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,7 +112,7 @@ class Certificate:
             "citations": [dict(c) for c in self.citations],
             "failed_hypothesis": self.failed_hypothesis,
             "seed": self.seed,
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
         }
 
 
@@ -160,7 +159,6 @@ class ProbeReport:
     vanishing_count: int
     samples: tuple[dict, ...]
     seed: int
-    box_schedule: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,18 +167,17 @@ class ProbeReport:
             "vanishing_count": self.vanishing_count,
             "samples": list(self.samples),
             "seed": self.seed,
-            "box_schedule": self.box_schedule,
+            "box_schedule": BOX_SCHEDULE,
         }
 
 
 def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
                             r: int, trials: int = 100, seed: int = 0) -> ProbeReport:
-    """Sample rational characters of the target torus, pull back through
-    nu, and record the twisted Betti numbers in degrees <= r, from
-    ``GroupModel.betti`` (on a product, convolved from the factors'; a
-    character a factor model has met before costs no elimination).  The
-    trivial character is never sampled; boxes start at {-2..2} and double
-    every batch of 16 trials.  Deterministic under a fixed seed.  The
+    """Sample rational characters of the target torus on the schedule of
+    ``sampling``, pull back through nu, and record the twisted Betti
+    numbers in degrees <= r, from ``GroupModel.betti`` (on a product,
+    convolved from the factors'; a character a factor model has met
+    before costs no elimination).  Deterministic under a fixed seed.  The
     degree obeys ``jumploci.check_degree``: a sample's b_r for r >= 2 on a
     presentation 2-complex is not group homology, so it is refused."""
     nu = validate_epimorphism(presentation, nu.images)
@@ -197,31 +194,27 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
     vanishing = 0
     for trial in range(trials):
         rho = sample_character(rng, nu.target_rank, box_for_trial(trial))
-        pulled = pullback_character(nubar, rho, model.nvars)
+        pulled = pullback_character(nubar, rho)
         betti = model.betti(pulled).betti[:r + 1]
         is_zero = all(b == 0 for b in betti)
         vanishing += is_zero
         samples.append({"rho": rho.describe(), "betti": list(betti),
                         "vanishing": is_zero})
     return ProbeReport(trials=trials, degree=r, vanishing_count=vanishing,
-                       samples=tuple(samples), seed=seed,
-                       box_schedule="coordinates in {-B..B}\\{0}, B=2 "
-                                    "doubling every 16 trials")
+                       samples=tuple(samples), seed=seed)
 
 
 @dataclass(frozen=True)
 class KernelReport:
     """Exact rational homology of the kernel of a map onto Z, as a module
-    over Q[t, t^-1], through ``top_degree``, with the scope in which it is
-    group homology."""
+    over Q[t, t^-1], through the degree asked, with the scope in which it
+    is group homology."""
 
     homology: KernelHomologyReport
-    top_degree: int
     degree2_scope: str
 
     def to_json_dict(self) -> dict:
-        shown = KernelHomologyReport(self.homology.entries[:self.top_degree + 1])
-        out = shown.to_json_dict()
+        out = self.homology.to_json_dict()
         out["degree2_scope"] = self.degree2_scope
         return out
 
@@ -238,11 +231,6 @@ def kernel_report_univariate(presentation: Presentation, nu: EpimorphismToZm,
         raise NotUnivariate("exact kernel homology needs a map onto Z")
     model = build_model(presentation)
     nubar = induced_on_free_part(nu, model.abelian)
-    homology = model.kernel_homology(nubar)
-    scope = ("group homology in every degree (aspherical model)"
-             if model.aspherical else
-             "group homology in degrees <= 1; degree 2 is homology of the "
-             "presentation 2-complex")
-    return KernelReport(homology=homology,
-                        top_degree=min(top_degree, model.top),
-                        degree2_scope=scope)
+    entries = model.kernel_homology(nubar).entries[:top_degree + 1]
+    return KernelReport(homology=KernelHomologyReport(entries),
+                        degree2_scope=group_homology_scope(model.aspherical))

@@ -3,7 +3,9 @@
 Subcommands: betti, alexander, jumploci, certify, probe, kernel, window,
 raag, bb, flag, pencil, oracle.  Output is a plain-text table or, with
 --json, an envelope {tool, version, command, status, seed, result} that
-validates against the schema shipped in charvar/schemas/.
+validates against the schema shipped in charvar/schemas/.  --seed draws
+the sampled characters of certify, probe and jumploci --r; only these
+three take it, and every other command prints a null seed.
 
 Exit codes: 0 on success, 2 when a certification's hypotheses fail, 1 on
 errors, a rejected command line included (in JSON mode errors carry
@@ -30,7 +32,7 @@ from .constructions import (bestvina_brady, build_model, complete_graph,
 from .covers import finite_cover_oracle
 from .errors import CharvarError, TooManyMinors
 from .fox import alexander_matrix
-from .jumploci import is_full_v1, is_full_vr_product, v1_ideal
+from .jumploci import group_homology_scope, is_full_v1, is_full_vr_product, v1_ideal
 from .laurent import GENERIC, Character
 from .lmatrix import DEFAULT_MINOR_CEILING
 from .parser import parse_presentation
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    def group_flags(p, nu=False):
+    def group_flags(p, nu=False, seed=False):
         p.add_argument("--input", help="presentation-language file")
         p.add_argument("--preset",
                        choices=["surface", "torus", "free", "product-surface",
@@ -95,14 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="ones | first | pencil | explicit rows "
                                 "'1,0;0,1;...' (one row per generator)")
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="draws the sampled characters of certify, "
+                                "probe and jumploci --r")
 
     def graph_flags(p):
         p.add_argument("--graph", help="graph file (v/e line format)")
         p.add_argument("--graph-name",
                        help="cycle:N | complete:N | edgeless:N | octahedron")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("betti", help="twisted Betti numbers at a character")
     group_flags(p)
@@ -113,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     group_flags(p)
 
     p = sub.add_parser("jumploci", help="depth-t ideal and fullness verdict")
-    group_flags(p)
+    group_flags(p, seed=True)
     p.add_argument("--t", type=int, default=1, help="jump depth")
     p.add_argument("--r", type=int, help="also decide degree-r fullness, "
                                          "for any r >= 1; r >= 2 needs a "
@@ -123,13 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{DEFAULT_MINOR_CEILING}")
 
     p = sub.add_parser("certify", help="non-FP_r certificate for ker(nu)")
-    group_flags(p, nu=True)
+    group_flags(p, nu=True, seed=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--strategy", default="auto", choices=["auto", "generic-rank"],
                    help="both take the one route, the exact generic b_r")
 
     p = sub.add_parser("probe", help="generic-vanishing sampling probe")
-    group_flags(p, nu=True)
+    group_flags(p, nu=True, seed=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
 
@@ -160,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pencil", help="branched-cover pencil numerology")
     p.add_argument("--genus", required=True, help="comma list, each >= 2")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -311,13 +314,6 @@ def parse_character(text: str, nvars: int) -> Character:
 # -- command bodies -----------------------------------------------------------
 
 
-def _scope_note(model) -> str:
-    if model.aspherical:
-        return "all degrees are group homology (aspherical model)"
-    return ("degrees <= 1 are group homology; degree 2 is homology of the "
-            "presentation 2-complex")
-
-
 def cmd_betti(args):
     presentation, _ = resolve_group(args)
     model = build_model(presentation)
@@ -329,7 +325,7 @@ def cmd_betti(args):
         "betti": list(profile.betti),
         "euler": profile.alternating_sum(),
         "ranks": list(model.ranks),
-        "scope": _scope_note(model),
+        "scope": group_homology_scope(model.aspherical),
     }
     if model.abelian.torsion_invariants:
         # characters live on the identity component only; non-identity
@@ -491,6 +487,7 @@ COMMANDS = {
 
 
 def envelope(args, status: str, result: dict) -> dict:
+    """The JSON envelope; ``seed`` is null for a command without --seed."""
     return {
         "tool": "charvar",
         "version": __version__,

@@ -175,7 +175,6 @@ class BettiProfile:
     rational character)."""
 
     betti: tuple[int, ...]
-    character: Character
     route: dict | None = None
 
     def alternating_sum(self) -> int:
@@ -397,7 +396,7 @@ def twisted_betti(complex_: TwistedComplex, character: Character) -> BettiProfil
     if any(b < 0 for b in betti):
         raise InternalInconsistency(
             f"Betti numbers {list(betti)} include a negative dimension")
-    return BettiProfile(betti, character, route)
+    return BettiProfile(betti, route)
 
 
 def kernel_homology_univariate(complex_: TwistedComplex) -> KernelHomologyReport:

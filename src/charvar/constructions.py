@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, reduce, wraps
 from itertools import combinations, product as iproduct
 
 from .complexes import (BettiProfile, KernelDegreeEntry, KernelHomologyReport,
@@ -81,7 +81,7 @@ class Graph:
 
 
 def parse_graph_text(text: str) -> Graph:
-    """Edge-list format: a ``v N`` line then ``e I J`` lines; # comments."""
+    """Edge-list format: one ``v N`` line then ``e I J`` lines; # comments."""
     nverts = None
     edges = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -90,6 +90,8 @@ def parse_graph_text(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "v" and len(parts) == 2:
+            if nverts is not None:
+                raise PresentationSyntaxError("duplicate v line", line_no, 1)
             nverts = int(parts[1])
         elif parts[0] == "e" and len(parts) == 3:
             if nverts is None:
@@ -280,6 +282,19 @@ def raag_chain_model(graph: Graph) -> TwistedComplex:
 # -- chain models ---------------------------------------------------------------
 
 
+def _remembered(method):
+    """A ``GroupModel`` question, answered once per model from its memo,
+    keyed by the method and the question: a character or nu-bar rows."""
+    @wraps(method)
+    def answer(self, question):
+        key = (method.__name__, question if isinstance(question, Character)
+               else tuple(map(tuple, question)))
+        if key not in self._memo:
+            self._memo[key] = method(self, question)
+        return self._memo[key]
+    return answer
+
+
 @dataclass(frozen=True)
 class GroupModel:
     """A presentation with the chain complex used for its homology.
@@ -297,18 +312,18 @@ class GroupModel:
     is assembled only by ``pushed``, from the factors pushed into one ring:
     a window pushes to Z^m, and ``complex``, which only the spot checks of
     ``jumploci.is_full_vr_product`` read, pushes through the identity.
-    Every model remembers its profile at each character it was asked,
-    rational or generic, in ``_profiles``, keyed by the ``Character``, for
-    the model's lifetime: one query in the CLI, which builds a model per
-    query.  A product asks its factors through their own ``betti``, so a
-    shared factor model ranks each distinct slice once.
+    Every model keeps one memo for its lifetime (one query in the CLI),
+    keyed by the question (``_remembered``): ``betti`` by the character,
+    ``pushed`` and ``kernel_homology`` by the nu-bar block.  A product asks
+    each factor about its own slice or block, so a factor model shared by
+    several factors answers a repeated one from its memo.
     """
 
     presentation: Presentation
     abelian: AbelianData
     built: TwistedComplex | None
     factors: tuple["GroupModel", ...] = ()
-    _profiles: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def aspherical(self) -> bool:
@@ -351,6 +366,7 @@ class GroupModel:
     def top(self) -> int:
         return len(self.ranks) - 1
 
+    @_remembered
     def pushed(self, nubar) -> TwistedComplex:
         """The complex pushed through the ring map t^e -> s^(nubar e) of an
         m x n integer matrix; the only code that assembles a product's
@@ -358,12 +374,10 @@ class GroupModel:
         column block and the results are tensored over the shared
         m-variable ring, folded left to right; pushing is a ring map, so
         this is the product's complex pushed through ``nubar``, and every
-        complex built on the way checks d o d = 0 (``TwistedComplex``).
-        A factor model shared by factors with equal blocks is pushed once
-        (``_per_factor``)."""
+        complex built on the way checks d o d = 0 (``TwistedComplex``)."""
         if not self.factors:
             return self.built.specialize(nubar)
-        return reduce(tensor_complex, self._per_factor(GroupModel.pushed, nubar))
+        return reduce(tensor_complex, (f.pushed(b) for f, b in self._blocks(nubar)))
 
     def _blocks(self, nubar):
         """Each factor with its own column block of ``nubar``."""
@@ -373,19 +387,7 @@ class GroupModel:
             yield factor, [row[start:start + width] for row in nubar]
             start += width
 
-    def _per_factor(self, method, nubar):
-        """method(factor, block) for each factor and its own column block of
-        ``nubar``, in order, computed once per distinct (factor model,
-        block) pair: equal factors share one model (``build_model``), so a
-        shared model under equal blocks gives one result.  The memo lives
-        for this call only."""
-        memo = {}
-        for factor, block in self._blocks(nubar):
-            key = (id(factor), tuple(map(tuple, block)))
-            if key not in memo:
-                memo[key] = method(factor, block)
-            yield memo[key]
-
+    @_remembered
     def betti(self, character: Character) -> BettiProfile:
         """Twisted Betti numbers at a rational character or at the generic
         point; the only code that computes them for a product.
@@ -398,14 +400,13 @@ class GroupModel:
         point passes to every factor whole.  By Kunneth over K the profile
         is the convolution of the factors' profiles, exactly, cut to the
         degrees the tensor model keeps (it trims trailing zero ranks).
-        Each profile is computed once per model (``_profiles``), so every
-        verdict of a query reads the same ranks; a product's generic route
-        is {"name": "kunneth", "factors": [each factor's route]}.
+        Each profile is computed once per model, so every verdict of a
+        query reads the same ranks; a product's generic route is
+        {"name": "kunneth", "factors": [each factor's route]}.
         """
-        if character not in self._profiles:
-            self._profiles[character] = (self._convolved(character) if self.factors
-                                         else twisted_betti(self.complex, character))
-        return self._profiles[character]
+        if self.factors:
+            return self._convolved(character)
+        return twisted_betti(self.complex, character)
 
     def _convolved(self, character: Character) -> BettiProfile:
         if not character.is_generic and len(character.coords) != self.nvars:
@@ -419,14 +420,14 @@ class GroupModel:
             routes.append(factor_profile.route)
             profile = _convolve(profile, factor_profile.betti)
         route = {"name": "kunneth", "factors": routes} if character.is_generic else None
-        return BettiProfile(tuple(profile[:self.top + 1]), character, route)
+        return BettiProfile(tuple(profile[:self.top + 1]), route)
 
+    @_remembered
     def kernel_homology(self, nubar) -> KernelHomologyReport:
         """The homology of the complex pushed through ``nubar`` (a map onto
         Z) as a module over the PID Lambda = Q[t, t^-1]; on a product, from
         the factors' complexes alone, each pushed through its own column
-        block and free over Lambda, each distinct (factor model, block) pair
-        once (``_per_factor``).  By Kunneth over a PID, H_n is the sum of
+        block and free over Lambda.  By Kunneth over a PID, H_n is the sum of
         H_p (x) H_q over p + q = n and of Tor(H_p, H_q) over p + q = n - 1;
         for Lambda/(a) and Lambda/(b) both are Lambda/gcd(a, b), where
         Lambda = Lambda/(0) has no Tor.
@@ -444,7 +445,7 @@ class GroupModel:
         # per degree, how many summands Lambda/(x) of each order x, with
         # x = 0 for Lambda itself
         summands = [Counter({zero: 1})]
-        for part in self._per_factor(GroupModel.kernel_homology, nubar):
+        for part in (f.kernel_homology(b) for f, b in self._blocks(nubar)):
             folded = [Counter() for _ in range(len(summands) + len(part.entries))]
             for (p, a), e in iproduct(enumerate(summands), part.entries):
                 runs = (*e.torsion, (zero, e.free_rank)) if e.free_rank else e.torsion

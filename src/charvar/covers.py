@@ -109,7 +109,7 @@ def finite_cover_oracle(presentation: Presentation, nu: EpimorphismToZm) -> Cove
     nubar = induced_on_free_part(nu, model.abelian)
     b1 = {}
     for value in (1, -1):
-        rho = pullback_character(nubar, Character((value,)), model.nvars)
+        rho = pullback_character(nubar, Character((value,)))
         b1[value] = model.betti(rho).betti[1]
     return CoverReport(
         subgroup=subgroup,

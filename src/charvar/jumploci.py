@@ -182,6 +182,15 @@ def check_degree(r: int, aspherical: bool) -> None:
             "only catalog groups carry that certainty")
 
 
+def group_homology_scope(aspherical: bool) -> str:
+    """The rule of ``check_degree`` in words, printed as betti's ``scope``
+    and kernel's ``degree2_scope``."""
+    if aspherical:
+        return "all degrees are group homology (aspherical model)"
+    return ("degrees <= 1 are group homology; degree 2 is homology of the "
+            "presentation 2-complex")
+
+
 def generic_rank_verdict(model: GroupModel, r: int) -> FullnessVerdict:
     """Does the degree-r depth-one locus fill the whole torus?  Decided by
     the exact generic b_r (``generic_betti_in_degree``): every rank only

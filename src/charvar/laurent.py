@@ -377,13 +377,13 @@ class Character:
 GENERIC = Character(None)
 
 
-def pullback_character(nubar, rho: Character, nvars: int) -> Character:
-    """Character on t_1..t_nvars induced by t_j -> prod_l s_l^nubar[l][j]
-    evaluated at the rational point rho of the target torus."""
+def pullback_character(nubar, rho: Character) -> Character:
+    """Character on t_1..t_n (n the columns of nubar) induced by t_j ->
+    prod_l s_l^nubar[l][j], at the rational point rho of the target torus."""
     if rho.is_generic:
         raise GenericNotEvaluable("pullback needs a rational character")
     coords = []
-    for j in range(nvars):
+    for j in range(len(nubar[0])):
         value = 1
         for l, x in enumerate(rho.coords):
             e = nubar[l][j]

@@ -2,7 +2,8 @@
 
 Coordinates are nonzero integers in [-B, B]; the box doubles every batch,
 so any fixed proper hypersurface is escaped quickly.  The trivial
-character (all coordinates 1) is never produced.
+character (all coordinates 1) is never produced.  This module is the one
+statement of the schedule, and ``BOX_SCHEDULE`` is the text a probe prints.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from .laurent import Character
 
 BATCH = 16
 INITIAL_BOX = 2
+BOX_SCHEDULE = (f"coordinates in {{-B..B}}\\{{0}}, B={INITIAL_BOX} "
+                f"doubling every {BATCH} trials")
 
 
 def box_for_trial(trial: int) -> int:

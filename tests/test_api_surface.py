@@ -14,6 +14,12 @@ parameter only a test sets is API kept alive by its own test.  A call is
 matched to a definition by the called name, as above; a method's ``self``
 or ``cls`` is not counted among the positions, and a call with ``*args``
 or ``**kwargs`` counts as passing everything.
+
+The same holds for the fields of the package's dataclasses, except those
+declared with ``init=False``: every field is read as an attribute
+somewhere in the package (a field only a test reads is a stored value
+nothing uses), and every defaulted field is set, by position or by
+keyword, at some construction of its class in the package.
 """
 
 import ast
@@ -185,3 +191,84 @@ def test_the_guard_sees_methods_and_skips_dunders():
     assert set(found) == {"C", "C.ready", "C.lonely"}
     assert "ready" in referenced_names(tree, skip=(found["C.ready"],))
     assert "lonely" not in referenced_names(tree, skip=(found["C.lonely"],))
+
+
+# -- dataclass fields ------------------------------------------------------------
+
+
+def is_dataclass(node):
+    """Whether a class node is decorated with ``dataclass`` or a call of it."""
+    for decorator in node.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields(node):
+    """(name, position, defaulted) of each field of a dataclass node that
+    ``__init__`` takes; ``position`` counts the constructor's arguments."""
+    out = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and any(
+                k.arg == "init" and isinstance(k.value, ast.Constant)
+                and k.value.value is False for k in value.keywords):
+            continue
+        out.append((item.target.id, len(out), value is not None))
+    return out
+
+
+def all_dataclasses(trees):
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and is_dataclass(node):
+                yield node
+
+
+def unread_fields(trees):
+    """Class.field of each field no attribute read in ``trees`` spells."""
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls.name}.{name}" for cls in all_dataclasses(trees)
+            for name, _, _ in dataclass_fields(cls) if name not in read]
+
+
+def unset_fields(trees):
+    """Class.field of each defaulted field that no construction in
+    ``trees`` sets."""
+    calls = calls_by_name(trees.values())
+    return [f"{cls.name}.{name}" for cls in all_dataclasses(trees)
+            for name, position, defaulted in dataclass_fields(cls)
+            if defaulted and not any(passes(c, name, position)
+                                     for c in calls.get(cls.name, []))]
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    assert unread_fields(MODULES) == []
+
+
+def test_every_defaulted_dataclass_field_is_set_by_the_package():
+    assert unset_fields(MODULES) == []
+
+
+def test_the_guard_sees_unread_and_unset_fields():
+    tree = ast.parse("from dataclasses import dataclass, field\n\n"
+                     "@dataclass(frozen=True)\n"
+                     "class P:\n"
+                     "    a: int\n"
+                     "    lonely: int\n"
+                     "    b: int = 0\n"
+                     "    version: str = '1'\n"
+                     "    memo: dict = field(default_factory=dict, init=False)\n\n"
+                     "    def total(self):\n"
+                     "        return self.a + self.b + len(self.version)\n\n"
+                     "@dataclass\n"
+                     "class Q:\n"
+                     "    c: int = 1\n\n"
+                     "P(1, 2, 3)\nQ(c=4).c\n")
+    # memo is declared with init=False, so neither rule counts it
+    assert unread_fields({"t.py": tree}) == ["P.lonely"]
+    assert unset_fields({"t.py": tree}) == ["P.version"]

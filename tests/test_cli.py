@@ -453,6 +453,79 @@ def test_negative_vertex_count_is_usage_error(capsys, tmp_path, source):
     assert "vertex count must be >= 0" in payload["result"]["error"]["message"]
 
 
+S2 = ["--preset", "surface", "--genus", "2"]
+
+
+@pytest.mark.parametrize("argv,text,code", [
+    (["betti", *S2, "--char", "2,3"], None, "usage"),
+    (["probe", "--preset", "stallings", "--r", "4"], None, "unsupported-degree"),
+    (["window", *S2, "--radius", "0"], None, "usage"),
+    (["window", *S2, "--nu", "1,0,0;0,1,0;0,0,1;0,0,0"], None, "usage"),
+    (["certify", *S2, "--r", "1", "--nu", "pencil"], None, "usage"),
+    (["certify", *S2, "--r", "1", "--nu", "1;1"], None, "usage"),
+    (["betti", "--preset", "free"], None, "usage"),
+    (["betti", "--preset", "product-surface", "--genus", "2"], None, "usage"),
+    (["betti", "--preset", "product-free", "--ranks", "2"], None, "usage"),
+    (["raag", "--graph-name", "wheel:5"], None, "usage"),
+    (["raag", "--graph-name", "cycle"], None, "usage"),
+    (["raag"], None, "usage"),
+    (["jumploci", "--preset", "torus", "--t", "0"], None, "usage"),
+    (["betti", "--input"], "gens a,b; rel a^x;\n", "syntax-error"),
+    (["betti", "--input"], "gens a,b; foo a;\n", "syntax-error"),
+    (["betti", "--input"], "gens a,a; rel a;\n", "syntax-error"),
+    (["raag", "--graph"], "e 0 1\nv 3\n", "syntax-error"),
+    (["raag", "--graph"], "v 3\nx 1 2\n", "syntax-error"),
+    (["raag", "--graph"], "# no vertex count\n", "syntax-error"),
+], ids=["char-length", "probe-above-top", "window-radius-0", "window-onto-z3",
+        "pencil-nu-non-product", "nu-row-count", "free-without-rank",
+        "product-surface-one-genus", "product-free-one-rank", "unknown-graph-kind",
+        "graph-without-count", "raag-without-graph", "jumploci-depth-0",
+        "symbolic-exponent", "unknown-statement", "duplicate-generator",
+        "edge-before-v", "bad-graph-line", "no-v-line"])
+def test_each_refusal_exits_one_with_its_code(capsys, tmp_path, argv, text, code):
+    if text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = [*argv, str(path)]
+    exit_code, payload = run_json(capsys, argv)
+    assert exit_code == 1
+    assert payload["status"] == "error"
+    assert payload["result"]["error"]["code"] == code
+
+
+SEEDLESS = {
+    "betti": S2,
+    "alexander": S2,
+    "kernel": S2,
+    "window": [*S2, "--radius", "1"],
+    "oracle": S2,
+    "raag": ["--graph-name", "cycle:4"],
+    "bb": ["--graph-name", "cycle:4"],
+    "flag": ["--graph-name", "cycle:4"],
+    "pencil": ["--genus", "2,2"],
+}
+
+
+@pytest.mark.parametrize("command", SEEDLESS)
+def test_a_command_that_draws_no_character_refuses_a_seed(capsys, command):
+    code, payload = run_json(capsys, [command, *SEEDLESS[command]])
+    assert code == 0 and payload["seed"] is None
+    code, payload = run_json(capsys, [command, *SEEDLESS[command], "--seed", "1"])
+    assert code == 1 and payload["seed"] is None
+    assert payload["result"]["error"]["code"] == "usage"
+    assert "unrecognized arguments: --seed 1" in payload["result"]["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--preset", "product-free", "--ranks", "2,2", "--r", "2"],
+    ["probe", "--preset", "torus", "--r", "1", "--trials", "2"],
+    ["jumploci", "--preset", "torus", "--r", "1"],
+], ids=["certify", "probe", "jumploci"])
+def test_a_command_that_draws_characters_prints_its_seed(capsys, argv):
+    code, payload = run_json(capsys, [*argv, "--seed", "5"])
+    assert code == 0 and payload["seed"] == 5
+
+
 def test_broken_alexander_row_is_internal_inconsistency(capsys, monkeypatch):
     # a wrong Fox term breaks d_1 o d_2 = 0; that is the program's fault,
     # not the user's, so it must not be reported as a usage error

@@ -169,7 +169,7 @@ def test_specialize_commutes_with_evaluation():
     pushed = cx.specialize(nubar)
     from charvar.laurent import pullback_character
     rho = Character((Fraction(2), Fraction(-3)))
-    pulled = pullback_character(nubar, rho, 4)
+    pulled = pullback_character(nubar, rho)
     for d_low, d_high in zip(pushed.differentials, cx.differentials):
         assert d_low.evaluate(rho) == d_high.evaluate(pulled)
 

@@ -20,7 +20,7 @@ from charvar.constructions import (Graph, bestvina_brady, build_model,
                                    parse_graph_text, pencil_numerology, raag,
                                    raag_chain_model,
                                    reduced_homology, surface_group)
-from charvar.errors import GenusTooSmall
+from charvar.errors import GenusTooSmall, PresentationSyntaxError
 from charvar.intlinalg import mat_mul
 from charvar.laurent import GENERIC, Character, pullback_character
 from charvar.parser import parse_presentation
@@ -385,7 +385,7 @@ def test_a_probe_ranks_each_factor_character_once(monkeypatch):
     slices = set()
     for sample in samples:
         rho = Character([Fraction(x) for x in sample["rho"]])
-        coords = pullback_character(nubar, rho, model.nvars).coords
+        coords = pullback_character(nubar, rho).coords
         slices.update(coords[i:i + 4] for i in range(0, 12, 4))
     # one shared factor complex, ranked once at each distinct slice
     assert all(args[0] is ranked[0][0] for args in ranked)
@@ -614,3 +614,10 @@ def test_graph_text_roundtrip():
     g = parse_graph_text("# comment\nv 4\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n")
     assert g.nverts == 4
     assert g.edges == cycle_graph(4).edges
+
+
+def test_a_second_v_line_is_refused_at_its_line():
+    # a second vertex count would silently replace the first, as a second
+    # gens statement would in the presentation language
+    with pytest.raises(PresentationSyntaxError, match="line 3, column 1: duplicate v line"):
+        parse_graph_text("v 3\ne 0 1\nv 5\n")

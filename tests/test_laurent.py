@@ -232,7 +232,7 @@ def test_pullback_character_matches_substitution():
     rng = random.Random(31)
     nubar = [[1, -2], [0, 3]]
     rho = Character((2, Fraction(3, 2)))
-    pulled = pullback_character(nubar, rho, 2)
+    pulled = pullback_character(nubar, rho)
     for _ in range(50):
         p = _random_poly(rng)
         assert p.evaluate(pulled) == substitute_exponents(p, nubar).evaluate(rho)
@@ -255,7 +255,7 @@ def test_integer_characters_never_evaluate_to_float(p, coords):
     assert is_canonical(value)
     assert value == sum(c * Fraction(coords[0]) ** e0 * Fraction(coords[1]) ** e1
                         for (e0, e1), c in p.terms.items())
-    pulled = pullback_character([[1, -2], [-1, 3]], rho, 2)
+    pulled = pullback_character([[1, -2], [-1, 3]], rho)
     assert all(is_canonical(x) for x in pulled.coords)
 
 
