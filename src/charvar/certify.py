@@ -21,8 +21,9 @@ from . import __version__
 # perfbench's tracer test reads twisted_betti from this module
 from .complexes import KernelHomologyReport, twisted_betti
 from .constructions import build_model
-from .errors import NotUnivariate, UnsupportedDegree
-from .jumploci import check_degree, group_homology_scope, is_full_vr_product
+from .errors import NotUnivariate
+from .jumploci import (FullnessVerdict, check_degree, group_homology_scope,
+                       is_full_vr_product)
 from .laurent import pullback_character
 from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
                             validate_epimorphism)
@@ -31,6 +32,7 @@ from .sampling import BOX_SCHEDULE, box_for_trial, sample_character
 CONCLUSION_HOMOLOGY = "H_leq_r_infinite"
 CONCLUSION_NOT_FP = "not_FP_r"
 CONCLUSION_NOT_COMMENSURABLE = "not_commensurable_FP_r"
+CONCLUSIONS = (CONCLUSION_HOMOLOGY, CONCLUSION_NOT_FP, CONCLUSION_NOT_COMMENSURABLE)
 
 CITATIONS = (
     {
@@ -90,27 +92,32 @@ CITATIONS = (
 @dataclass(frozen=True)
 class Certificate:
     group: str
-    nu_images: tuple[tuple[int, ...], ...]
-    nu_target_rank: int
-    degree: int
-    status: str  # "certified" | "not-established"
-    conclusions: tuple[str, ...]
-    evidence: dict
-    citations: tuple[dict, ...]
+    nu: EpimorphismToZm
+    fullness: FullnessVerdict
     seed: int
-    failed_hypothesis: str | None = None
+
+    @property
+    def status(self) -> str:
+        return "certified" if self.fullness.is_full else "not-established"
+
+    @property
+    def conclusions(self) -> tuple[str, ...]:
+        return CONCLUSIONS if self.fullness.is_full else ()
 
     def to_json_dict(self) -> dict:
+        fullness = self.fullness.to_json_dict()
+        r = self.fullness.degree
         return {
             "group": self.group,
-            "nu": {"target_rank": self.nu_target_rank,
-                   "images": [list(v) for v in self.nu_images]},
-            "r": self.degree,
+            "nu": {"target_rank": self.nu.target_rank,
+                   "images": [list(v) for v in self.nu.images]},
+            "r": r,
             "status": self.status,
             "conclusions": list(self.conclusions),
-            "evidence": self.evidence,
-            "citations": [dict(c) for c in self.citations],
-            "failed_hypothesis": self.failed_hypothesis,
+            "evidence": {"fullness": fullness},
+            "citations": [dict(c) for c in CITATIONS],
+            "failed_hypothesis": None if self.fullness.is_full else (
+                f"V^{r}_1 = T not established: {fullness['reason']}"),
             "seed": self.seed,
             "tool_version": __version__,
         }
@@ -122,26 +129,13 @@ def certify_non_fp(presentation: Presentation, nu: EpimorphismToZm, r: int,
     decide fullness of the degree-r locus by the exact generic b_r
     (``is_full_vr_product``), and emit the certificate.
 
-    Returns a "not-established" certificate with no conclusions when
-    fullness cannot be established.  Never claims the kernel IS of type
-    FP_r.
+    The certificate is "not-established", with no conclusions, when the
+    locus is not full.  Never claims the kernel IS of type FP_r.
     """
     nu = validate_epimorphism(presentation, nu.images)
     check_degree(r, presentation.aspherical)
-    model = build_model(presentation)
-    verdict = is_full_vr_product(model, r, seed=seed)
-    if verdict.is_full:
-        status, failed = "certified", None
-        conclusions = (CONCLUSION_HOMOLOGY, CONCLUSION_NOT_FP, CONCLUSION_NOT_COMMENSURABLE)
-    else:
-        status, conclusions = "not-established", ()
-        failed = f"V^{r}_1 = T not established: {verdict.reason or verdict.status}"
-    return Certificate(
-        group=presentation.label,
-        nu_images=nu.images, nu_target_rank=nu.target_rank, degree=r,
-        status=status, conclusions=conclusions,
-        evidence={"fullness": verdict.to_json_dict()},
-        citations=CITATIONS, seed=seed, failed_hypothesis=failed)
+    verdict = is_full_vr_product(build_model(presentation), r, seed=seed)
+    return Certificate(presentation.label, nu, verdict, seed)
 
 
 @dataclass(frozen=True)
@@ -154,18 +148,20 @@ class ProbeReport:
     would vanish.  ``vanishing_count`` counts all-zero profiles.
     """
 
-    trials: int
     degree: int
-    vanishing_count: int
     samples: tuple[dict, ...]
     seed: int
 
+    @property
+    def vanishing_count(self) -> int:
+        return sum(not any(s["betti"]) for s in self.samples)
+
     def to_json_dict(self) -> dict:
         return {
-            "trials": self.trials,
+            "trials": len(self.samples),
             "r": self.degree,
             "vanishing_count": self.vanishing_count,
-            "samples": list(self.samples),
+            "samples": [{**s, "vanishing": not any(s["betti"])} for s in self.samples],
             "seed": self.seed,
             "box_schedule": BOX_SCHEDULE,
         }
@@ -179,29 +175,22 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
     convolved from the factors'; a character a factor model has met
     before costs no elimination).  Deterministic under a fixed seed.  The
     degree obeys ``jumploci.check_degree``: a sample's b_r for r >= 2 on a
-    presentation 2-complex is not group homology, so it is refused."""
+    presentation 2-complex is not group homology, so it is refused; above
+    the model's top every b_j is 0, as the model has no cells there."""
     nu = validate_epimorphism(presentation, nu.images)
     check_degree(r, presentation.aspherical)
     if trials < 1:
         raise ValueError("need at least one trial")
     model = build_model(presentation)
-    if r > model.top:
-        raise UnsupportedDegree(f"degree r={r} outside the chain model "
-                                f"(top {model.top})")
     nubar = induced_on_free_part(nu, model.abelian)
     rng = random.Random(seed)
     samples = []
-    vanishing = 0
     for trial in range(trials):
         rho = sample_character(rng, nu.target_rank, box_for_trial(trial))
-        pulled = pullback_character(nubar, rho)
-        betti = model.betti(pulled).betti[:r + 1]
-        is_zero = all(b == 0 for b in betti)
-        vanishing += is_zero
-        samples.append({"rho": rho.describe(), "betti": list(betti),
-                        "vanishing": is_zero})
-    return ProbeReport(trials=trials, degree=r, vanishing_count=vanishing,
-                       samples=tuple(samples), seed=seed)
+        betti = model.betti(pullback_character(nubar, rho)).betti
+        samples.append({"rho": rho.describe(),
+                        "betti": list(betti[:r + 1]) + [0] * (r - model.top)})
+    return ProbeReport(r, tuple(samples), seed)
 
 
 @dataclass(frozen=True)

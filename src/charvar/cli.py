@@ -366,12 +366,11 @@ def cmd_jumploci(args):
     except TooManyMinors as exc:
         # minor enumeration infeasible: report the generic-Betti route,
         # i.e. the maximal depth the generic character already witnesses
-        b1 = verdict.witness["generic_b1"]
         result["ideal"] = None
         result["ideal_fallback"] = {
             "reason": str(exc),
-            "generic_b1": b1,
-            "max_generic_depth_degree1": b1,
+            "generic_b1": verdict.generic_b,
+            "max_generic_depth_degree1": verdict.generic_b,
         }
     if args.r is not None:
         result["fullness_vr"] = is_full_vr_product(

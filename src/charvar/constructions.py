@@ -10,10 +10,12 @@ undecidable in general, so only the catalog asserts it.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
 from itertools import combinations, product as iproduct
+from math import prod
 
 from .complexes import (BettiProfile, KernelDegreeEntry, KernelHomologyReport,
                         TwistedComplex, kernel_homology_univariate,
@@ -81,24 +83,30 @@ class Graph:
 
 
 def parse_graph_text(text: str) -> Graph:
-    """Edge-list format: one ``v N`` line then ``e I J`` lines; # comments."""
+    """Edge-list format: one ``v N`` line then ``e I J`` lines; # comments.
+    N is a count >= 0 and an edge joins two distinct vertices below N;
+    any other line or value is a syntax error at its line."""
     nverts = None
     edges = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "v" and len(parts) == 2:
+        match = re.fullmatch(r"v\s+([0-9]+)|e\s+([0-9]+)\s+([0-9]+)", line)
+        if match is None:
+            raise PresentationSyntaxError(f"bad graph line {line!r}", line_no, 1)
+        count, u, v = (int(x) if x else None for x in match.groups())
+        if count is not None:
             if nverts is not None:
                 raise PresentationSyntaxError("duplicate v line", line_no, 1)
-            nverts = int(parts[1])
-        elif parts[0] == "e" and len(parts) == 3:
-            if nverts is None:
-                raise PresentationSyntaxError("e before v", line_no, 1)
-            edges.append((int(parts[1]), int(parts[2])))
+            nverts = count
+        elif nverts is None:
+            raise PresentationSyntaxError("e before v", line_no, 1)
+        elif u == v or max(u, v) >= nverts:
+            raise PresentationSyntaxError(
+                f"an edge needs two distinct vertices below {nverts}", line_no, 1)
         else:
-            raise PresentationSyntaxError(f"bad graph line {line!r}", line_no, 1)
+            edges.append((u, v))
     if nverts is None:
         raise PresentationSyntaxError("missing v line", 1, 1)
     return Graph.from_edges(nverts, edges)
@@ -536,7 +544,8 @@ def _block_diagonal(blocks, widths) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class PencilData:
-    """Every integer the branched-cover pencil construction determines.
+    """The branched-cover pencil construction of a genus list, with every
+    integer it determines derived from the list.
 
     r double covers of an elliptic curve with genus list g_1..g_r give a
     product X with an isolated-singularity pencil to the base curve; the
@@ -544,15 +553,21 @@ class PencilData:
     has dimension r - 1.
     """
 
-    factors: int
     genus: tuple[int, ...]
-    branch_sizes: tuple[int, ...]
-    ramification_sizes: tuple[int, ...]
-    critical_points: int
-    euler_x: int
-    fiber_dimension: int
-    finiteness_verdict: str | None
-    flags: tuple[str, ...]
+
+    @property
+    def branch_sizes(self) -> tuple[int, ...]:
+        """A genus-g double cover of an elliptic curve branches at 2g - 2
+        points, each also its one ramification point."""
+        return tuple(2 * g - 2 for g in self.genus)
+
+    @property
+    def critical_points(self) -> int:
+        return prod(self.branch_sizes)
+
+    @property
+    def euler_x(self) -> int:
+        return prod(2 - 2 * g for g in self.genus)
 
     def riemann_hurwitz_audit(self) -> list[dict]:
         """chi(C) = 2*chi(E) - sum over ramification points of (e_p - 1)
@@ -571,27 +586,30 @@ class PencilData:
         fiber is a free module over the fiber group ring, with one
         generator per critical point and per deck translate (a Z^2 of
         them); the fiber group has cohomological dimension >= r."""
-        if self.factors < 3:
+        if len(self.genus) < 3:
             return None
         return {
             "module": f"free over the group ring, rank index set = "
                       f"{self.critical_points} x Z^2",
             "critical_points": self.critical_points,
             "deck_group": "Z^2",
-            "cohomological_dimension_lower_bound": self.factors,
+            "cohomological_dimension_lower_bound": len(self.genus),
         }
 
     def to_json_dict(self) -> dict:
+        r = len(self.genus)
         out = {
-            "factors": self.factors,
+            "factors": r,
             "genus": list(self.genus),
             "branch_sizes": list(self.branch_sizes),
-            "ramification_sizes": list(self.ramification_sizes),
+            "ramification_sizes": list(self.branch_sizes),
             "critical_points": self.critical_points,
             "euler_x": self.euler_x,
-            "fiber_dimension": self.fiber_dimension,
-            "finiteness_verdict": self.finiteness_verdict,
-            "flags": list(self.flags),
+            "fiber_dimension": r - 1,
+            "finiteness_verdict": f"F_{r - 1} but not FP_{r}" if r >= 3 else None,
+            "flags": [] if r >= 3 else [
+                "fiber dimension 1: the fiber-group identification needs "
+                "total dimension >= 3, so no finiteness verdict"],
             "riemann_hurwitz_audit": self.riemann_hurwitz_audit(),
         }
         note = self.homotopy_module_note()
@@ -607,22 +625,4 @@ def pencil_numerology(genus_list) -> PencilData:
     if any(g < 2 for g in genus):
         raise GenusTooSmall("every factor needs genus >= 2 "
                             "(a smaller genus leaves no branch points)")
-    branch = tuple(2 * g - 2 for g in genus)
-    critical = 1
-    euler = 1
-    for g in genus:
-        critical *= 2 * g - 2
-        euler *= 2 - 2 * g
-    r = len(genus)
-    if r >= 3:
-        verdict = f"F_{r - 1} but not FP_{r}"
-        flags = ()
-    else:
-        verdict = None
-        flags = ("fiber dimension 1: the fiber-group identification "
-                 "needs total dimension >= 3, so no finiteness verdict",)
-    return PencilData(
-        factors=r, genus=genus, branch_sizes=branch,
-        ramification_sizes=branch, critical_points=critical, euler_x=euler,
-        fiber_dimension=r - 1, finiteness_verdict=verdict, flags=flags)
-
+    return PencilData(genus)

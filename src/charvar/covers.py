@@ -29,7 +29,10 @@ class CoverReport:
     b1_cover: int
     b1_trivial_character: int
     b1_order2_character: int
-    consistent: bool
+
+    @property
+    def consistent(self) -> bool:
+        return self.b1_cover == self.b1_trivial_character + self.b1_order2_character
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,5 +119,4 @@ def finite_cover_oracle(presentation: Presentation, nu: EpimorphismToZm) -> Cove
         b1_cover=b1_cover,
         b1_trivial_character=b1[1],
         b1_order2_character=b1[-1],
-        consistent=b1_cover == b1[1] + b1[-1],
     )

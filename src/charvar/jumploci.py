@@ -4,7 +4,9 @@ The depth-t locus in degree one is, away from the trivial character, the
 zero set of the (n - t)-minors of the Alexander matrix.  Fullness of a
 locus is decided by the exact generic Betti number, never by sampling
 alone: the locus is closed, so it fills the torus exactly when the generic
-Betti number already jumps, and the verdict holds in both directions.
+Betti number already jumps: "full" when the generic b_r is >= 1, else
+"not_full".  A chain model (aspherical, by ``check_degree``) has no cells
+above its top, so b_r = 0 there at every character.
 On a model without factors, generic ranks come from the modular sandwich
 of ``complexes.generic_ranks``: ranks mod a prime at one point bound each
 generic rank from below, d o d = 0 bounds it from above through the
@@ -15,14 +17,14 @@ functions, ``GroupModel.betti``), each factor decided by its own sandwich,
 and its shape comes from the factors too, so no verdict reads the
 product's tensor complex; only the spot checks of a full verdict build it.
 The route is recorded in the witness.  The trivial character and the
-order-2 character are checked explicitly in every verdict, their Betti
-numbers convolved from the factors' on a product.
+order-2 character are checked explicitly in every verdict at or below the
+top, their Betti numbers convolved from the factors' on a product.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # perfbench's tracer test reads twisted_betti from this module
 from .complexes import generic_ranks, twisted_betti
@@ -41,8 +43,6 @@ SPOT_SAMPLES = 3
 class V1Ideal:
     generators: tuple[LaurentPolynomial, ...]
     minor_size: int
-    zero_ideal: bool
-    unit_ideal: bool
     trivial_character_b1: int
     by_shape: bool
 
@@ -50,8 +50,9 @@ class V1Ideal:
         return {
             "generators": [g.to_text() for g in self.generators],
             "minor_size": self.minor_size,
-            "zero_ideal": self.zero_ideal,
-            "unit_ideal": self.unit_ideal,
+            "zero_ideal": not self.generators,
+            # a unit generator proves the unit ideal; false proves nothing
+            "unit_ideal": any(g.is_unit() for g in self.generators),
             "trivial_character_b1": self.trivial_character_b1,
             "zero_ideal_by_shape": self.by_shape,
         }
@@ -79,12 +80,9 @@ def v1_ideal(model: GroupModel, depth: int = 1,
     k = n - depth
     trivial_b1 = model.abelian.torsion_free_rank
     if k <= 0:
-        return V1Ideal((LaurentPolynomial.one(trivial_b1),), k,
-                       zero_ideal=False, unit_ideal=True,
-                       trivial_character_b1=trivial_b1, by_shape=True)
+        return V1Ideal((LaurentPolynomial.one(trivial_b1),), k, trivial_b1, by_shape=True)
     if k > min(rows, n):
-        return V1Ideal((), k, zero_ideal=True, unit_ideal=False,
-                       trivial_character_b1=trivial_b1, by_shape=True)
+        return V1Ideal((), k, trivial_b1, by_shape=True)
     check_minor_count(rows, n, k, ceiling)
     gens = []
     seen = set()
@@ -96,32 +94,40 @@ def v1_ideal(model: GroupModel, depth: int = 1,
             seen.add(normal)
             gens.append(normal)
     gens.sort(key=lambda p: p.to_text())
-    return V1Ideal(tuple(gens), k, zero_ideal=not gens, unit_ideal=False,
-                   trivial_character_b1=trivial_b1, by_shape=False)
+    return V1Ideal(tuple(gens), k, trivial_b1, by_shape=False)
 
 
 @dataclass(frozen=True)
 class FullnessVerdict:
-    """Outcome of a fullness decision.
+    """The degree r asked, the exact generic b_r and the record that
+    decided and checked it (route, special points, spot checks).  The
+    locus is full exactly when the generic b_r is >= 1, and otherwise
+    misses a nonempty open set: both answers are definite."""
 
-    "full" and "not_full" are definite, both read off the exact generic
-    Betti number; "not_concluded" is left only for a degree above the top
-    of the chain model, where the model says nothing.
-    """
+    degree: int
+    generic_b: int
+    record: dict
 
-    is_full: bool
-    status: str  # "full" | "not_full" | "not_concluded"
-    method: str | None
-    witness: dict = field(default_factory=dict)
-    reason: str | None = None
+    @property
+    def is_full(self) -> bool:
+        return self.generic_b >= 1
+
+    @property
+    def status(self) -> str:
+        return "full" if self.is_full else "not_full"
+
+    @property
+    def witness(self) -> dict:
+        return {f"generic_b{self.degree}": self.generic_b, **self.record}
 
     def to_json_dict(self) -> dict:
         return {
             "is_full": self.is_full,
             "status": self.status,
-            "method": self.method,
+            "method": "generic-rank",
             "witness": self.witness,
-            "reason": self.reason,
+            "reason": None if self.is_full else f"generic b_{self.degree} = 0, so "
+                                                "the locus misses a nonempty open set",
         }
 
 
@@ -173,7 +179,8 @@ def check_degree(r: int, aspherical: bool) -> None:
     read by ``generic_rank_verdict``, ``certify.certify_non_fp`` and
     ``certify.generic_vanishing_probe``: r >= 1, and r >= 2 only on an
     aspherical model, whose every degree is group homology; a presentation
-    2-complex gives group homology only in degrees <= 1."""
+    2-complex gives group homology only in degrees <= 1.  A degree above
+    the top passes: the model has no cells there, so b_r = 0."""
     if r < 1:
         raise ValueError("degree r must be >= 1")
     if r >= 2 and not aspherical:
@@ -195,29 +202,22 @@ def generic_rank_verdict(model: GroupModel, r: int) -> FullnessVerdict:
     """Does the degree-r depth-one locus fill the whole torus?  Decided by
     the exact generic b_r (``generic_betti_in_degree``): every rank only
     drops on closed sets, so b_r is minimized at the generic point and the
-    generic value settles the question in both directions.  The degree must
-    pass ``check_degree``."""
+    generic value settles the question in both directions; above the chain
+    model's top it is 0 with no computation.  The degree must pass
+    ``check_degree``."""
     check_degree(r, model.aspherical)
     if r > model.top:
-        return FullnessVerdict(
-            False, "not_concluded", "generic-rank",
-            reason=f"chain model stops in degree {model.top} < r={r}")
+        return FullnessVerdict(r, 0, {"chain_top": model.top})
     generic_b, route = generic_betti_in_degree(model, r)
     specials = _special_point_checks(model, r)
-    witness = {f"generic_b{r}": generic_b, "special_points": specials,
-               "route": route}
     if generic_b >= 1:
         _require_jumps(specials, "b_degree", f"generic b_{r} = {generic_b}")
-        return FullnessVerdict(True, "full", "generic-rank", witness=witness)
-    return FullnessVerdict(False, "not_full", "generic-rank", witness=witness,
-                           reason=f"generic b_{r} = 0, so the locus misses a "
-                                  f"nonempty open set")
+    return FullnessVerdict(r, generic_b, {"special_points": specials, "route": route})
 
 
 def is_full_v1(model: GroupModel) -> FullnessVerdict:
     """Does the degree-one depth-one locus fill the whole torus?  The
-    generic-rank verdict in degree one, for catalog and user groups
-    alike."""
+    generic-rank verdict in degree one, for catalog and user groups alike."""
     return generic_rank_verdict(model, 1)
 
 
@@ -239,7 +239,6 @@ def is_full_vr_product(model: GroupModel, r: int, seed: int = 0) -> FullnessVerd
         betti = model.betti(rho).betti
         samples.append({"character": rho.describe(),
                         "betti": list(betti), "b_r": betti[r]})
-    _require_jumps(samples, "b_r",
-                   f"generic b_{r} = {verdict.witness[f'generic_b{r}']}")
-    return FullnessVerdict(True, "full", "generic-rank", witness={
-        **verdict.witness, "spot_checks": samples, "seed": seed})
+    _require_jumps(samples, "b_r", f"generic b_{r} = {verdict.generic_b}")
+    return FullnessVerdict(r, verdict.generic_b, {
+        **verdict.record, "spot_checks": samples, "seed": seed})

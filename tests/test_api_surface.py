@@ -19,7 +19,10 @@ The same holds for the fields of the package's dataclasses, except those
 declared with ``init=False``: every field is read as an attribute
 somewhere in the package (a field only a test reads is a stored value
 nothing uses), and every defaulted field is set, by position or by
-keyword, at some construction of its class in the package.
+keyword, at some construction of its class in the package.  No field
+receives the same constant expression (literals and names in capitals) at
+every construction of its class in the package: such a value is the
+class's own constant, to be written where it is read, not stored.
 """
 
 import ast
@@ -206,8 +209,9 @@ def is_dataclass(node):
 
 
 def dataclass_fields(node):
-    """(name, position, defaulted) of each field of a dataclass node that
-    ``__init__`` takes; ``position`` counts the constructor's arguments."""
+    """(name, position, default) of each field of a dataclass node that
+    ``__init__`` takes; ``position`` counts the constructor's arguments and
+    ``default`` is the declared default expression, or None."""
     out = []
     for item in node.body:
         if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
@@ -217,7 +221,7 @@ def dataclass_fields(node):
                 k.arg == "init" and isinstance(k.value, ast.Constant)
                 and k.value.value is False for k in value.keywords):
             continue
-        out.append((item.target.id, len(out), value is not None))
+        out.append((item.target.id, len(out), value))
     return out
 
 
@@ -241,8 +245,8 @@ def unset_fields(trees):
     ``trees`` sets."""
     calls = calls_by_name(trees.values())
     return [f"{cls.name}.{name}" for cls in all_dataclasses(trees)
-            for name, position, defaulted in dataclass_fields(cls)
-            if defaulted and not any(passes(c, name, position)
+            for name, position, default in dataclass_fields(cls)
+            if default is not None and not any(passes(c, name, position)
                                      for c in calls.get(cls.name, []))]
 
 
@@ -272,3 +276,68 @@ def test_the_guard_sees_unread_and_unset_fields():
     # memo is declared with init=False, so neither rule counts it
     assert unread_fields({"t.py": tree}) == ["P.lonely"]
     assert unset_fields({"t.py": tree}) == ["P.version"]
+
+
+def received(call, name, position, default):
+    """The expression a construction gives the field ``name`` at
+    ``position``: its argument, else the declared default; None when a
+    ``*args`` or ``**kwargs`` hides it."""
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return keyword.value
+    if any(k.arg is None for k in call.keywords) or any(
+            isinstance(a, ast.Starred) for a in call.args):
+        return None
+    return call.args[position] if len(call.args) > position else default
+
+
+LITERAL_NODES = (ast.Constant, ast.Tuple, ast.List, ast.Dict, ast.Set,
+                 ast.UnaryOp, ast.BinOp, ast.unaryop, ast.operator,
+                 ast.expr_context)
+
+
+def is_constant(expr):
+    """Whether an expression reads only literals and module constants."""
+    return expr is not None and all(
+        isinstance(node, LITERAL_NODES)
+        or isinstance(node, ast.Name) and node.id.isupper()
+        for node in ast.walk(expr))
+
+
+def constant_fields(trees):
+    """Class.field of each field that every construction in ``trees``
+    gives the same constant expression."""
+    calls = calls_by_name(trees.values())
+    out = []
+    for cls in all_dataclasses(trees):
+        constructions = calls.get(cls.name, [])
+        for name, position, default in dataclass_fields(cls):
+            given = {ast.dump(e) if is_constant(e) else None
+                     for e in (received(c, name, position, default)
+                               for c in constructions)}
+            if len(given) == 1 and None not in given:
+                out.append(f"{cls.name}.{name}")
+    return out
+
+
+def test_no_dataclass_field_receives_one_constant_everywhere():
+    assert constant_fields(MODULES) == []
+
+
+def test_the_guard_sees_a_field_that_is_always_the_same_constant():
+    tree = ast.parse("from dataclasses import dataclass\n\n"
+                     "NAME = 'n'\n\n"
+                     "@dataclass(frozen=True)\n"
+                     "class R:\n"
+                     "    value: int\n"
+                     "    method: str\n"
+                     "    cited: tuple\n"
+                     "    scale: int = 1\n"
+                     "    label: str = 'r'\n\n"
+                     "def build(x):\n"
+                     "    return R(x, 'rank', NAME), R(2, 'rank', NAME, scale=x)\n\n"
+                     "def other(x, **extra):\n"
+                     "    return R(x, method='rank', cited=NAME, **extra)\n")
+    # value varies, scale is once a variable, and label is hidden once by
+    # the **extra of the last construction
+    assert constant_fields({"t.py": tree}) == ["R.method", "R.cited"]

@@ -30,9 +30,9 @@ def test_certify_product_of_curves():
     assert cert.status == "certified"
     assert cert.conclusions == ("H_leq_r_infinite", "not_FP_r",
                                 "not_commensurable_FP_r")
-    assert cert.evidence["fullness"]["method"] == "generic-rank"
-    assert cert.evidence["fullness"]["witness"]["route"]["name"] == "kunneth"
-    assert cert.degree == 3
+    assert cert.to_json_dict()["evidence"]["fullness"]["method"] == "generic-rank"
+    assert cert.to_json_dict()["evidence"]["fullness"]["witness"]["route"]["name"] == "kunneth"
+    assert cert.fullness.degree == 3
 
 
 def test_certify_stallings_configuration():
@@ -48,8 +48,8 @@ def test_certify_torus_fails_hypothesis():
     cert = certify_non_fp(p, nu, 1, seed=1)
     assert cert.status == "not-established"
     assert cert.conclusions == ()
-    assert "V^1_1" in cert.failed_hypothesis
-    assert cert.evidence["fullness"]["status"] == "not_full"
+    assert "V^1_1" in cert.to_json_dict()["failed_hypothesis"]
+    assert cert.to_json_dict()["evidence"]["fullness"]["status"] == "not_full"
 
 
 def test_certify_rejects_trivial_nu():
@@ -62,7 +62,7 @@ def test_certify_generic_rank_on_octahedron_raag():
     data = bestvina_brady(octahedron_graph())
     cert = certify_non_fp(data.presentation, data.nu, 3, seed=5)
     assert cert.status == "certified"
-    assert cert.evidence["fullness"]["method"] == "generic-rank"
+    assert cert.to_json_dict()["evidence"]["fullness"]["method"] == "generic-rank"
 
 
 def test_certify_complete_graph_raag_not_established():
@@ -104,7 +104,7 @@ def test_probe_torus_always_vanishes():
     p = surface_group(1)
     nu = EpimorphismToZm(1, ((1,), (0,)))
     report = generic_vanishing_probe(p, nu, 1, trials=100, seed=2)
-    assert report.vanishing_count == report.trials
+    assert report.vanishing_count == report.to_json_dict()["trials"] == 100
 
 
 def test_probe_deterministic_and_nontrivial_sampler():
@@ -168,5 +168,5 @@ def test_univariate_agreement_with_certificates():
     report = kernel_report_univariate(p, nu, top_degree=3)
     # a certified degree-r locus forces infinite homology in some degree <= r
     infinite = [e.degree for e in report.homology.entries
-                if e.degree <= cert.degree and e.infinite_dimensional]
+                if e.degree <= cert.fullness.degree and e.infinite_dimensional]
     assert infinite == [3]

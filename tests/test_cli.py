@@ -439,26 +439,52 @@ def test_ceiling_variable_applies_unless_the_flag_is_given(capsys, monkeypatch):
     assert payload["result"]["error"]["code"] == "window-too-large"
 
 
-@pytest.mark.parametrize("source", ["cycle:-1", "edgeless:-2", "file"])
-def test_negative_vertex_count_is_usage_error(capsys, tmp_path, source):
-    if source == "file":
-        path = tmp_path / "g.txt"
-        path.write_text("v -3\n", encoding="utf-8")
-        argv = ["raag", "--graph", str(path)]
-    else:
-        argv = ["raag", "--graph-name", source]
-    code, payload = run_json(capsys, argv)
+@pytest.mark.parametrize("source", ["cycle:-1", "edgeless:-2"])
+def test_negative_vertex_count_is_usage_error(capsys, source):
+    code, payload = run_json(capsys, ["raag", "--graph-name", source])
     assert code == 1
     assert payload["result"]["error"]["code"] == "usage"
     assert "vertex count must be >= 0" in payload["result"]["error"]["message"]
 
 
+@pytest.mark.parametrize("text, line", [
+    ("v x\n", 1),
+    ("v 3\ne 0 y\n", 2),
+    ("v 3\ne 0 5\n", 2),
+    ("# a comment\nv -2\n", 2),
+], ids=["non-integer-count", "non-integer-endpoint", "endpoint-out-of-range",
+        "negative-count"])
+def test_a_malformed_graph_value_is_a_syntax_error_at_its_line(capsys, tmp_path,
+                                                               text, line):
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    code, payload = run_json(capsys, ["raag", "--graph", str(path)])
+    assert code == 1
+    error = payload["result"]["error"]
+    assert error["code"] == "syntax-error"
+    assert error["message"].startswith(f"line {line}, "), error["message"]
+
+
 S2 = ["--preset", "surface", "--genus", "2"]
+
+
+def test_a_degree_above_the_top_reads_zero_betti_numbers(capsys):
+    # the surface's chain model stops in degree 2, so b_3 = 0 at every
+    # character: the verdict is not_full, certify exits 2, probe vanishes
+    code, payload = run_json(capsys, ["certify", *S2, "--r", "3"])
+    assert code == 2 and payload["status"] == "hypothesis-failed"
+    fullness = payload["result"]["evidence"]["fullness"]
+    assert (fullness["status"], fullness["witness"]["generic_b3"]) == ("not_full", 0)
+    assert "generic b_3 = 0" in payload["result"]["failed_hypothesis"]
+    code, payload = run_json(capsys, ["probe", *S2, "--r", "3", "--trials", "4"])
+    assert code == 0
+    samples = payload["result"]["samples"]
+    assert [s["betti"][3] for s in samples] == [0] * 4
+    assert payload["result"]["vanishing_count"] == sum(s["vanishing"] for s in samples)
 
 
 @pytest.mark.parametrize("argv,text,code", [
     (["betti", *S2, "--char", "2,3"], None, "usage"),
-    (["probe", "--preset", "stallings", "--r", "4"], None, "unsupported-degree"),
     (["window", *S2, "--radius", "0"], None, "usage"),
     (["window", *S2, "--nu", "1,0,0;0,1,0;0,0,1;0,0,0"], None, "usage"),
     (["certify", *S2, "--r", "1", "--nu", "pencil"], None, "usage"),
@@ -476,7 +502,7 @@ S2 = ["--preset", "surface", "--genus", "2"]
     (["raag", "--graph"], "e 0 1\nv 3\n", "syntax-error"),
     (["raag", "--graph"], "v 3\nx 1 2\n", "syntax-error"),
     (["raag", "--graph"], "# no vertex count\n", "syntax-error"),
-], ids=["char-length", "probe-above-top", "window-radius-0", "window-onto-z3",
+], ids=["char-length", "window-radius-0", "window-onto-z3",
         "pencil-nu-non-product", "nu-row-count", "free-without-rank",
         "product-surface-one-genus", "product-free-one-rank", "unknown-graph-kind",
         "graph-without-count", "raag-without-graph", "jumploci-depth-0",

@@ -581,19 +581,19 @@ def test_pencil_numerology_examples():
     assert data.branch_sizes == (2, 2, 2)
     assert data.critical_points == 8
     assert data.euler_x == -8
-    assert data.finiteness_verdict == "F_2 but not FP_3"
+    assert data.to_json_dict()["finiteness_verdict"] == "F_2 but not FP_3"
     assert all(entry["ok"] for entry in data.riemann_hurwitz_audit())
     assert data.homotopy_module_note()["critical_points"] == 8
 
     data4 = pencil_numerology([2, 2, 2, 2])
     assert data4.critical_points == 16
     assert data4.euler_x == 16
-    assert data4.finiteness_verdict == "F_3 but not FP_4"
+    assert data4.to_json_dict()["finiteness_verdict"] == "F_3 but not FP_4"
 
     data2 = pencil_numerology([3, 2])
     assert data2.critical_points == 8
-    assert data2.finiteness_verdict is None
-    assert data2.flags
+    assert data2.to_json_dict()["finiteness_verdict"] is None
+    assert data2.to_json_dict()["flags"]
 
 
 def test_pencil_rejects_small_genus():

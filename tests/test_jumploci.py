@@ -12,6 +12,7 @@ from charvar.jumploci import is_full_v1, is_full_vr_product, v1_ideal
 from charvar.laurent import Character
 from charvar.presentations import Presentation
 from charvar.sampling import sample_character
+from charvar.words import Word
 from conftest import joint_tensor
 from test_api_surface import all_definitions, referenced_names
 
@@ -54,24 +55,35 @@ def test_v1_ideal_torus():
     ideal = v1_ideal(build_model(surface_group(1)), 1)
     assert sorted(g.to_text() for g in ideal.generators) == ["t1 - 1", "t2 - 1"]
     assert ideal.trivial_character_b1 == 2
-    assert not ideal.zero_ideal
+    assert not ideal.to_json_dict()["zero_ideal"]
 
 
 def test_v1_ideal_free_group_is_zero_by_shape():
     ideal = v1_ideal(build_model(free_group(2)), 1)
-    assert ideal.zero_ideal and ideal.by_shape
+    assert ideal.to_json_dict()["zero_ideal"] and ideal.by_shape
     assert ideal.generators == ()
 
 
 def test_v1_ideal_genus2_depth2_no_minors():
     ideal = v1_ideal(build_model(surface_group(2)), 2)
-    assert ideal.zero_ideal and ideal.by_shape
+    assert ideal.to_json_dict()["zero_ideal"] and ideal.by_shape
     assert ideal.minor_size == 2
 
 
 def test_v1_ideal_unit_when_depth_too_deep():
     ideal = v1_ideal(build_model(surface_group(1)), 2)
-    assert ideal.unit_ideal
+    assert ideal.to_json_dict()["unit_ideal"]
+
+
+def test_v1_ideal_with_a_unit_minor_is_the_unit_ideal():
+    # <a, b | a>: the Alexander matrix is the row (1, 0), whose minor 1 is
+    # a unit, so no nontrivial character has b_1 >= 1
+    model = build_model(Presentation(("a", "b"), (Word.generator(0),)))
+    ideal = v1_ideal(model, 1)
+    assert [g.to_text() for g in ideal.generators] == ["1"]
+    printed = ideal.to_json_dict()
+    assert printed["unit_ideal"] and not printed["zero_ideal"]
+    assert not is_full_v1(model).is_full
 
 
 def test_zero_set_consistency():
@@ -88,7 +100,7 @@ def test_zero_set_consistency():
 
 def test_is_full_v1_verdicts():
     full_g2 = is_full_v1(build_model(surface_group(2)))
-    assert full_g2.is_full and full_g2.method == "generic-rank"
+    assert full_g2.is_full and full_g2.to_json_dict()["method"] == "generic-rank"
     assert full_g2.witness["generic_b1"] == 2
 
     not_full = is_full_v1(build_model(surface_group(1)))
@@ -125,7 +137,7 @@ def test_curve_group_fullness_matches_euler_characteristic(p):
     chi = sum((-1) ** j * b for j, b in enumerate(betti))
     verdict = is_full_v1(model)
     route = verdict.witness["route"]
-    assert verdict.method == "generic-rank"
+    assert verdict.to_json_dict()["method"] == "generic-rank"
     assert route["name"] == "modular-sandwich" and route["fallback_degrees"] == []
     assert verdict.is_full == (chi < 0)
 
@@ -165,7 +177,7 @@ def product_model(factors):
 
 def test_is_full_vr_product_verdicts():
     full = is_full_vr_product(product_model([surface_group(2)] * 3), 3)
-    assert full.is_full and full.method == "generic-rank"
+    assert full.is_full and full.to_json_dict()["method"] == "generic-rank"
     assert full.witness["generic_b3"] == 8
     assert full.witness["route"]["name"] == "kunneth"
     assert all(s["b_r"] >= 1 for s in full.witness["spot_checks"])

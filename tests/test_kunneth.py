@@ -140,7 +140,10 @@ def test_product_verdict_matches_the_tensor_model(choice):
         with pytest.raises(UnsupportedDegree):
             is_full_vr_product(model, 2)
     else:
-        assert is_full_vr_product(model, top + 1).status == "not_concluded"
+        # no cells above the top, so b_(top+1) = 0 at every character
+        above = is_full_vr_product(model, top + 1)
+        assert above.status == "not_full"
+        assert above.witness[f"generic_b{top + 1}"] == 0
 
 
 @pytest.mark.parametrize("factors, r, status", [
