@@ -24,7 +24,6 @@ from .constructions import build_model
 from .errors import NotUnivariate
 from .jumploci import (FullnessVerdict, check_degree, group_homology_scope,
                        is_full_vr_product)
-from .laurent import pullback_character
 from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
                             validate_epimorphism)
 from .sampling import BOX_SCHEDULE, box_for_trial, sample_character
@@ -171,9 +170,9 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
                             r: int, trials: int = 100, seed: int = 0) -> ProbeReport:
     """Sample rational characters of the target torus on the schedule of
     ``sampling``, pull back through nu, and record the twisted Betti
-    numbers in degrees <= r, from ``GroupModel.betti`` (on a product,
-    convolved from the factors'; a character a factor model has met
-    before costs no elimination).  Deterministic under a fixed seed.  The
+    numbers in degrees <= r, from ``GroupModel.pullback_betti`` (on a
+    product, block by distinct factor block; a character or power a model
+    has met costs no work).  Deterministic under a fixed seed.  The
     degree obeys ``jumploci.check_degree``: a sample's b_r for r >= 2 on a
     presentation 2-complex is not group homology, so it is refused; above
     the model's top every b_j is 0, as the model has no cells there."""
@@ -187,7 +186,7 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
     samples = []
     for trial in range(trials):
         rho = sample_character(rng, nu.target_rank, box_for_trial(trial))
-        betti = model.betti(pullback_character(nubar, rho)).betti
+        betti = model.pullback_betti(nubar, rho)
         samples.append({"rho": rho.describe(),
                         "betti": list(betti[:r + 1]) + [0] * (r - model.top)})
     return ProbeReport(r, tuple(samples), seed)
@@ -200,11 +199,11 @@ class KernelReport:
     is group homology."""
 
     homology: KernelHomologyReport
-    degree2_scope: str
+    aspherical: bool
 
     def to_json_dict(self) -> dict:
         out = self.homology.to_json_dict()
-        out["degree2_scope"] = self.degree2_scope
+        out["degree2_scope"] = group_homology_scope(self.aspherical)
         return out
 
 
@@ -221,5 +220,4 @@ def kernel_report_univariate(presentation: Presentation, nu: EpimorphismToZm,
     model = build_model(presentation)
     nubar = induced_on_free_part(nu, model.abelian)
     entries = model.kernel_homology(nubar).entries[:top_degree + 1]
-    return KernelReport(homology=KernelHomologyReport(entries),
-                        degree2_scope=group_homology_scope(model.aspherical))
+    return KernelReport(KernelHomologyReport(entries), model.aspherical)

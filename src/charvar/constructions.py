@@ -22,7 +22,7 @@ from .complexes import (BettiProfile, KernelDegreeEntry, KernelHomologyReport,
                         presentation_complex, tensor_complex, twisted_betti)
 from .errors import GenusTooSmall, PresentationSyntaxError
 from .intlinalg import reduce_row, smith_normal_form
-from .laurent import GENERIC, Character, LaurentPolynomial
+from .laurent import GENERIC, Character, LaurentPolynomial, pullback_character
 from .lmatrix import LaurentMatrix, _invariant_factors, univariate_gcd
 from .presentations import AbelianData, EpimorphismToZm, Presentation, abelianize
 from .words import Word, commutator
@@ -250,18 +250,22 @@ def raag(graph: Graph) -> Presentation:
 
 @dataclass(frozen=True)
 class BestvinaBradyData:
+    """The Artin group of a graph with the map sending every generator to
+    1 in Z.  A disconnected graph is flagged: the kernel is then not even
+    finitely generated for trivial reasons."""
     presentation: Presentation
-    nu: EpimorphismToZm
-    connected: bool
+
+    @property
+    def nu(self) -> EpimorphismToZm:
+        return EpimorphismToZm(1, ((1,),) * self.presentation.ngens)
+
+    @property
+    def connected(self) -> bool:
+        return self.presentation.graph.is_connected()
 
 
 def bestvina_brady(graph: Graph) -> BestvinaBradyData:
-    """The Artin group of the graph with the map sending every generator
-    to 1 in Z.  A disconnected graph is flagged: the kernel is then not
-    even finitely generated for trivial reasons."""
-    presentation = raag(graph)
-    nu = EpimorphismToZm(1, tuple((1,) for _ in range(graph.nverts)))
-    return BestvinaBradyData(presentation, nu, graph.is_connected())
+    return BestvinaBradyData(raag(graph))
 
 
 def raag_chain_model(graph: Graph) -> TwistedComplex:
@@ -303,15 +307,16 @@ def _remembered(method):
     return answer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupModel:
     """A presentation with the chain complex used for its homology.
 
     ``factors`` holds the factor models of a catalog direct product, in
     order, and is empty otherwise; equal factors share one model
-    (``build_model``).  A product's character coordinates are blockwise,
-    one block per factor in the factor's own coordinates, so a character of
-    the product restricts to each factor by slicing.
+    (``build_model``), and models compare by identity.  A product's
+    character coordinates are blockwise, one block per factor in the
+    factor's own coordinates, so a character restricts to a factor by
+    slicing and pulls back to it through its column block of nu-bar.
 
     ``built`` is the complex a model without factors is built with, and
     None on a product.  A product's shape (``nvars``, ``ranks``, ``top``),
@@ -322,16 +327,16 @@ class GroupModel:
     ``jumploci.is_full_vr_product`` read, pushes through the identity.
     Every model keeps one memo for its lifetime (one query in the CLI),
     keyed by the question (``_remembered``): ``betti`` by the character,
-    ``pushed`` and ``kernel_homology`` by the nu-bar block.  A product asks
-    each factor about its own slice or block, so a factor model shared by
-    several factors answers a repeated one from its memo.
+    ``pushed``, ``kernel_homology`` and ``_distinct_blocks`` by nu-bar rows,
+    and ``_fold``'s powers by (profile, multiplicity).  A product asks each
+    distinct (factor, slice or block) once per question (``pullback_betti``).
     """
 
     presentation: Presentation
     abelian: AbelianData
     built: TwistedComplex | None
     factors: tuple["GroupModel", ...] = ()
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def aspherical(self) -> bool:
@@ -360,12 +365,13 @@ class GroupModel:
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
-        """Chain ranks; on a product the convolution of the factors', with
-        trailing zeros trimmed as ``tensor_complex`` trims them (F_0 has
+        """Chain ranks; on a product the convolution of the factors' powers,
+        with trailing zeros trimmed as ``tensor_complex`` trims them (F_0 has
         (1, 0, 0))."""
         if not self.factors:
             return self.built.ranks
-        ranks = reduce(_convolve, (f.ranks for f in self.factors))
+        ranks = reduce(_convolve, (_convolution_power(f.ranks, k)
+                                   for f, k in Counter(self.factors).items()))
         while ranks[-1] == 0:
             ranks.pop()
         return tuple(ranks)
@@ -406,29 +412,46 @@ class GroupModel:
         it is the field of rational functions in all the variables, over
         which each factor has its generic Betti numbers, so the generic
         point passes to every factor whole.  By Kunneth over K the profile
-        is the convolution of the factors' profiles, exactly, cut to the
-        degrees the tensor model keeps (it trims trailing zero ranks).
-        Each profile is computed once per model, so every verdict of a
-        query reads the same ranks; a product's generic route is
-        {"name": "kunneth", "factors": [each factor's route]}.
-        """
-        if self.factors:
-            return self._convolved(character)
-        return twisted_betti(self.complex, character)
-
-    def _convolved(self, character: Character) -> BettiProfile:
+        is the convolution of the factors' profiles (``_fold``), exactly.
+        Each is computed once per model, so every verdict of a query reads
+        the same ranks; a product's generic route is {"name": "kunneth",
+        "factors": [each factor's route]}."""
+        if not self.factors:
+            return twisted_betti(self.complex, character)
         if not character.is_generic and len(character.coords) != self.nvars:
             raise ValueError(f"character needs {self.nvars} coordinates, "
                              f"got {len(character.coords)}")
-        profile = [1]
-        routes = []
-        for factor, (coords,) in self._blocks([character.coords or ()]):
-            factor_profile = factor.betti(GENERIC if character.is_generic
-                                          else Character(coords))
-            routes.append(factor_profile.route)
-            profile = _convolve(profile, factor_profile.betti)
-        route = {"name": "kunneth", "factors": routes} if character.is_generic else None
-        return BettiProfile(tuple(profile[:self.top + 1]), route)
+        asked = Counter((f, GENERIC if character.is_generic else Character(c))
+                        for f, (c,) in self._blocks([character.coords or ()]))
+        profile = self._fold((f.betti(ch).betti, k) for (f, ch), k in asked.items())
+        if not character.is_generic:
+            return BettiProfile(profile)
+        return BettiProfile(profile, {"name": "kunneth", "factors": [
+            f.betti(GENERIC).route for f in self.factors]})
+
+    def pullback_betti(self, nubar, rho: Character) -> tuple[int, ...]:
+        """Betti numbers at rho pulled back through nubar, each distinct
+        (factor, column block) pulling rho back through its own block."""
+        if not self.factors:
+            return self.betti(pullback_character(nubar, rho)).betti
+        return self._fold((f.pullback_betti(b, rho), k)
+                          for (f, b), k in self._distinct_blocks(nubar))
+
+    @_remembered
+    def _distinct_blocks(self, nubar) -> tuple:
+        return tuple(Counter((f, tuple(map(tuple, b)))
+                             for f, b in self._blocks(nubar)).items())
+
+    def _fold(self, parts) -> tuple[int, ...]:
+        """Kunneth from (factor profile, multiplicity) pairs: each power once
+        per model, convolved and cut to the degrees the tensor model keeps."""
+        powers = []
+        for betti, k in parts:
+            key = "power", betti, k
+            if key not in self._memo:
+                self._memo[key] = _convolution_power(betti, k)
+            powers.append(self._memo[key])
+        return tuple(reduce(_convolve, powers)[:self.top + 1])
 
     @_remembered
     def kernel_homology(self, nubar) -> KernelHomologyReport:
@@ -481,6 +504,14 @@ def _convolve(a, b) -> list[int]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def _convolution_power(a, k: int):
+    """a convolved with itself k >= 1 times, by squaring."""
+    if k == 1:
+        return a
+    half = _convolution_power(_convolve(a, a), k // 2)
+    return _convolve(half, a) if k % 2 else half
 
 
 def build_model(presentation: Presentation) -> GroupModel:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .constructions import build_model
 from .errors import NotUnivariate
 from .intlinalg import integer_rank
-from .laurent import Character, pullback_character
+from .laurent import Character
 from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
                             validate_epimorphism)
 from .words import Word
@@ -110,10 +110,7 @@ def finite_cover_oracle(presentation: Presentation, nu: EpimorphismToZm) -> Cove
 
     model = build_model(presentation)
     nubar = induced_on_free_part(nu, model.abelian)
-    b1 = {}
-    for value in (1, -1):
-        rho = pullback_character(nubar, Character((value,)))
-        b1[value] = model.betti(rho).betti[1]
+    b1 = {v: model.pullback_betti(nubar, Character((v,)))[1] for v in (1, -1)}
     return CoverReport(
         subgroup=subgroup,
         b1_cover=b1_cover,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 # perfbench's tracer test reads twisted_betti from this module
 from .complexes import generic_ranks, twisted_betti
@@ -32,7 +33,7 @@ from .constructions import GroupModel
 from .errors import InternalInconsistency, UnsupportedDegree
 from .fox import alexander_matrix
 from .laurent import GENERIC, Character, LaurentPolynomial
-from .lmatrix import DEFAULT_MINOR_CEILING, check_minor_count, minors
+from .lmatrix import DEFAULT_MINOR_CEILING, check_minor_count, minors, univariate_gcd
 from .sampling import sample_character
 
 # seeded characters at which a full product verdict spot-checks b_r
@@ -47,12 +48,15 @@ class V1Ideal:
     by_shape: bool
 
     def to_json_dict(self) -> dict:
+        gens = self.generators
         return {
-            "generators": [g.to_text() for g in self.generators],
+            "generators": [g.to_text() for g in gens],
             "minor_size": self.minor_size,
-            "zero_ideal": not self.generators,
-            # a unit generator proves the unit ideal; false proves nothing
-            "unit_ideal": any(g.is_unit() for g in self.generators),
+            "zero_ideal": not gens,
+            # a unit generator proves the unit ideal; false proves nothing,
+            # but in one variable (Q[t, t^-1] is a PID) the gcd decides
+            "unit_ideal": (reduce(univariate_gcd, gens).is_unit() if gens and
+                           gens[0].nvars == 1 else any(g.is_unit() for g in gens)),
             "trivial_character_b1": self.trivial_character_b1,
             "zero_ideal_by_shape": self.by_shape,
         }

@@ -1,15 +1,19 @@
 import ast
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import QQ, Poly, gcd, symbols
 
 from charvar import jumploci
 from charvar.complexes import twisted_betti
 from charvar.constructions import build_model, direct_product, free_group, surface_group
 from charvar.errors import TooManyMinors
-from charvar.jumploci import is_full_v1, is_full_vr_product, v1_ideal
-from charvar.laurent import Character
+from charvar.jumploci import V1Ideal, is_full_v1, is_full_vr_product, v1_ideal
+from charvar.laurent import Character, LaurentPolynomial
+from charvar.parser import parse_presentation
 from charvar.presentations import Presentation
 from charvar.sampling import sample_character
 from charvar.words import Word
@@ -84,6 +88,28 @@ def test_v1_ideal_with_a_unit_minor_is_the_unit_ideal():
     printed = ideal.to_json_dict()
     assert printed["unit_ideal"] and not printed["zero_ideal"]
     assert not is_full_v1(model).is_full
+
+
+def test_v1_ideal_of_coprime_generators_in_one_variable_is_the_unit_ideal():
+    # neither generator is a unit, but t^2 + t + 1 - t (t + 1) = 1
+    model = build_model(parse_presentation("gens a,b; rel a^-1 b b a^-1 b;"))
+    printed = v1_ideal(model, 1).to_json_dict()
+    assert printed["generators"] == ["t1 + 1", "t1^2 + t1 + 1"]
+    assert printed["unit_ideal"] and not printed["zero_ideal"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any),
+                min_size=1, max_size=3))
+def test_v1_ideal_in_one_variable_is_unit_exactly_when_the_gcd_is(coefficients):
+    gens = tuple(LaurentPolynomial(1, {(e,): c for e, c in enumerate(cs)})
+                 for cs in coefficients)
+    # the oracle: sympy's gcd over Q[t] of the generators; t is a unit of
+    # Q[t, t^-1], so the ideal is the unit ideal exactly when it is a monomial
+    t = symbols("t")
+    g = reduce(gcd, (Poly(cs[::-1], t, domain=QQ) for cs in coefficients))
+    ideal = V1Ideal(gens, 1, 1, by_shape=False)
+    assert ideal.to_json_dict()["unit_ideal"] == (len(g.terms()) == 1)
 
 
 def test_zero_set_consistency():

@@ -13,6 +13,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from math import ceil, log2
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -22,12 +23,12 @@ from charvar.cli import main, resolve_nu
 from charvar.complexes import (TwistedComplex, generic_ranks,
                                kernel_homology_univariate, tensor_complex,
                                twisted_betti)
-from charvar.constructions import (build_model, complete_graph,
+from charvar.constructions import (_convolve, build_model, complete_graph,
                                    direct_product, free_group, raag,
                                    surface_group)
 from charvar.errors import UnsupportedDegree
 from charvar.jumploci import is_full_vr_product
-from charvar.laurent import GENERIC, Character
+from charvar.laurent import GENERIC, Character, pullback_character
 from charvar.parser import parse_presentation
 from charvar.presentations import induced_on_free_part
 
@@ -119,6 +120,69 @@ def test_product_betti_numbers_come_from_factor_complexes(monkeypatch, argv):
     ranked = [args[0] for args in calls["complexes.twisted_betti"]]
     assert ranked and all(cx == factor for cx in ranked)
     assert calls["lmatrix.generic_rank"] == []
+
+
+def one_by_one(model, coords) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The oracle for a product's profile and chain ranks: each factor's
+    ``twisted_betti`` at its own slice of ``coords`` (the generic point
+    whole when coords is None), convolved one factor at a time, and cut
+    where the one-by-one chain ranks end."""
+    profile, ranks, start = [1], [1], 0
+    for factor in model.factors:
+        cx = factor.complex
+        at = GENERIC if coords is None else Character(coords[start:start + cx.nvars])
+        profile = _convolve(profile, twisted_betti(cx, at).betti)
+        ranks = _convolve(ranks, cx.ranks)
+        start += cx.nvars
+    while ranks[-1] == 0:
+        ranks.pop()
+    return tuple(profile[:len(ranks)]), tuple(ranks)
+
+
+# surfaces of genus 1-3, the 2-torus as a cube complex, free groups of rank
+# 1-3, and a product factor, drawn with repeats
+FOLD_FACTORS = ([surface_group(g) for g in (1, 2, 3)] + [raag(complete_graph(2))]
+                + [free_group(k) for k in (1, 2, 3)] + [NESTED])
+NONZERO = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(range(len(FOLD_FACTORS))), min_size=2, max_size=6),
+       st.integers(1, 2), st.data())
+def test_the_grouped_fold_matches_the_one_by_one_fold(choice, m, data):
+    model = build_model(direct_product([FOLD_FACTORS[i] for i in choice]))
+    rho = Character(data.draw(st.lists(NONZERO, min_size=m, max_size=m)))
+    # each distinct factor draws one or two column blocks, and each of its
+    # copies takes one of them: equal blocks for some copies, distinct for others
+    pools = {}
+    for i, factor in zip(choice, model.factors):
+        block = st.lists(st.lists(st.integers(-2, 2), min_size=factor.nvars,
+                                  max_size=factor.nvars), min_size=m, max_size=m)
+        pools.setdefault(i, data.draw(st.lists(block, min_size=1, max_size=2)))
+    picked = [data.draw(st.sampled_from(pools[i])) for i in choice]
+    nubar = [[x for block in picked for x in block[row]] for row in range(m)]
+    pulled, ranks = one_by_one(model, pullback_character(nubar, rho).coords)
+    assert model.ranks == ranks
+    assert model.pullback_betti(nubar, rho) == pulled
+    assert model.betti(pullback_character(nubar, rho)).betti == pulled
+    coords = data.draw(st.lists(NONZERO, min_size=model.nvars, max_size=model.nvars))
+    assert model.betti(Character(coords)).betti == one_by_one(model, coords)[0]
+    assert model.betti(GENERIC).betti == one_by_one(model, None)[0]
+
+
+def test_a_probe_folds_each_distinct_power_once(monkeypatch):
+    trials, k = 100, 12
+    argv = ["probe", "--preset", "product-surface", "--genus", ",".join(["4"] * k),
+            "--r", str(k), "--trials", str(trials)]
+    calls = cli_calls(monkeypatch, [("complexes", "twisted_betti"),
+                                    ("constructions", "_convolve")], argv)
+    ranked = [(id(cx), rho) for cx, rho in calls["complexes.twisted_betti"]]
+    # one elimination per distinct factor character, at most
+    assert len(ranked) == len(set(ranked))
+    # the twelve equal factors share one block of nu-bar, so a sample folds
+    # at most once and each power is found by squaring; folding the twelve
+    # profiles one by one takes eleven convolutions per sample
+    assert len(calls["constructions._convolve"]) <= trials + 2 * ceil(log2(k)) + k
 
 
 @settings(max_examples=25, deadline=None)
