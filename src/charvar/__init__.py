@@ -26,7 +26,7 @@ from .constructions import (BestvinaBradyData, Graph, GroupModel, PencilData,
                             SimplicialComplex, bestvina_brady, build_model,
                             cycle_graph, complete_graph, direct_product,
                             edgeless_graph,
-                            flag_complex, free_group, octahedron_graph,
+                            flag_complex, free_group, model_along, octahedron_graph,
                             parse_graph_text, pencil_numerology, raag,
                             raag_chain_model, reduced_homology, surface_group)
 from .jumploci import (FullnessVerdict, V1Ideal, generic_rank_verdict,

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from . import __version__
 # perfbench's tracer test reads twisted_betti from this module
 from .complexes import KernelHomologyReport, twisted_betti
-from .constructions import build_model
+from .constructions import build_model, model_along
 from .errors import NotUnivariate
 from .jumploci import (FullnessVerdict, check_degree, group_homology_scope,
                        is_full_vr_product)
-from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
-                            validate_epimorphism)
+from .presentations import EpimorphismToZm, Presentation, validate_epimorphism
 from .sampling import BOX_SCHEDULE, box_for_trial, sample_character
 
 CONCLUSION_HOMOLOGY = "H_leq_r_infinite"
@@ -176,12 +175,10 @@ def generic_vanishing_probe(presentation: Presentation, nu: EpimorphismToZm,
     degree obeys ``jumploci.check_degree``: a sample's b_r for r >= 2 on a
     presentation 2-complex is not group homology, so it is refused; above
     the model's top every b_j is 0, as the model has no cells there."""
-    nu = validate_epimorphism(presentation, nu.images)
+    nu, model, nubar = model_along(presentation, nu.images)
     check_degree(r, presentation.aspherical)
     if trials < 1:
         raise ValueError("need at least one trial")
-    model = build_model(presentation)
-    nubar = induced_on_free_part(nu, model.abelian)
     rng = random.Random(seed)
     samples = []
     for trial in range(trials):
@@ -212,12 +209,10 @@ def kernel_report_univariate(presentation: Presentation, nu: EpimorphismToZm,
     """Per-degree structure of the kernel's rational homology as a module
     over Q[t, t^-1], by ``GroupModel.kernel_homology``; exact verdicts, no
     sampling."""
-    nu = validate_epimorphism(presentation, nu.images)
+    nu, model, nubar = model_along(presentation, nu.images)
     if top_degree < 0:
         raise ValueError("top degree must be >= 0")
     if nu.target_rank != 1:
         raise NotUnivariate("exact kernel homology needs a map onto Z")
-    model = build_model(presentation)
-    nubar = induced_on_free_part(nu, model.abelian)
     entries = model.kernel_homology(nubar).entries[:top_degree + 1]
     return KernelReport(KernelHomologyReport(entries), model.aspherical)

@@ -26,7 +26,7 @@ from .certify import certify_non_fp, generic_vanishing_probe, kernel_report_univ
 from .complexes import DEFAULT_WINDOW_CEILING, check_window_size, window_homology
 from .constructions import (bestvina_brady, build_model, complete_graph,
                             cycle_graph, direct_product, edgeless_graph,
-                            flag_complex, free_group, octahedron_graph,
+                            flag_complex, free_group, model_along, octahedron_graph,
                             parse_graph_text, pencil_numerology, raag,
                             reduced_homology, surface_group)
 from .covers import finite_cover_oracle
@@ -36,7 +36,7 @@ from .jumploci import group_homology_scope, is_full_v1, is_full_vr_product, v1_i
 from .laurent import GENERIC, Character
 from .lmatrix import DEFAULT_MINOR_CEILING
 from .parser import parse_presentation
-from .presentations import EpimorphismToZm, induced_on_free_part, validate_epimorphism
+from .presentations import EpimorphismToZm
 
 
 def main(argv=None) -> int:
@@ -404,9 +404,7 @@ def cmd_window(args):
     ceiling = _ceiling(args.window_ceiling, "--window-ceiling", "CHARVAR_WINDOW_CEILING",
                        DEFAULT_WINDOW_CEILING)
     presentation, nu = resolve_group_and_nu(args, "ones")
-    nu = validate_epimorphism(presentation, nu.images)
-    model = build_model(presentation)
-    nubar = induced_on_free_part(nu, model.abelian)
+    _, model, nubar = model_along(presentation, nu.images)
     # refused before any complex is pushed or tensored
     check_window_size(sum(model.ranks), len(nubar), args.radius, ceiling)
     report = window_homology(model.pushed(nubar), args.radius, ceiling=ceiling)

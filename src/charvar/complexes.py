@@ -15,7 +15,7 @@ the ring is a PID and the full module structure of the homology (free
 rank plus torsion) is computed by Smith normal form, which is exactly
 the rational homology of the kernel of the corresponding map onto Z.  A
 product's shape, twisted Betti numbers and kernel homology come from its
-factors' (``GroupModel.ranks``, ``betti`` and ``kernel_homology``).
+factors' by one Kunneth fold (``GroupModel._fold``).
 ``tensor_complex`` builds a tensor product from nonzero cells alone,
 over the ring both factors share; a product's complex is its factors
 pushed into one ring and tensored (``GroupModel.pushed``).
@@ -186,7 +186,7 @@ class KernelDegreeEntry:
     """H_degree as a module over Lambda = Q[t, t^-1]: Lambda^free_rank plus
     k copies of Lambda/(f) per run (f, k) of ``torsion``, the runs of its
     invariant factors (``lmatrix._invariant_factors``).  The JSON lists
-    each factor once per copy, as ``torsion_factors``."""
+    each run once, in chain order, as ``torsion_runs``."""
 
     degree: int
     free_rank: int
@@ -215,8 +215,8 @@ class KernelHomologyReport:
                 {
                     "degree": e.degree,
                     "free_rank": e.free_rank,
-                    "torsion_factors": [text for f, k in e.torsion
-                                        for text in [f.to_text()] * k],
+                    "torsion_runs": [{"order": f.to_text(), "count": k}
+                                     for f, k in e.torsion],
                     "torsion_dimension": e.torsion_dimension,
                     "verdict": ("infinite-dimensional" if e.infinite_dimensional
                                 else "finite-dimensional"),

@@ -24,7 +24,8 @@ from .errors import GenusTooSmall, PresentationSyntaxError
 from .intlinalg import reduce_row, smith_normal_form
 from .laurent import GENERIC, Character, LaurentPolynomial, pullback_character
 from .lmatrix import LaurentMatrix, _invariant_factors, univariate_gcd
-from .presentations import AbelianData, EpimorphismToZm, Presentation, abelianize
+from .presentations import (AbelianData, EpimorphismToZm, Presentation, abelianize,
+                            induced_on_free_part, validate_epimorphism)
 from .words import Word, commutator
 
 
@@ -301,9 +302,7 @@ def _remembered(method):
     def answer(self, question):
         key = (method.__name__, question if isinstance(question, Character)
                else tuple(map(tuple, question)))
-        if key not in self._memo:
-            self._memo[key] = method(self, question)
-        return self._memo[key]
+        return self._recall(key, method, self, question)
     return answer
 
 
@@ -328,8 +327,10 @@ class GroupModel:
     Every model keeps one memo for its lifetime (one query in the CLI),
     keyed by the question (``_remembered``): ``betti`` by the character,
     ``pushed``, ``kernel_homology`` and ``_distinct_blocks`` by nu-bar rows,
-    and ``_fold``'s powers by (profile, multiplicity).  A product asks each
-    distinct (factor, slice or block) once per question (``pullback_betti``).
+    ``_fold``'s powers by (convolution, factor invariant, multiplicity) and
+    ``_runs_convolve``'s gcds by their orders.  A product asks each distinct
+    (factor, slice or block) once per question, and folds the answers in
+    ``_fold``: over a field, or over Q[t, t^-1] for ``kernel_homology``.
     """
 
     presentation: Presentation
@@ -337,6 +338,12 @@ class GroupModel:
     built: TwistedComplex | None
     factors: tuple["GroupModel", ...] = ()
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _recall(self, key, compute, *args):
+        """The memo's answer under ``key``, computed once."""
+        if key not in self._memo:
+            self._memo[key] = compute(*args)
+        return self._memo[key]
 
     @property
     def aspherical(self) -> bool:
@@ -370,8 +377,7 @@ class GroupModel:
         (1, 0, 0))."""
         if not self.factors:
             return self.built.ranks
-        ranks = reduce(_convolve, (_convolution_power(f.ranks, k)
-                                   for f, k in Counter(self.factors).items()))
+        ranks = list(self._fold(_convolve, Counter(f.ranks for f in self.factors).items()))
         while ranks[-1] == 0:
             ranks.pop()
         return tuple(ranks)
@@ -423,7 +429,8 @@ class GroupModel:
                              f"got {len(character.coords)}")
         asked = Counter((f, GENERIC if character.is_generic else Character(c))
                         for f, (c,) in self._blocks([character.coords or ()]))
-        profile = self._fold((f.betti(ch).betti, k) for (f, ch), k in asked.items())
+        profile = tuple(self._fold(_convolve, ((f.betti(ch).betti, k) for (f, ch), k
+                                               in asked.items()))[:self.top + 1])
         if not character.is_generic:
             return BettiProfile(profile)
         return BettiProfile(profile, {"name": "kunneth", "factors": [
@@ -434,66 +441,60 @@ class GroupModel:
         (factor, column block) pulling rho back through its own block."""
         if not self.factors:
             return self.betti(pullback_character(nubar, rho)).betti
-        return self._fold((f.pullback_betti(b, rho), k)
-                          for (f, b), k in self._distinct_blocks(nubar))
+        return tuple(self._fold(_convolve, ((f.pullback_betti(b, rho), k) for (f, b), k
+                                            in self._distinct_blocks(nubar)))[:self.top + 1])
 
     @_remembered
     def _distinct_blocks(self, nubar) -> tuple:
         return tuple(Counter((f, tuple(map(tuple, b)))
                              for f, b in self._blocks(nubar)).items())
 
-    def _fold(self, parts) -> tuple[int, ...]:
-        """Kunneth from (factor profile, multiplicity) pairs: each power once
-        per model, convolved and cut to the degrees the tensor model keeps."""
-        powers = []
-        for betti, k in parts:
-            key = "power", betti, k
-            if key not in self._memo:
-                self._memo[key] = _convolution_power(betti, k)
-            powers.append(self._memo[key])
-        return tuple(reduce(_convolve, powers)[:self.top + 1])
+    def _fold(self, convolve, parts):
+        """Kunneth from (factor invariant, multiplicity) pairs over the ring
+        whose tensor product ``convolve`` computes: each power once per
+        model, by squaring, and the powers convolved.  The fold is uncut;
+        each caller cuts it to the degrees the model keeps."""
+        return reduce(convolve, [
+            self._recall((convolve.__name__, x, k), _convolution_power, convolve, x, k)
+            for x, k in parts])
 
     @_remembered
     def kernel_homology(self, nubar) -> KernelHomologyReport:
         """The homology of the complex pushed through ``nubar`` (a map onto
         Z) as a module over the PID Lambda = Q[t, t^-1]; on a product, from
-        the factors' complexes alone, each pushed through its own column
-        block and free over Lambda.  By Kunneth over a PID, H_n is the sum of
-        H_p (x) H_q over p + q = n and of Tor(H_p, H_q) over p + q = n - 1;
-        for Lambda/(a) and Lambda/(b) both are Lambda/gcd(a, b), where
-        Lambda = Lambda/(0) has no Tor.
-
-        The fold counts summands per order, reading each factor degree's
-        runs of invariant factors (and its free rank, as order 0), so its
-        work grows with the distinct orders, not the summands; each
-        distinct pair of orders has its gcd computed once per call.  The
+        the factors' complexes alone, each distinct (factor, column block)
+        pushed and reduced once (``_distinct_blocks``).  Each factor's
+        homology enters as graded runs, its free rank as order 0, and is
+        raised to its multiplicity and folded by ``_runs_convolve``; the
         counted summands of each degree become its invariant factors by
         ``_invariant_factors``."""
         if not self.factors:
             return kernel_homology_univariate(self.pushed(nubar))
         zero = LaurentPolynomial.zero(1)
-        gcds: dict = {}
-        # per degree, how many summands Lambda/(x) of each order x, with
-        # x = 0 for Lambda itself
-        summands = [Counter({zero: 1})]
-        for part in (f.kernel_homology(b) for f, b in self._blocks(nubar)):
-            folded = [Counter() for _ in range(len(summands) + len(part.entries))]
-            for (p, a), e in iproduct(enumerate(summands), part.entries):
-                runs = (*e.torsion, (zero, e.free_rank)) if e.free_rank else e.torsion
-                for (x, kx), (y, ky) in iproduct(a.items(), runs):
-                    if (x, y) not in gcds:
-                        gcds[x, y] = univariate_gcd(x, y)
-                    g = gcds[x, y]
-                    folded[p + e.degree][g] += kx * ky
-                    if x and y:
-                        folded[p + e.degree + 1][g] += kx * ky
-            summands = folded
+        parts = ((tuple(((zero, e.free_rank),) * bool(e.free_rank) + e.torsion
+                        for e in f.kernel_homology(b).entries), k)
+                 for (f, b), k in self._distinct_blocks(nubar))
         entries = []
-        for n, cyclic in enumerate(summands[:self.top + 1]):
+        for n, runs in enumerate(self._fold(self._runs_convolve, parts)[:self.top + 1]):
+            cyclic = dict(runs)
             free_rank = cyclic.pop(zero, 0)
-            entries.append(KernelDegreeEntry(
-                n, free_rank, _invariant_factors(cyclic.items())))
+            entries.append(KernelDegreeEntry(n, free_rank, _invariant_factors(cyclic.items())))
         return KernelHomologyReport(tuple(entries))
+
+    def _runs_convolve(self, a, b) -> tuple:
+        """Kunneth over the PID Lambda on graded runs, per degree the
+        (order x, count) pairs of the summands Lambda/(x), Lambda as x = 0:
+        H_p (x) H_q and Tor(H_p, H_q), in degrees p + q and p + q + 1, are
+        Lambda/gcd(x, y) for each pair, with no Tor when x or y is 0.  A top
+        homology is a submodule of a free module, so no Tor passes the top."""
+        out = [Counter() for _ in range(len(a) + len(b) - 1)]
+        for (p, xs), (q, ys) in iproduct(enumerate(a), enumerate(b)):
+            for (x, kx), (y, ky) in iproduct(xs, ys):
+                g = self._recall(("gcd", x, y), univariate_gcd, x, y)
+                out[p + q][g] += kx * ky
+                if x and y:
+                    out[p + q + 1][g] += kx * ky
+        return tuple(tuple(c.items()) for c in out)
 
 
 def _convolve(a, b) -> list[int]:
@@ -506,12 +507,12 @@ def _convolve(a, b) -> list[int]:
     return out
 
 
-def _convolution_power(a, k: int):
-    """a convolved with itself k >= 1 times, by squaring."""
+def _convolution_power(convolve, a, k: int):
+    """a convolved with itself k >= 1 times by ``convolve``, by squaring."""
     if k == 1:
         return a
-    half = _convolution_power(_convolve(a, a), k // 2)
-    return _convolve(half, a) if k % 2 else half
+    half = _convolution_power(convolve, convolve(a, a), k // 2)
+    return convolve(half, a) if k % 2 else half
 
 
 def build_model(presentation: Presentation) -> GroupModel:
@@ -538,6 +539,14 @@ def build_model(presentation: Presentation) -> GroupModel:
     cx = (raag_chain_model(presentation.graph) if presentation.graph is not None
           else presentation_complex(presentation, abelian))
     return GroupModel(presentation, abelian, cx)
+
+
+def model_along(presentation: Presentation, images):
+    """(nu, model, nu-bar): ``images`` validated as a map onto Z^m, the
+    model, and the map nu induces on the free part of the model's H_1."""
+    nu = validate_epimorphism(presentation, images)
+    model = build_model(presentation)
+    return nu, model, induced_on_free_part(nu, model.abelian)
 
 
 def _blockwise(factors) -> AbelianData:

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructions import build_model
+from .constructions import model_along
 from .errors import NotUnivariate
 from .intlinalg import integer_rank
 from .laurent import Character
-from .presentations import (EpimorphismToZm, Presentation, induced_on_free_part,
-                            validate_epimorphism)
+from .presentations import EpimorphismToZm, Presentation
 from .words import Word
 
 
@@ -103,13 +102,11 @@ def finite_cover_oracle(presentation: Presentation, nu: EpimorphismToZm) -> Cove
     coordinates (a twisted b_1 does not depend on the basis).  Raises as
     ``validate_epimorphism`` does unless nu is onto.
     """
-    nu = validate_epimorphism(presentation, nu.images)
+    nu, model, nubar = model_along(presentation, nu.images)
     subgroup = index_two_subgroup(presentation, nu)
     exponents = subgroup.exponent_matrix()
     b1_cover = subgroup.ngens - integer_rank(exponents)
 
-    model = build_model(presentation)
-    nubar = induced_on_free_part(nu, model.abelian)
     b1 = {v: model.pullback_betti(nubar, Character((v,)))[1] for v in (1, -1)}
     return CoverReport(
         subgroup=subgroup,

@@ -19,8 +19,6 @@ from .presentations import AbelianData, Presentation
 
 def quotient_images(q: AbelianData, ngens: int) -> list[tuple[int, ...]]:
     """Per-generator images in Z^m under q's projection onto the free part."""
-    if not isinstance(q, AbelianData):
-        raise TypeError(f"unsupported quotient {type(q).__name__}")
     return [tuple(row[i] for row in q.projection) for i in range(ngens)]
 
 

@@ -22,10 +22,10 @@ diagonal by unit scalings and leading-term steps on primitive rows in
 Z[t, t^-1], so no coefficient leaves the integers or swells (the
 primitive remainders of W. S. Brown, J. ACM 18, 1971).  Torsion over this
 ring is carried as runs, (order, multiplicity) pairs ascending in
-divisibility, so work scales with the distinct orders, not the summands.
-``_invariant_factors`` turns runs of cyclic summands into the chain's
-runs, and is the one assembly of every chain over this ring: the Smith
-diagonal, counted, and the Kunneth fold of ``GroupModel.kernel_homology``.
+divisibility, so work and JSON scale with the distinct orders, not the
+summands.  ``_invariant_factors`` turns runs of cyclic summands into the
+chain's runs, and is the one assembly of every chain over this ring: the
+Smith diagonal, counted, and each degree of ``GroupModel.kernel_homology``.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from charvar.laurent import GENERIC, Character, pullback_character
 from charvar.parser import parse_presentation
 from charvar.presentations import induced_on_free_part
 
+from chain_oracle import kunneth_kernel_homology
 from conftest import cli_calls, record_calls, scaled
 
 TORSION = parse_presentation("gens a,b,c; rel a^3 b^-3 c^6; rel [b,c];")
@@ -168,6 +169,39 @@ def test_the_grouped_fold_matches_the_one_by_one_fold(choice, m, data):
     coords = data.draw(st.lists(NONZERO, min_size=model.nvars, max_size=model.nvars))
     assert model.betti(Character(coords)).betti == one_by_one(model, coords)[0]
     assert model.betti(GENERIC).betti == one_by_one(model, None)[0]
+
+
+TREFOIL = parse_presentation("gens x,y; rel x y x y^-1 x^-1 y^-1;")
+PID_FACTORS = FOLD_FACTORS + [TORSION, TREFOIL]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(range(len(PID_FACTORS))), min_size=2, max_size=6),
+       st.data())
+def test_the_grouped_pid_fold_matches_the_one_by_one_fold(choice, data):
+    model = build_model(direct_product([PID_FACTORS[i] for i in choice]))
+    # each distinct factor draws one or two one-row column blocks, and each
+    # of its copies takes one of them: equal blocks for some copies,
+    # distinct for others
+    pools = {}
+    for i, factor in zip(choice, model.factors):
+        block = st.lists(st.integers(-2, 2), min_size=factor.nvars, max_size=factor.nvars)
+        pools.setdefault(i, data.draw(st.lists(block, min_size=1, max_size=2)))
+    picked = [data.draw(st.sampled_from(pools[i])) for i in choice]
+    nubar = [[x for block in picked for x in block]]
+    expected = kunneth_kernel_homology(
+        [f.pushed([b]) for f, b in zip(model.factors, picked)])
+    assert model.kernel_homology(nubar) == expected
+
+
+def test_a_kernel_raises_each_distinct_factor_by_squaring(monkeypatch):
+    # the twelve equal factors share one block of nu-bar, so the fold is one
+    # power, found by squaring; folding them one by one takes eleven
+    k = 12
+    calls = cli_calls(monkeypatch, [("constructions", "GroupModel._runs_convolve")],
+                      ["kernel", "--preset", "product-surface", "--genus",
+                       ",".join(["4"] * k), "--nu", "ones", "--top-degree", "2"])
+    assert len(calls["constructions.GroupModel._runs_convolve"]) <= 2 * ceil(log2(k))
 
 
 def test_a_probe_folds_each_distinct_power_once(monkeypatch):
@@ -387,9 +421,9 @@ def test_kernel_work_follows_the_distinct_orders(monkeypatch, top_degree):
                      "--nu", "ones", "--top-degree", str(top_degree), "--json"]) == 0
     degrees = json.loads(out.getvalue())["result"]["degrees"]
     assert len(degrees) == top_degree + 1
-    assert {f for d in degrees for f in d["torsion_factors"]} == {"t1 - 1"}
+    assert {r["order"] for d in degrees for r in d["torsion_runs"]} == {"t1 - 1"}
     rendered = calls["laurent.LaurentPolynomial.to_text"]
-    assert len(rendered) == sum(bool(d["torsion_factors"]) for d in degrees)
+    assert len(rendered) == sum(bool(d["torsion_runs"]) for d in degrees)
     pairs = calls["lmatrix.univariate_gcd"]
     assert len(pairs) == len(set(pairs)) <= 4
 
@@ -447,6 +481,6 @@ def test_kernel_of_s2_to_the_fourth(capsys):
     degrees = json.loads(capsys.readouterr().out)["result"]["degrees"]
     assert sum((-1) ** d["degree"] * d["free_rank"] for d in degrees) == 16
     assert [d["free_rank"] for d in degrees] == [0, 0, 0, 0, 16, 0, 0, 0, 0]
-    assert [len(d["torsion_factors"]) for d in degrees] == [1, 15, 85, 219, 219,
-                                                            85, 15, 1, 0]
-    assert {f for d in degrees for f in d["torsion_factors"]} == {"t1 - 1"}
+    assert [sum(r["count"] for r in d["torsion_runs"]) for d in degrees] == [
+        1, 15, 85, 219, 219, 85, 15, 1, 0]
+    assert {r["order"] for d in degrees for r in d["torsion_runs"]} == {"t1 - 1"}
